@@ -143,6 +143,11 @@ expl=$(timeout 60 ./target/release/ssd explain examples/movies.ssd \
     'select T from db.Entry.Movie.Title T' --analyze)
 echo "$expl" | grep -q "estimated cost"
 echo "$expl" | grep -q "actual cost"
+# Shape picks the engine: a label sequence runs on the index at any size,
+# a Kleene-star path keeps the interpreter and says why (SSD050).
+echo "$expl" | grep -q "access=index("
+timeout 60 ./target/release/ssd explain examples/movies.ssd \
+    'select T from db.Entry.Movie.References*.Title T' | grep -q "SSD050"
 # The E17 overhead benchmark must compile and run (quick mode).
 cargo bench -q -p ssd-bench --bench e17_trace --offline -- --quick >/dev/null
 

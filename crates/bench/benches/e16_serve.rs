@@ -44,13 +44,15 @@ fn bench(c: &mut Criterion) {
     });
 
     // Rejection path: a 1-fuel per-job ceiling fails admission before
-    // any engine work — this is the "rejection is free" half of E16.
+    // any engine work — this is the "rejection is free" half of E16. Only
+    // an interpreter shape has a fuel lower bound to reject on.
+    const WILD: &str = "select T from db.Entry.%.Title T";
     let tight = server.open_session(SessionQuota {
         job_fuel: 1,
         ..roomy()
     });
     group.bench_with_input(BenchmarkId::new("rejected_submit", 100), &(), |b, ()| {
-        b.iter(|| tight.submit(JobKind::Query, PATH3).is_err())
+        b.iter(|| tight.submit(JobKind::Query, WILD).is_err())
     });
     let tight_books = tight.counters().expect("session counters");
     assert_eq!(tight_books.fuel_spent, 0, "rejections must cost no fuel");

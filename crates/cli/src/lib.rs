@@ -2058,7 +2058,7 @@ mod tests {
             &[
                 "query",
                 "-",
-                "select T from db.Entry.Movie.Title T",
+                "select T from db.Entry.%.Title T",
                 "--max-steps",
                 "1",
                 "--admission=strict",
@@ -2098,7 +2098,7 @@ mod tests {
             &[
                 "query",
                 "-",
-                "select T from db.Entry.Movie.Title T",
+                "select T from db.Entry.%.Title T",
                 "--max-steps",
                 "1",
                 "--partial",
@@ -2120,7 +2120,7 @@ mod tests {
             &[
                 "query",
                 "-",
-                "select T from db.Entry.Movie.Title T",
+                "select T from db.Entry.%.Title T",
                 "--max-steps",
                 "1",
                 "--admission=strict",
@@ -2167,7 +2167,7 @@ mod tests {
         // rejected before any engine work.
         let out = client_script(
             port,
-            "HELLO job-fuel=1\nQUERY select T from db.Entry.Movie.Title T\n",
+            "HELLO job-fuel=1\nQUERY select T from db.Entry.%.Title T\n",
         )
         .unwrap();
         assert!(out.contains("ERR error[SSD030]"), "{out}");
@@ -2186,7 +2186,7 @@ mod tests {
             &[
                 "query",
                 "-",
-                "select T from db.Entry.Movie.Title T",
+                "select T from db.Entry.%.Title T",
                 "--max-steps",
                 "1",
                 "--partial",

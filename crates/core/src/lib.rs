@@ -54,9 +54,6 @@ pub struct Database {
     /// means building it failed (SSD051 dictionary overflow) and every
     /// query on this snapshot uses the interpreter.
     triple_index: OnceLock<Option<TripleIndex>>,
-    /// Plain (schema-free) data statistics, cached for the access-path
-    /// planner so repeated queries don't re-collect them.
-    plan_stats: OnceLock<DataStats>,
     /// Storage generation this snapshot belongs to: 0 for a freestanding
     /// database, and the committed-transaction count when the database
     /// is a snapshot handed out by `ssd-store` (each commit swaps in a
@@ -144,7 +141,6 @@ impl Database {
             index: OnceLock::new(),
             guide: OnceLock::new(),
             triple_index: OnceLock::new(),
-            plan_stats: OnceLock::new(),
             generation: 0,
         }
     }
@@ -203,47 +199,42 @@ impl Database {
         self
     }
 
-    /// Plain data statistics, cached (the access-path planner's feed).
-    pub fn plan_stats(&self) -> &DataStats {
-        self.plan_stats
-            .get_or_init(|| DataStats::collect(&self.graph))
+    /// The batched plan for `query` with the index it runs on, or the
+    /// SSD050 reason the interpreter runs instead. Shape is checked first,
+    /// so an unbatchable query never builds the triple index.
+    fn plan_select(&self, query: &SelectQuery) -> Result<(&TripleIndex, AccessPlan), String> {
+        ssd_query::batch::batchable(query)?;
+        let index = self
+            .triple_index()
+            .ok_or("triple index unavailable (SSD051 dictionary overflow)")?;
+        let plan = ssd_query::plan_access(&self.graph, index, query)?;
+        Ok((index, plan))
     }
 
     /// Decide how a select query will be executed on this snapshot: the
-    /// batched columnar pipeline when the shape is batchable *and* the
-    /// cost model says the index wins, the interpreter otherwise (with
-    /// the SSD050 reason).
+    /// batched columnar pipeline whenever the shape is batchable, the
+    /// interpreter otherwise (with the SSD050 reason: the shape, or the
+    /// missing index).
     pub fn select_access(&self, query: &SelectQuery) -> AccessDecision {
-        let Some(index) = self.triple_index() else {
-            return AccessDecision::Interpreter {
-                reason: "triple index unavailable (dictionary overflow)".to_owned(),
-            };
-        };
-        match ssd_query::plan_access(&self.graph, index, self.plan_stats(), query) {
-            Ok(plan) if plan.wins() => AccessDecision::Batched(plan),
-            Ok(plan) => AccessDecision::Interpreter {
-                reason: plan.keep_interpreter_reason(),
-            },
+        match self.plan_select(query) {
+            Ok((_, plan)) => AccessDecision::Batched(plan),
             Err(reason) => AccessDecision::Interpreter { reason },
         }
     }
 
     /// Evaluate a parsed query through whichever access path
-    /// [`Database::select_access`] picked. Fallbacks emit the SSD050 note
+    /// [`Database::select_access`] picks. Fallbacks emit the SSD050 note
     /// as a `Phase::Index` trace instant when a tracer is attached.
     fn evaluate(
         &self,
         query: &SelectQuery,
         opts: &EvalOptions<'_>,
     ) -> Result<(Graph, ssd_query::EvalStats), String> {
-        match self.select_access(query) {
-            AccessDecision::Batched(plan) => {
-                if let Some(index) = self.triple_index() {
-                    return ssd_query::evaluate_batched(&self.graph, index, query, &plan, opts);
-                }
-                ssd_query::evaluate_select(&self.graph, query, opts)
+        match self.plan_select(query) {
+            Ok((index, plan)) => {
+                ssd_query::evaluate_batched(&self.graph, index, query, &plan, opts)
             }
-            AccessDecision::Interpreter { reason } => {
+            Err(reason) => {
                 let note = ssd_query::batch::fallback_note(&reason);
                 trace::instant(
                     opts.tracer,
@@ -336,18 +327,22 @@ impl Database {
             let _sp = trace::span(tracer, trace::Phase::Parse, "parse", Some(guard));
             ssd_query::parse_query(text).map_err(|e| e.to_string())?
         };
+        // Schema-refined statistics feed both the estimate and the
+        // optimizer; collected at most once per call.
+        let mut data_stats = None;
         let estimate = if tracer.is_some() {
             let _sp = trace::span(tracer, trace::Phase::Estimate, "estimate", Some(guard));
-            self.estimate_query(text).ok()
+            let (stats, schema) = data_stats.insert(self.data_stats());
+            Self::estimate_query_with(text, stats, schema).ok()
         } else {
             None
         };
         let (q, mut opts) = if optimize {
-            let (stats, schema) = self.data_stats();
+            let (stats, schema) = data_stats.get_or_insert_with(|| self.data_stats());
             let (q2, _report) = ssd_query::optimizer::optimize_with_stats_traced(
                 &q,
-                Some(&schema),
-                Some(&stats),
+                Some(schema),
+                Some(stats),
                 tracer,
             );
             (q2, EvalOptions::optimized(Some(self.dataguide())))
@@ -474,11 +469,21 @@ impl Database {
     /// plus the SSD03x diagnostics. Pass the envelope to
     /// [`Budget::admit`] for admission control.
     pub fn estimate_query(&self, text: &str) -> Result<CostAnalysis, String> {
-        let (q, spans) = ssd_query::lang::parse_query_spanned(text).map_err(|e| e.to_string())?;
         let (stats, schema) = self.data_stats();
+        Self::estimate_query_with(text, &stats, &schema)
+    }
+
+    /// [`Database::estimate_query`] over already collected
+    /// [`Database::data_stats`].
+    fn estimate_query_with(
+        text: &str,
+        stats: &DataStats,
+        schema: &Schema,
+    ) -> Result<CostAnalysis, String> {
+        let (q, spans) = ssd_query::lang::parse_query_spanned(text).map_err(|e| e.to_string())?;
         let ctx = CostContext {
-            stats: Some(&stats),
-            schema: Some(&schema),
+            stats: Some(stats),
+            schema: Some(schema),
         };
         Ok(ssd_query::analyze::analyze_query_cost(
             &q,
@@ -791,8 +796,9 @@ mod tests {
     #[test]
     fn estimate_and_admit() {
         let db = db();
+        // An interpreter shape: its root scan gives a fuel lower bound.
         let a = db
-            .estimate_query("select T from db.Entry.Movie.Title T")
+            .estimate_query("select T from db.Entry.%.Title T")
             .unwrap();
         assert!(a.envelope.fuel.is_bounded(), "{:?}", a.envelope);
         // A generous budget admits it; a one-step budget cannot.

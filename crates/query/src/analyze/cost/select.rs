@@ -9,10 +9,14 @@
 //! `P_d` and folds the per-evaluation RPE costs ([`super::rpe`]) through
 //! them. The model is the baseline (non-optimized, guide-free) plan; the
 //! condition term uses `Σ_d P_d` so it also covers pushdown, which may
-//! evaluate a conjunct once per prefix at any single depth.
+//! evaluate a conjunct once per prefix at any single depth. Shapes the
+//! batched pipeline ([`crate::batch`]) serves get that engine's lower
+//! bound and its batch-memory term, so the envelope brackets whichever
+//! engine runs.
 
 use super::rpe::{rpe_cost, RpeCost};
 use super::{widen, CostAnalysis, CostContext};
+use crate::batch::CELL_BYTES;
 use crate::lang::ast::Cond;
 use crate::lang::eval::CONSTRUCT_COST;
 use crate::lang::{QuerySpans, SelectQuery, Source};
@@ -114,12 +118,30 @@ pub fn analyze_query_cost(
     // Conditions, at whichever depth the plan evaluates them.
     fuel_hi = fuel_hi.add(total_prefixes.mul(cond_fuel));
     mem_hi = mem_hi.add(total_prefixes.mul(cond_mem));
+    // Batchable shapes run on the columnar pipeline, whose fuel the terms
+    // above already cover (a walk ticks at most once per node and edge per
+    // step) but which also charges every batch cell it emits: stage d
+    // hands on at most P_d rows of d columns, and a `where` filter
+    // re-emits the last stage's.
+    let batchable = crate::batch::batchable(query).is_ok();
+    if batchable {
+        let stages = (1..=k).chain(query.condition.as_ref().map(|_| k));
+        for d in stages {
+            mem_hi = mem_hi.add(prefix[d].hi.mul(Bound::Finite(d as u64 * CELL_BYTES)));
+        }
+    }
 
     out.envelope.fuel.hi = fuel_hi;
     out.envelope.memory.hi = mem_hi;
-    // Lower bound: the depth-0 call always ticks; with at least one
-    // binding, its RPE is evaluated once before anything can prune.
-    out.envelope.fuel.lo = 1 + costs.first().map_or(0, |c| c.fuel.lo);
+    // Lower bound, for the engine the shape selects. Interpreter: the
+    // depth-0 call always ticks and, with at least one binding, its RPE
+    // is evaluated once before anything can prune. Batched: a first label
+    // absent from the index ends the scan before any tick.
+    out.envelope.fuel.lo = if batchable {
+        0
+    } else {
+        1 + costs.first().map_or(0, |c| c.fuel.lo)
+    };
     out.envelope.memory.lo = 0;
     out.envelope.cardinality.hi = prefix[k].hi;
     out.envelope.cardinality.lo = if query.condition.is_none() {
@@ -308,7 +330,8 @@ mod tests {
         assert!(a.envelope.fuel.is_bounded(), "{:?}", a.envelope);
         assert!(a.envelope.memory.is_bounded(), "{:?}", a.envelope);
         assert!(a.envelope.cardinality.is_bounded(), "{:?}", a.envelope);
-        assert!(a.envelope.fuel.lo >= 1);
+        // A batchable shape: an absent first label ends the scan unticked.
+        assert_eq!(a.envelope.fuel.lo, 0);
         assert_eq!(a.per_binding.len(), 2);
         assert!(!a
             .diagnostics

@@ -24,12 +24,13 @@
 //!   interpreter's constructor ([`construct_edges`]), so result graphs
 //!   are built by exactly the same code in both paths.
 //!
-//! The planner ([`plan_access`]) decides per query whether this path
-//! applies (pure label-sequence binding paths, no label variables) and
-//! per *step* which permutation to use: an SPO gallop driven by the
-//! current frontier, or a POS scan of the label's run when statistics say
-//! the label is rarer than the frontier is wide. Anything else falls back
-//! to the interpreter, noted as `SSD050`.
+//! Query *shape* alone decides whether this path applies ([`batchable`]:
+//! pure label-sequence binding paths, no label variables); every
+//! batchable query runs here. The planner ([`plan_access`]) then picks,
+//! per *step*, which permutation to use: an SPO gallop driven by the
+//! current frontier, or a POS scan of the label's run when the index's
+//! exact label counts say the label is rarer than the frontier is wide.
+//! Anything else falls back to the interpreter, noted as `SSD050`.
 //!
 //! Resource accounting mirrors the interpreter: the guard is ticked per
 //! key touched and per row processed, batch memory is charged by encoded
@@ -37,16 +38,16 @@
 
 use crate::lang::ast::{Cond, SelectQuery, Source};
 use crate::lang::eval::{
-    binding_profiles, construct_edges, eval_cond, exh, finish_select_trace, note_truncation,
-    BindVal, EvalOptions, EvalStats, CONSTRUCT_COST,
+    analyzer_gate, construct_edges, eval_cond, exh, finish_select, BindVal, EvalOptions, EvalStats,
+    CONSTRUCT_COST,
 };
 use crate::rpe::Rpe;
 use ssd_diag::{Code, Diagnostic};
 use ssd_graph::{Graph, Label, NodeId};
 use ssd_guard::Guard;
 use ssd_index::TripleIndex;
-use ssd_schema::{DataStats, Pred};
-use ssd_trace::Phase;
+use ssd_schema::Pred;
+use ssd_trace::{Phase, Tracer};
 use std::collections::HashMap;
 
 /// Rows per exchanged batch.
@@ -54,16 +55,6 @@ pub const BATCH_ROWS: usize = 1024;
 
 /// Bytes one batch cell (an encoded node id) is charged at.
 pub const CELL_BYTES: u64 = 4;
-
-/// Flat cost the planner charges the batched path for pipeline setup, in
-/// estimated-edges-touched units; below this the interpreter wins on
-/// constant factors alone (tiny graphs).
-const BATCH_SETUP_COST: u64 = 512;
-
-/// Estimated cost multiplier of touching one edge in the interpreter's
-/// NFA product-BFS (hash-set state tracking, per-edge allocation) versus
-/// one galloped key in a sorted run.
-const NFA_EDGE_OVERHEAD: u64 = 8;
 
 /// Which permutation answers one path step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,8 +92,6 @@ pub enum BindingSource {
 pub struct BindingPlan {
     pub source: BindingSource,
     pub steps: Vec<StepPlan>,
-    /// Estimated matches one walk of this binding produces.
-    pub est_matches: u64,
 }
 
 impl BindingPlan {
@@ -125,29 +114,10 @@ impl BindingPlan {
     }
 }
 
-/// A full query access plan plus the planner's cost estimates (in
-/// estimated-edges-touched units) for both execution paths.
+/// A full query access plan: one [`BindingPlan`] per query binding.
 #[derive(Debug, Clone)]
 pub struct AccessPlan {
     pub bindings: Vec<BindingPlan>,
-    pub est_cost_batched: u64,
-    pub est_cost_interp: u64,
-}
-
-impl AccessPlan {
-    /// Does the cost model say the batched path beats the interpreter?
-    pub fn wins(&self) -> bool {
-        self.est_cost_batched < self.est_cost_interp
-    }
-
-    /// Why the interpreter was kept despite a batchable shape — the
-    /// SSD050 note body for a cost-based fallback.
-    pub fn keep_interpreter_reason(&self) -> String {
-        format!(
-            "statistics favour the interpreter (estimated cost {} vs batched {})",
-            self.est_cost_interp, self.est_cost_batched
-        )
-    }
 }
 
 /// The SSD050 note recorded when a query falls back to the interpreter.
@@ -159,7 +129,7 @@ pub fn fallback_note(reason: &str) -> Diagnostic {
 }
 
 /// Flatten an RPE into a label sequence, or say why it is not batchable.
-fn flatten_steps(path: &Rpe, out: &mut Vec<Pred>) -> Result<(), String> {
+fn flatten_steps<'q>(path: &'q Rpe, out: &mut Vec<&'q Pred>) -> Result<(), String> {
     match path {
         Rpe::Epsilon => Ok(()),
         Rpe::Step(s) => {
@@ -168,7 +138,7 @@ fn flatten_steps(path: &Rpe, out: &mut Vec<Pred>) -> Result<(), String> {
             }
             match &s.pred {
                 Pred::Symbol(_) | Pred::ValueEq(_) => {
-                    out.push(s.pred.clone());
+                    out.push(&s.pred);
                     Ok(())
                 }
                 other => Err(format!("uses predicate `{other}`")),
@@ -185,34 +155,20 @@ fn flatten_steps(path: &Rpe, out: &mut Vec<Pred>) -> Result<(), String> {
     }
 }
 
-/// Plan index access for `query`, choosing a permutation per step from
-/// `stats` and the index's exact label counts. `Err` carries the reason
-/// the query's shape is not batchable (the SSD050 note body); a
-/// successful plan still carries cost estimates so the caller can decide
-/// whether the index actually *wins* ([`AccessPlan::wins`]).
-pub fn plan_access(
-    g: &Graph,
-    index: &TripleIndex,
-    stats: &DataStats,
-    query: &SelectQuery,
-) -> Result<AccessPlan, String> {
+/// The batchable shape of `query`: per binding, where its walk starts and
+/// the label sequence it follows. `Err` carries the reason the shape is
+/// not batchable (the SSD050 note body).
+fn shape(query: &SelectQuery) -> Result<Vec<(BindingSource, Vec<&Pred>)>, String> {
     if query.bindings.is_empty() {
         return Err("query has no bindings".to_owned());
     }
-    let avg_fanout = (stats.edges_reachable / stats.nodes_reachable.max(1)).max(1);
-    let log_n = (usize::BITS - index.len().leading_zeros()).max(1) as u64;
-    let mut bindings: Vec<BindingPlan> = Vec::with_capacity(query.bindings.len());
-    // Rows the pipeline carries into each binding's join (the number of
-    // times the interpreter would re-walk that binding's path).
-    let mut prefix_rows: u64 = 1;
-    let mut est_cost_batched: u64 = BATCH_SETUP_COST;
-    let mut est_cost_interp: u64 = 0;
-    for b in &query.bindings {
-        let mut preds: Vec<Pred> = Vec::new();
+    let mut out = Vec::with_capacity(query.bindings.len());
+    for (i, b) in query.bindings.iter().enumerate() {
+        let mut preds = Vec::new();
         flatten_steps(&b.path, &mut preds)
             .map_err(|why| format!("path for binding {} {why}", b.var))?;
         let source = match &b.source {
-            Source::Db if bindings.is_empty() => BindingSource::Root,
+            Source::Db if i == 0 => BindingSource::Root,
             Source::Db => {
                 return Err(format!(
                     "binding {} is db-rooted but not first; interpreter required",
@@ -228,55 +184,50 @@ pub fn plan_access(
                 BindingSource::Col(col)
             }
         };
-        // Frontier width of one walk: the root for db-rooted bindings,
-        // one source node per memoised walk otherwise.
-        let mut frontier: u64 = 1;
-        let mut steps: Vec<StepPlan> = Vec::with_capacity(preds.len());
-        let mut walk_batched: u64 = 0;
-        let mut walk_interp: u64 = 0;
-        for p in &preds {
-            let label = pred_label(g, p);
-            let id = label.and_then(|l| index.label_id(&l));
-            let count = id.map(|i| index.label_count(i) as u64).unwrap_or(0);
-            // Cross-check against the schema-layer selectivity estimate;
-            // the exact index count wins, the stats feed the comparison
-            // when a label is missing from the index's generation.
-            let est_count = count
-                .max((stats.label_selectivity(&pred_key(p)) * stats.edges_reachable as f64) as u64);
-            let out = est_count
-                .min(frontier.saturating_mul(stats.max_fanout.max(1)))
-                .max(1);
-            let strategy = if est_count < frontier {
-                StepStrategy::PosScan
-            } else {
-                StepStrategy::SpoGallop
-            };
-            walk_batched += match strategy {
-                StepStrategy::SpoGallop => frontier.saturating_mul(log_n).saturating_add(out),
-                StepStrategy::PosScan => est_count.max(1),
-            };
-            walk_interp += frontier.saturating_mul(avg_fanout).max(1) * NFA_EDGE_OVERHEAD;
-            steps.push(StepPlan {
-                label: id,
-                strategy,
-            });
-            frontier = out;
-        }
-        est_cost_batched = est_cost_batched.saturating_add(walk_batched.max(1));
-        est_cost_interp =
-            est_cost_interp.saturating_add(prefix_rows.saturating_mul(walk_interp.max(1)));
-        bindings.push(BindingPlan {
-            source,
-            steps,
-            est_matches: frontier,
-        });
-        prefix_rows = prefix_rows.saturating_mul(frontier.max(1));
+        out.push((source, preds));
     }
-    Ok(AccessPlan {
-        bindings,
-        est_cost_batched,
-        est_cost_interp,
-    })
+    Ok(out)
+}
+
+/// Does `query`'s shape run on the batched path? Needs no index, so
+/// callers check this before building one. `Err` is the SSD050 reason.
+pub fn batchable(query: &SelectQuery) -> Result<(), String> {
+    shape(query).map(drop)
+}
+
+/// Plan index access for `query`, choosing a permutation per step from
+/// the index's exact label counts. `Err` carries the reason the query's
+/// shape is not batchable (the SSD050 note body).
+pub fn plan_access(
+    g: &Graph,
+    index: &TripleIndex,
+    query: &SelectQuery,
+) -> Result<AccessPlan, String> {
+    let bindings = shape(query)?
+        .into_iter()
+        .map(|(source, preds)| {
+            // Bound on the frontier entering each step: the single start
+            // node, then at most one node per edge carrying the label
+            // just walked.
+            let mut frontier = 1usize;
+            let steps = preds
+                .into_iter()
+                .map(|p| {
+                    let label = pred_label(g, p).and_then(|l| index.label_id(&l));
+                    let count = label.map_or(0, |id| index.label_count(id));
+                    let strategy = if count < frontier {
+                        StepStrategy::PosScan
+                    } else {
+                        StepStrategy::SpoGallop
+                    };
+                    frontier = count.max(1);
+                    StepPlan { label, strategy }
+                })
+                .collect();
+            BindingPlan { source, steps }
+        })
+        .collect();
+    Ok(AccessPlan { bindings })
 }
 
 /// The single concrete label a batchable step predicate matches.
@@ -285,14 +236,6 @@ fn pred_label(g: &Graph, p: &Pred) -> Option<Label> {
         Pred::Symbol(name) => Some(Label::symbol(g.symbols(), name)),
         Pred::ValueEq(v) => Some(Label::Value(v.clone())),
         _ => None,
-    }
-}
-
-/// The step's key in [`DataStats::label_counts`] (displayed label form).
-fn pred_key(p: &Pred) -> String {
-    match p {
-        Pred::Symbol(name) => name.clone(),
-        other => other.to_string(),
     }
 }
 
@@ -432,39 +375,32 @@ pub fn evaluate_batched(
     let unlimited = Guard::unlimited();
     let guard = opts.guard.unwrap_or(&unlimited);
     let mut sp = ssd_trace::span(opts.tracer, Phase::Eval, "select.batched", Some(guard));
-    let analysis = {
-        let _a = ssd_trace::span(opts.tracer, Phase::Analyze, "analyze", Some(guard));
-        crate::analyze::analyze_query(query, None, None)
-    };
-    if analysis.has_errors() {
-        let errors: Vec<String> = analysis
-            .diagnostics
-            .iter()
-            .filter(|d| d.is_error())
-            .map(|d| d.headline())
-            .collect();
-        return Err(errors.join("; "));
-    }
+    let mut stats = analyzer_gate(query, opts.tracer, guard)?;
     if plan.bindings.len() != query.bindings.len() {
         return Err("access plan does not match query bindings".to_owned());
     }
+    let outcome = run_pipeline(g, index, query, plan, opts.tracer, guard, &mut stats);
+    finish_select(outcome, opts.tracer, guard, &mut sp, stats)
+}
+
+/// The Scan → MergeJoin → Filter → Project pipeline behind
+/// [`evaluate_batched`]: builds the result graph, filling `stats`.
+fn run_pipeline(
+    g: &Graph,
+    index: &TripleIndex,
+    query: &SelectQuery,
+    plan: &AccessPlan,
+    tracer: Option<&Tracer>,
+    guard: &Guard,
+    stats: &mut EvalStats,
+) -> Result<Graph, String> {
     let mut result = Graph::with_symbols(g.symbols_handle());
-    let mut stats = EvalStats {
-        warnings: analysis
-            .diagnostics
-            .iter()
-            .filter(|d| !d.is_error())
-            .map(|d| d.headline())
-            .collect(),
-        per_binding: binding_profiles(query),
-        ..EvalStats::default()
-    };
     let mut live = true;
 
     // Scan: binding 0 walked once from the root.
     let mut batches: Vec<Batch> = Vec::new();
     {
-        let mut op = ssd_trace::span(opts.tracer, Phase::Index, "scan", Some(guard));
+        let mut op = ssd_trace::span(tracer, Phase::Index, "scan", Some(guard));
         let fuel_before = guard.steps_used();
         gdepth(guard, 1, &mut live)?;
         stats.rpe_evals += 1;
@@ -484,7 +420,7 @@ pub fn evaluate_batched(
     // MergeJoin: one operator per remaining binding, match lists memoised
     // per distinct source node.
     for (i, bplan) in plan.bindings.iter().enumerate().skip(1) {
-        let mut op = ssd_trace::span(opts.tracer, Phase::Index, "merge-join", Some(guard));
+        let mut op = ssd_trace::span(tracer, Phase::Index, "merge-join", Some(guard));
         let BindingSource::Col(src_col) = bplan.source else {
             return Err(format!(
                 "binding {} is db-rooted but not first; interpreter required",
@@ -560,7 +496,7 @@ pub fn evaluate_batched(
         .unwrap_or_default();
     let mut env: HashMap<String, BindVal> = HashMap::new();
     if !conjuncts.is_empty() {
-        let mut op = ssd_trace::span(opts.tracer, Phase::Index, "filter", Some(guard));
+        let mut op = ssd_trace::span(tracer, Phase::Index, "filter", Some(guard));
         let (mut rows_in, mut rows_out) = (0u64, 0u64);
         let mut filtered: Vec<Batch> = Vec::new();
         for batch in &batches {
@@ -583,7 +519,7 @@ pub fn evaluate_batched(
                 }
                 let mut ok = true;
                 for c in &conjuncts {
-                    if !eval_cond(g, c, &env, guard, &mut stats)? {
+                    if !eval_cond(g, c, &env, guard, stats)? {
                         ok = false;
                         break;
                     }
@@ -611,7 +547,7 @@ pub fn evaluate_batched(
 
     // Project: construct one result tree per surviving assignment.
     {
-        let mut op = ssd_trace::span(opts.tracer, Phase::Index, "project", Some(guard));
+        let mut op = ssd_trace::span(tracer, Phase::Index, "project", Some(guard));
         let atom_leaf = result.add_node();
         let mut copy_memo: HashMap<NodeId, NodeId> = HashMap::new();
         let mut rows = 0u64;
@@ -653,11 +589,7 @@ pub fn evaluate_batched(
         }
         op.field("rows", rows);
     }
-
-    result.gc();
-    note_truncation(guard, &mut stats);
-    finish_select_trace(opts.tracer, &mut sp, &stats);
-    Ok((result, stats))
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -687,8 +619,7 @@ mod tests {
     fn both_ways(g: &Graph, src: &str) -> (Graph, Graph) {
         let q = parse_query(src).unwrap();
         let index = TripleIndex::build(g).unwrap();
-        let stats = DataStats::collect(g);
-        let plan = plan_access(g, &index, &stats, &q).unwrap();
+        let plan = plan_access(g, &index, &q).unwrap();
         let opts = EvalOptions::default();
         let (batched, _) = evaluate_batched(g, &index, &q, &plan, &opts).unwrap();
         let (interp, _) = evaluate_select(g, &q, &opts).unwrap();
@@ -717,7 +648,6 @@ mod tests {
     fn planner_rejects_unbatchable_shapes() {
         let g = movie_db();
         let index = TripleIndex::build(&g).unwrap();
-        let stats = DataStats::collect(&g);
         for (q, why) in [
             ("select T from db.Entry.%.Title T", "predicate"),
             ("select T from db.%*.Title T", "Kleene star"),
@@ -725,7 +655,7 @@ mod tests {
             ("select T from db.(Movie|TV_Show).Title T", "alternation"),
         ] {
             let q = parse_query(q).unwrap();
-            let err = plan_access(&g, &index, &stats, &q).unwrap_err();
+            let err = plan_access(&g, &index, &q).unwrap_err();
             assert!(err.contains(why), "{err:?} should mention {why}");
         }
     }
@@ -742,9 +672,8 @@ mod tests {
         src.push_str("Entry: {Rare: 1}}");
         let g = parse_graph(&src).unwrap();
         let index = TripleIndex::build(&g).unwrap();
-        let stats = DataStats::collect(&g);
         let q = parse_query("select X from db.Entry.Rare X").unwrap();
-        let plan = plan_access(&g, &index, &stats, &q).unwrap();
+        let plan = plan_access(&g, &index, &q).unwrap();
         assert_eq!(plan.bindings[0].steps[0].strategy, StepStrategy::SpoGallop);
         assert_eq!(plan.bindings[0].steps[1].strategy, StepStrategy::PosScan);
         let (batched, interp) = {
@@ -769,8 +698,7 @@ mod tests {
         let g = movie_db();
         let q = parse_query("select T from db.Entry.Movie.Title T").unwrap();
         let index = TripleIndex::build(&g).unwrap();
-        let stats = DataStats::collect(&g);
-        let plan = plan_access(&g, &index, &stats, &q).unwrap();
+        let plan = plan_access(&g, &index, &q).unwrap();
         let guard = ssd_guard::Budget::unlimited().max_steps(3).guard();
         let opts = EvalOptions::default().with_guard(&guard);
         let err = evaluate_batched(&g, &index, &q, &plan, &opts).unwrap_err();

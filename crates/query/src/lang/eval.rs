@@ -153,30 +153,8 @@ pub fn evaluate_select(
     let unlimited = Guard::unlimited();
     let guard = opts.guard.unwrap_or(&unlimited);
     let mut sp = ssd_trace::span(opts.tracer, Phase::Eval, "select", Some(guard));
-    let analysis = {
-        let _a = ssd_trace::span(opts.tracer, Phase::Analyze, "analyze", Some(guard));
-        crate::analyze::analyze_query(query, None, None)
-    };
-    if analysis.has_errors() {
-        let errors: Vec<String> = analysis
-            .diagnostics
-            .iter()
-            .filter(|d| d.is_error())
-            .map(|d| d.headline())
-            .collect();
-        return Err(errors.join("; "));
-    }
+    let mut stats = analyzer_gate(query, opts.tracer, guard)?;
     let mut result = Graph::with_symbols(g.symbols_handle());
-    let mut stats = EvalStats {
-        warnings: analysis
-            .diagnostics
-            .iter()
-            .filter(|d| !d.is_error())
-            .map(|d| d.headline())
-            .collect(),
-        per_binding: binding_profiles(query),
-        ..EvalStats::default()
-    };
 
     // Precompile binding paths.
     let compiled: Vec<(Option<(Rpe, crate::rpe::ast::Step)>, Nfa)> = query
@@ -281,25 +259,39 @@ pub fn evaluate_select(
         &mut copy_memo,
         &mut stats,
     );
-    if let Err(why) = &outcome {
-        ssd_trace::instant(
-            opts.tracer,
-            Phase::Guard,
-            "exhausted",
-            vec![("cause", why.clone().into())],
-        );
+    finish_select(outcome.map(|()| result), opts.tracer, guard, &mut sp, stats)
+}
+
+/// The pre-evaluation analyzer gate both select engines run: error
+/// diagnostics refuse evaluation (their headlines joined into the `Err`),
+/// warnings seed [`EvalStats::warnings`] next to the zeroed per-binding
+/// profiles.
+pub(crate) fn analyzer_gate(
+    query: &SelectQuery,
+    tracer: Option<&Tracer>,
+    guard: &Guard,
+) -> Result<EvalStats, String> {
+    let analysis = {
+        let _a = ssd_trace::span(tracer, Phase::Analyze, "analyze", Some(guard));
+        crate::analyze::analyze_query(query, None, None)
+    };
+    let (errors, warnings): (Vec<_>, Vec<_>) =
+        analysis.diagnostics.iter().partition(|d| d.is_error());
+    if !errors.is_empty() {
+        let headlines: Vec<String> = errors.iter().map(|d| d.headline()).collect();
+        return Err(headlines.join("; "));
     }
-    outcome?;
-    result.gc();
-    note_truncation(guard, &mut stats);
-    finish_select_trace(opts.tracer, &mut sp, &stats);
-    Ok((result, stats))
+    Ok(EvalStats {
+        warnings: warnings.iter().map(|d| d.headline()).collect(),
+        per_binding: binding_profiles(query),
+        ..EvalStats::default()
+    })
 }
 
 /// Shared per-binding initialisation: one zeroed profile per binding, in
 /// binding order, so `explain --analyze` lines up with the static
 /// per-binding intervals.
-pub(crate) fn binding_profiles(query: &SelectQuery) -> Vec<BindingProfile> {
+fn binding_profiles(query: &SelectQuery) -> Vec<BindingProfile> {
     query
         .bindings
         .iter()
@@ -311,16 +303,35 @@ pub(crate) fn binding_profiles(query: &SelectQuery) -> Vec<BindingProfile> {
         .collect()
 }
 
-/// Trace epilogue shared by [`evaluate_select`] and
-/// [`evaluate_select_seeded`]: one child span per binding carrying its
-/// accumulated actuals (fuel attributed so folded stacks weigh the
+/// Epilogue every select engine ends with: a failed run emits the guard
+/// `exhausted` instant and returns its error; a finished one collects
+/// garbage, surfaces partial-mode truncation, and closes the trace.
+pub(crate) fn finish_select(
+    outcome: Result<Graph, String>,
+    tracer: Option<&Tracer>,
+    guard: &Guard,
+    sp: &mut ssd_trace::Span<'_>,
+    mut stats: EvalStats,
+) -> Result<(Graph, EvalStats), String> {
+    let mut result = outcome.inspect_err(|why| {
+        ssd_trace::instant(
+            tracer,
+            Phase::Guard,
+            "exhausted",
+            vec![("cause", why.clone().into())],
+        );
+    })?;
+    result.gc();
+    note_truncation(guard, &mut stats);
+    finish_select_trace(tracer, sp, &stats);
+    Ok((result, stats))
+}
+
+/// Trace part of [`finish_select`]: one child span per binding carrying
+/// its accumulated actuals (fuel attributed so folded stacks weigh the
 /// bindings correctly), a truncation instant when partial mode stopped
 /// early, and summary fields on the enclosing select span.
-pub(crate) fn finish_select_trace(
-    tracer: Option<&Tracer>,
-    sp: &mut ssd_trace::Span<'_>,
-    stats: &EvalStats,
-) {
+fn finish_select_trace(tracer: Option<&Tracer>, sp: &mut ssd_trace::Span<'_>, stats: &EvalStats) {
     let Some(t) = tracer else { return };
     if let Some(why) = &stats.truncated {
         t.instant(
@@ -360,7 +371,7 @@ pub(crate) fn finish_select_trace(
 
 /// In partial mode, surface the guard's recorded truncation as an SSD107
 /// warning plus [`EvalStats::truncated`].
-pub(crate) fn note_truncation(guard: &Guard, stats: &mut EvalStats) {
+fn note_truncation(guard: &Guard, stats: &mut EvalStats) {
     if let Some(why) = guard.truncation() {
         stats.truncated = Some(why.headline());
         stats.warnings.push(
@@ -466,19 +477,7 @@ pub fn evaluate_select_seeded(
         &mut copy_memo,
         &mut stats,
     );
-    if let Err(why) = &outcome {
-        ssd_trace::instant(
-            opts.tracer,
-            Phase::Guard,
-            "exhausted",
-            vec![("cause", why.clone().into())],
-        );
-    }
-    outcome?;
-    result.gc();
-    note_truncation(guard, &mut stats);
-    finish_select_trace(opts.tracer, &mut sp, &stats);
-    Ok((result, stats))
+    finish_select(outcome.map(|()| result), opts.tracer, guard, &mut sp, stats)
 }
 
 #[allow(clippy::too_many_arguments)]

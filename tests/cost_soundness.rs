@@ -3,17 +3,20 @@
 //! The envelope's contract: on any dataset, a governed evaluation's
 //! measured guard fuel and guard-accounted memory never exceed the
 //! static upper bounds, and (for complete, untruncated runs) fuel never
-//! falls below the lower bound. Random graphs and random path
-//! expressions probe the contract; the guard must be *active* (huge but
-//! finite limits) because an unlimited guard counts nothing.
+//! falls below the lower bound — for the interpreter and for the engine
+//! `Database` dispatches the query's shape to. Random graphs and random
+//! path expressions probe the contract; the guard must be *active* (huge
+//! but finite limits) because an unlimited guard counts nothing.
 
 use proptest::prelude::*;
 use semistructured::query::analyze::{analyze_datalog_cost, analyze_query_cost, CostContext};
 use semistructured::query::lang::ast::{Binding, Construct, SelectQuery, Source};
-use semistructured::query::lang::{evaluate_select, EvalOptions};
-use semistructured::query::{Rpe, Step};
+use semistructured::query::lang::{evaluate_select, EvalOptions, EvalStats};
+use semistructured::query::{evaluate_batched, Rpe, Step};
 use semistructured::triples::datalog::{evaluate_with, parse_program};
-use semistructured::{Bound, Budget, DataStats, Graph, Label, TripleStore};
+use semistructured::{
+    AccessDecision, Bound, Budget, DataStats, Database, Graph, Guard, Label, TripleStore,
+};
 
 const LABELS: &[&str] = &["a", "b", "c", "Movie", "Title"];
 
@@ -42,6 +45,17 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         proptest::collection::vec((0usize..7, 0usize..7, 0usize..7), 0..16),
     )
         .prop_map(|(n, edges)| graph_from_edges(n, &edges))
+}
+
+/// Binding paths: arbitrary RPEs (mostly interpreter-only shapes) and
+/// plain label sequences (the shapes the batched pipeline serves).
+fn arb_path() -> impl Strategy<Value = Rpe> {
+    let label_seq = proptest::collection::vec(0usize..LABELS.len(), 0..4).prop_map(|word| {
+        word.into_iter().fold(Rpe::Epsilon, |path, i| {
+            Rpe::Seq(Box::new(path), Box::new(Rpe::symbol(LABELS[i])))
+        })
+    });
+    prop_oneof![arb_rpe(), label_seq]
 }
 
 fn arb_rpe() -> impl Strategy<Value = Rpe> {
@@ -94,11 +108,38 @@ fn query_of(p1: Rpe, p2: Option<Rpe>) -> SelectQuery {
 
 /// An active guard with limits far beyond anything a 7-node graph can
 /// consume: everything is counted, nothing is tripped.
-fn huge_active_guard() -> semistructured::Guard {
+fn huge_active_guard() -> Guard {
     Budget::unlimited()
         .max_steps(u64::MAX / 4)
         .max_memory_bytes(u64::MAX / 4)
         .guard()
+}
+
+/// Run `q` on the interpreter and on the engine `Database` dispatches its
+/// shape to, each under its own fresh guard.
+fn run_both_engines(
+    g: &Graph,
+    q: &SelectQuery,
+) -> Result<[(&'static str, Guard, EvalStats); 2], TestCaseError> {
+    let fail = |e: String| TestCaseError::Fail(format!("evaluation failed: {e}"));
+    let interp_guard = huge_active_guard();
+    let opts = EvalOptions::default().with_guard(&interp_guard);
+    let (_, interp) = evaluate_select(g, q, &opts).map_err(fail)?;
+
+    let db = Database::new(g.clone());
+    let guard = huge_active_guard();
+    let opts = EvalOptions::default().with_guard(&guard);
+    let (_, dispatched) = match (db.select_access(q), db.triple_index()) {
+        (AccessDecision::Batched(plan), Some(index)) => {
+            evaluate_batched(db.graph(), index, q, &plan, &opts)
+        }
+        _ => evaluate_select(db.graph(), q, &opts),
+    }
+    .map_err(fail)?;
+    Ok([
+        ("interpreter", interp_guard, interp),
+        ("dispatched", guard, dispatched),
+    ])
 }
 
 fn assert_brackets(
@@ -139,24 +180,21 @@ proptest! {
     #[test]
     fn query_envelope_brackets_measured_guard_cost(
         g in arb_graph(),
-        p1 in arb_rpe(),
-        p2 in prop_oneof![Just(None), arb_rpe().prop_map(Some)],
+        p1 in arb_path(),
+        p2 in prop_oneof![Just(None), arb_path().prop_map(Some)],
     ) {
         let q = query_of(p1, p2);
         let stats = DataStats::collect(&g);
         let a = analyze_query_cost(&q, None, &CostContext::with_stats(&stats));
-        let guard = huge_active_guard();
-        let opts = EvalOptions::default().with_guard(&guard);
-        let (_, run) = evaluate_select(&g, &q, &opts).map_err(|e| {
-            TestCaseError::Fail(format!("evaluation failed: {e}"))
-        })?;
-        prop_assert!(run.truncated.is_none(), "huge budget must not truncate");
-        assert_brackets("query", &a.envelope, guard.steps_used(), guard.memory_used())?;
-        // Cardinality: with no `where` clause every assignment reaches
-        // the construct stage, so the count is the match cardinality.
-        if let Bound::Finite(hi) = a.envelope.cardinality.hi {
-            let results = run.results_constructed as u64;
-            prop_assert!(results <= hi, "{results} results above bound {hi}");
+        for (engine, guard, run) in run_both_engines(&g, &q)? {
+            prop_assert!(run.truncated.is_none(), "huge budget must not truncate");
+            assert_brackets(engine, &a.envelope, guard.steps_used(), guard.memory_used())?;
+            // Cardinality: with no `where` clause every assignment reaches
+            // the construct stage, so the count is the match cardinality.
+            if let Bound::Finite(hi) = a.envelope.cardinality.hi {
+                let results = run.results_constructed as u64;
+                prop_assert!(results <= hi, "{engine}: {results} results above bound {hi}");
+            }
         }
     }
 
@@ -239,26 +277,23 @@ proptest! {
     #[test]
     fn admission_never_rejects_a_run_that_fits(
         g in arb_graph(),
-        p1 in arb_rpe(),
+        p1 in arb_path(),
     ) {
         // Contrapositive of soundness: if a real run finishes within a
         // budget, admission with that budget must accept the envelope.
         let q = query_of(p1, None);
         let stats = DataStats::collect(&g);
         let a = analyze_query_cost(&q, None, &CostContext::with_stats(&stats));
-        let guard = huge_active_guard();
-        let opts = EvalOptions::default().with_guard(&guard);
-        evaluate_select(&g, &q, &opts).map_err(|e| {
-            TestCaseError::Fail(format!("evaluation failed: {e}"))
-        })?;
-        let budget = Budget::unlimited()
-            .max_steps(guard.steps_used())
-            .max_memory_bytes(guard.memory_used().max(1));
-        prop_assert!(
-            budget.admit(&a.envelope).is_ok(),
-            "admission rejected a budget the run fit: used {} steps",
-            guard.steps_used()
-        );
+        for (engine, guard, _) in run_both_engines(&g, &q)? {
+            let budget = Budget::unlimited()
+                .max_steps(guard.steps_used())
+                .max_memory_bytes(guard.memory_used().max(1));
+            prop_assert!(
+                budget.admit(&a.envelope).is_ok(),
+                "admission rejected a budget the {engine} run fit: used {} steps",
+                guard.steps_used()
+            );
+        }
     }
 }
 

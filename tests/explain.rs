@@ -55,13 +55,16 @@ fn explain_analyze_matches_golden() {
     let out = run_cli(&["explain", &movies, QUERY, "--analyze"]);
     let masked = mask_digits(out.trim_end());
     let golden_path = repo_path("tests/golden/explain_movies.txt");
-    let golden = std::fs::read_to_string(&golden_path)
-        .unwrap_or_else(|e| panic!("missing golden file {golden_path}: {e}"));
+    let golden = std::fs::read_to_string(&golden_path).unwrap_or_default();
+    if masked != golden.trim_end() && std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&golden_path, format!("{masked}\n")).expect("write golden");
+        return;
+    }
     assert_eq!(
         masked,
         golden.trim_end(),
         "ssd explain --analyze drifted from tests/golden/explain_movies.txt \
-         (regenerate by re-running the command and masking digit runs as N)"
+         (run with UPDATE_GOLDEN=1 to regenerate)"
     );
 }
 
@@ -125,39 +128,31 @@ fn estimated_envelope_brackets_traced_actuals_on_movies() {
     );
 }
 
-/// On a graph large enough for the cost model to pick the columnar
-/// pipeline, `explain` names the index permutations per binding; on the
-/// tiny shipped example it names the interpreter and cites SSD050.
+/// `explain` names the index permutations per binding for a batchable
+/// shape — at any size, the tiny shipped example included — and names
+/// the interpreter, citing SSD050 with the shape, for an unbatchable one.
 #[test]
 fn explain_names_the_chosen_access_path_per_binding() {
-    let entries: Vec<String> = (0..300)
-        .map(|i| format!("Entry: {{Movie: {{Title: \"M{i}\", Year: {}}}}}", 1900 + i))
-        .collect();
-    let literal = format!("{{{}}}", entries.join(", "));
-    let dir = std::env::temp_dir().join(format!("ssd-explain-access-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let data = dir.join("big.ssd");
-    std::fs::write(&data, &literal).unwrap();
+    let movies = repo_path("examples/movies.ssd");
+    let out = run_cli(&[
+        "explain",
+        &movies,
+        "select T from db.Entry E, E.Movie M, M.Title T",
+    ]);
+    assert_eq!(out.matches("access=index(").count(), 3, "{out}");
+    assert!(!out.contains("SSD050"), "no fallback note expected: {out}");
 
     let out = run_cli(&[
         "explain",
-        data.to_str().unwrap(),
-        "select T from db.Entry E, E.Movie M, M.Title T",
+        &movies,
+        "select T from db.Entry.Movie.References*.Title T",
     ]);
     assert!(
-        out.contains("access=index("),
-        "large graph should pick an index permutation: {out}"
-    );
-    assert!(
-        !out.contains("SSD050"),
-        "no fallback note when the index wins: {out}"
-    );
-
-    let out = run_cli(&["explain", &repo_path("examples/movies.ssd"), QUERY]);
-    assert!(
         out.contains("access=interpreter(nfa-scan)"),
-        "tiny graph should keep the interpreter: {out}"
+        "a Kleene-star path keeps the interpreter: {out}"
     );
-    assert!(out.contains("SSD050"), "fallback note missing: {out}");
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        out.contains("SSD050") && out.contains("Kleene star"),
+        "fallback note must name the shape: {out}"
+    );
 }

@@ -35,6 +35,9 @@ fn flat(n: usize) -> Database {
 
 const TC: &str = "reach(X) :- root(X).\nreach(Y) :- reach(X), edge(X, _L, Y).";
 const SELECT: &str = "select T from db.Entry.Movie.Title T";
+/// An interpreter-only shape (wildcard step): the `select.binding` and
+/// `rpe.step` seams live in the interpreter.
+const INTERP_SELECT: &str = "select T from db.Entry.%.Title T";
 
 // ---------------------------------------------------------------- fault
 // injection: every seam, every evaluator.
@@ -43,7 +46,7 @@ const SELECT: &str = "select T from db.Entry.Movie.Title T";
 fn fault_injection_select_binding() {
     let db = movies(5);
     let budget = Budget::unlimited().fail_at(FP_SELECT_BINDING, 1);
-    let err = db.query_with(SELECT, &budget.guard()).err().unwrap();
+    let err = db.query_with(INTERP_SELECT, &budget.guard()).err().unwrap();
     assert!(err.contains("SSD106"), "{err}");
     assert!(err.contains(FP_SELECT_BINDING), "{err}");
 }
@@ -52,7 +55,7 @@ fn fault_injection_select_binding() {
 fn fault_injection_rpe_step() {
     let db = movies(5);
     let budget = Budget::unlimited().fail_at(FP_RPE_STEP, 1);
-    let err = db.query_with(SELECT, &budget.guard()).err().unwrap();
+    let err = db.query_with(INTERP_SELECT, &budget.guard()).err().unwrap();
     assert!(err.contains("SSD106"), "{err}");
     assert!(err.contains(FP_RPE_STEP), "{err}");
 }
@@ -104,10 +107,10 @@ fn fault_injection_is_one_shot_and_countdown_based() {
     let db = movies(5);
     // Firing on the 10_000th hit never triggers on this tiny input...
     let budget = Budget::unlimited().fail_at(FP_SELECT_BINDING, 10_000);
-    assert!(db.query_with(SELECT, &budget.guard()).is_ok());
+    assert!(db.query_with(INTERP_SELECT, &budget.guard()).is_ok());
     // ...while a later hit of a seam that is reached repeatedly does:
     // with three binding levels the seam fires once per enumerated prefix.
-    let nested = "select T from db.Entry E, E.Movie M, M.Title T";
+    let nested = "select T from db.Entry E, E.% M, M.Title T";
     let budget = Budget::unlimited().fail_at(FP_SELECT_BINDING, 3);
     assert!(db.query_with(nested, &budget.guard()).is_err());
 }

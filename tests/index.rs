@@ -7,12 +7,15 @@
 //!   from scratch;
 //! * `TripleIndex::merge_delta` over an id-stable graph evolution equals
 //!   a full rebuild;
-//! * the batched columnar pipeline and the interpreter return bisimilar
-//!   results on every plannable query — the equivalence that lets the
-//!   SSD050 (`IndexFallback`) cost decision stay invisible to callers.
+//! * every batchable shape is dispatched to the batched columnar
+//!   pipeline, at any graph size, and returns a result bisimilar to the
+//!   interpreter's — the reference the pipeline is checked against;
+//! * unbatchable shapes fall back (SSD050) without building an index.
 
 use proptest::prelude::*;
-use semistructured::{Budget, Database, EvalOptions, Label, TripleIndex, Value};
+use semistructured::{
+    AccessDecision, Budget, Database, EvalOptions, Graph, Label, TripleIndex, Value,
+};
 use ssd_graph::bisim::graphs_bisimilar;
 use ssd_index::run::SortedRun;
 use ssd_index::{Dictionary, Key};
@@ -28,6 +31,30 @@ fn movies(n: usize) -> Database {
         })
         .collect();
     Database::from_literal(&format!("{{{}}}", entries.join(", "))).unwrap()
+}
+
+/// Databases the dispatch property runs on: the movie shape (non-empty
+/// answers) at 1..60 entries, the paper's Figure 1, and arbitrary small
+/// graphs — one edge up, cycles included — over the labels the queries
+/// mention.
+fn arb_db() -> impl Strategy<Value = Database> {
+    const LABELS: &[&str] = &["Entry", "Movie", "Title", "Cast", "Actors", "Year"];
+    let random = (
+        1usize..6,
+        proptest::collection::vec((0usize..6, 0usize..6, 0..LABELS.len()), 1..20),
+    )
+        .prop_map(|(n, edges)| {
+            let mut g = Graph::new();
+            let mut ids = vec![g.root()];
+            ids.extend((1..n).map(|_| g.add_node()));
+            for (from, to, label) in edges {
+                let label = Label::symbol(g.symbols(), LABELS[label]);
+                g.add_edge(ids[from % n], label, ids[to % n]);
+            }
+            Database::new(g)
+        });
+    let figure1 = Just(()).prop_map(|()| Database::new(semistructured::data::movies::figure1()));
+    prop_oneof![(1usize..60).prop_map(movies), figure1, random]
 }
 
 fn arb_label() -> impl Strategy<Value = Label> {
@@ -129,28 +156,34 @@ proptest! {
         prop_assert!(merged.spo().is_strictly_sorted());
     }
 
-    /// Batched and interpreted execution agree (bisimilar result graphs)
-    /// on conjunctive path queries at every size the planner sees.
+    /// Every batchable shape is dispatched to the batched pipeline at
+    /// every size, and agrees with the interpreter (bisimilar result
+    /// graphs).
     #[test]
-    fn batched_equals_interpreted(n in 1usize..60, pick in 0usize..4) {
+    fn batchable_shapes_run_batched_and_equal_interpreted(db in arb_db(), pick in 0usize..4) {
         let queries = [
             "select T from db.Entry.Movie.Title T",
             "select {t: T, a: A} from db.Entry.Movie M, M.Title T, M.Cast.Actors A",
             "select M from db.Entry.Movie M where exists M.Year",
             "select A from db.Entry.Movie.Cast.Actors A",
         ];
-        let db = movies(n);
         let q = queries[pick];
+        let parsed = semistructured::query::parse_query(q).unwrap();
+        let access = db.select_access(&parsed);
+        prop_assert!(
+            matches!(access, AccessDecision::Batched(_)),
+            "{} fell back: {:?}", q, access.fallback_reason()
+        );
         let batched = db.query(q).unwrap();
         let interp = semistructured::query::evaluate_select(
             db.graph(),
-            &semistructured::query::parse_query(q).unwrap(),
+            &parsed,
             &EvalOptions::default(),
         )
         .unwrap();
         prop_assert!(
             graphs_bisimilar(batched.graph(), &interp.0),
-            "access paths diverged on {} at n={}", q, n
+            "access paths diverged on {} over {}", q, db.to_literal()
         );
     }
 }
@@ -192,24 +225,26 @@ fn dictionary_overflow_is_ssd051() {
 }
 
 /// SSD050: unbatchable query shapes fall back to the interpreter with a
-/// reasoned note, and the result is still correct.
+/// reason naming the shape, the result is still correct, and a fresh
+/// database never builds a triple index it cannot use.
 #[test]
-fn unbatchable_shapes_fall_back_with_ssd050() {
-    let db = movies(40);
-    let q = semistructured::query::parse_query("select T from db.Entry*.Movie.Title T").unwrap();
-    let access = db.select_access(&q);
-    let reason = access
-        .fallback_reason()
-        .expect("Kleene star is unbatchable");
-    assert!(reason.contains("star"), "{reason}");
-    let note = semistructured::query::batch::fallback_note(reason);
-    assert_eq!(note.code, semistructured::diag::Code::IndexFallback);
-    assert!(note.headline().contains("SSD050"), "{}", note.headline());
-    // The query still runs (via the interpreter).
-    let _ = db
-        .query_with(
-            "select T from db.Entry*.Movie.Title T",
-            &Budget::unlimited().guard(),
-        )
-        .unwrap();
+fn unbatchable_shapes_fall_back_with_ssd050_and_build_no_index() {
+    for (text, why) in [
+        ("select T from db.Entry*.Movie.Title T", "Kleene star"),
+        ("select T from db.Entry.%.Title T", "predicate `%`"),
+        ("select L from db.Entry.Movie.^L X", "label variable"),
+    ] {
+        let db = movies(40);
+        let q = semistructured::query::parse_query(text).unwrap();
+        let access = db.select_access(&q);
+        let reason = access.fallback_reason().expect("shape is unbatchable");
+        assert!(reason.contains(why), "{text}: {reason}");
+        let note = semistructured::query::batch::fallback_note(reason);
+        assert_eq!(note.code, semistructured::diag::Code::IndexFallback);
+        assert!(note.headline().contains("SSD050"), "{}", note.headline());
+        // The query still runs (via the interpreter), index-free.
+        let answer = db.query_with(text, &Budget::unlimited().guard()).unwrap();
+        assert!(!answer.graph().is_leaf(answer.graph().root()), "{text}");
+        assert!(db.existing_index().is_none(), "{text} built an index");
+    }
 }
