@@ -92,7 +92,7 @@ if [ -z "$port" ]; then
 fi
 # Three sessions at once: one admitted, one forced to queue, one rejected.
 a_out=$(mktemp); b_out=$(mktemp); c_out=$(mktemp)
-printf 'HELLO fuel=1000000\nQUERY select T from db.Entry.%%.Title T\nSTATS\n' \
+printf 'HELLO fuel=1000000\nQUERY select T from db.Entry.%%.Title T\nQUERYOPT select T from db.Entry.%%.Title T\nSTATS\n' \
     | timeout 60 ./target/release/ssd client "$port" > "$a_out" &
 a_pid=$!
 printf 'HELLO job-fuel=1\nQUERY select T from db.Entry.%%.Title T\n' \
@@ -109,6 +109,7 @@ grep -q "OK session" "$a_out"          # session opened
 grep -q "Casablanca" "$a_out"          # results streamed back
 grep -q " DONE " "$a_out"              # job settled
 grep -q "admitted" "$a_out"            # STATS block present
+grep -q "ERR error\[SSD210\]" "$a_out" # the retired plan-choosing verb is unknown
 grep -q "SSD030" "$b_out"              # over-ceiling job rejected statically
 grep -q "queued" "$c_out"              # concurrency cap 1 forces queueing
 grep -q " DONE " "$c_out"              # ...and the queue drains
@@ -148,6 +149,11 @@ echo "$expl" | grep -q "actual cost"
 echo "$expl" | grep -q "access=index("
 timeout 60 ./target/release/ssd explain examples/movies.ssd \
     'select T from db.Entry.Movie.References*.Title T' | grep -q "SSD050"
+# The engine picks the plan: asking for one is a usage error (exit 2).
+status=0
+./target/release/ssd query examples/movies.ssd \
+    'select T from db.Entry.Movie.Title T' --optimized >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || { echo "ci: --optimized exited $status, want usage error 2" >&2; exit 1; }
 # The E17 overhead benchmark must compile and run (quick mode).
 cargo bench -q -p ssd-bench --bench e17_trace --offline -- --quick >/dev/null
 
@@ -191,9 +197,12 @@ done
 [ -n "$port" ] || { echo "ci: store serve restart failed" >&2; cat "$serve3_log" >&2; exit 1; }
 grep -q "SSD402" "$serve3_log"              # recovery replayed phase 1's txn
 t_out=$(mktemp)
-printf 'HELLO\nINSERT {Entry: {Movie: {Title: "Lost"}}}\nCOMMIT\nSHUTDOWN\n' \
+# SHUTDOWN goes on its own connection, after the client has waited for
+# the job: pipelined behind it, it can cancel the job first (SSD105).
+printf 'HELLO\nINSERT {Entry: {Movie: {Title: "Lost"}}}\nCOMMIT\n' \
     | timeout 60 ./target/release/ssd client "$port" > "$t_out"
 grep -q "SSD106" "$t_out"                   # the commit hit the injected fault
+printf 'SHUTDOWN\n' | timeout 60 ./target/release/ssd client "$port" >/dev/null
 wait "$serve3_pid" 2>/dev/null || true
 # Phase 3: recovery truncates the torn tail and keeps the committed prefix.
 rec=$(timeout 60 ./target/release/ssd recover "$store_dir")
@@ -209,8 +218,9 @@ q_out=$(timeout 60 ./target/release/ssd serve examples/movies.ssd --port 0 \
         [ -n "$port" ] && break
         sleep 0.1
     done
-    printf 'HELLO\nQUERY select T from db.Entry.Movie.Title T\nSHUTDOWN\n' \
+    printf 'HELLO\nQUERY select T from db.Entry.Movie.Title T\n' \
         | timeout 60 ./target/release/ssd client "$port"
+    printf 'SHUTDOWN\n' | timeout 60 ./target/release/ssd client "$port" >/dev/null
     wait "$serve4_pid" 2>/dev/null || true)
 echo "$q_out" | grep -q "Durable"           # the committed txn survived
 if echo "$q_out" | grep -q "Lost"; then

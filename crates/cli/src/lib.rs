@@ -30,10 +30,10 @@ const HELP: &str = "\
 ssd — semistructured data toolkit (Buneman, PODS 1997)
 
   ssd stats     DATA                       database statistics
-  ssd query     DATA QUERY [--optimized]   run a select-from-where query
+  ssd query     DATA QUERY                 run a select-from-where query
   ssd datalog   DATA PROGRAM [PRED]        run a datalog program
   ssd explain   DATA QUERY [--analyze]     query plan with the static cost
-                [--optimized]              envelope; --analyze also runs it
+                                           envelope; --analyze also runs it
                                            and prints per-operator actuals
   ssd check     DATA (query|datalog) TEXT  static analysis; flags:
                 [--deny-warnings]          warnings also fail (exit 1)
@@ -195,7 +195,6 @@ fn dispatch(args: &[String], stdin: &mut impl Read) -> Result<String, CliError> 
             let mut budget = pop_budget(&mut tail)?;
             let admission = pop_admission(&mut tail)?;
             let trace = pop_trace(&mut tail)?;
-            let optimized = take_flag(&mut tail, "--optimized");
             let text = arg_or_file(one(&tail, "query DATA QUERY")?)?;
             let db = load_db(data, stdin)?;
             let pre = admission_gate(&db, "query", &text, admission, &budget)?;
@@ -204,10 +203,7 @@ fn dispatch(args: &[String], stdin: &mut impl Read) -> Result<String, CliError> 
             }
             let setup = trace.build()?;
             let tracer = setup.as_ref().map(|(t, _)| t);
-            let mut result = with_preamble(
-                pre,
-                cmd_query(&db, &text, optimized, &budget.guard(), tracer),
-            );
+            let mut result = with_preamble(pre, cmd_query(&db, &text, &budget.guard(), tracer));
             if let Some((t, ring)) = &setup {
                 t.flush();
                 if let Ok(out) = &mut result {
@@ -249,10 +245,9 @@ fn dispatch(args: &[String], stdin: &mut impl Read) -> Result<String, CliError> 
             let budget = pop_budget(&mut tail)?;
             let trace = pop_trace(&mut tail)?;
             let analyze = take_flag(&mut tail, "--analyze");
-            let optimized = take_flag(&mut tail, "--optimized");
             let text = arg_or_file(one(&tail, EXPLAIN_USAGE)?)?;
             let db = load_db(data, stdin)?;
-            cmd_explain(&db, &text, analyze, optimized, budget, &trace)
+            cmd_explain(&db, &text, analyze, budget, &trace)
         }
         "check" => {
             let mut tail: Vec<&str> = rest.to_vec();
@@ -1357,7 +1352,7 @@ pub fn run_repl(db: &Database, script: &str) -> String {
         let result: Result<String, CliError> = match cmd {
             "quit" | "exit" => break,
             "stats" => Ok(cmd_stats(db)),
-            "query" => cmd_query(db, arg, false, &Guard::unlimited(), None),
+            "query" => cmd_query(db, arg, &Guard::unlimited(), None),
             "datalog" => cmd_datalog(db, arg, None, &Guard::unlimited(), None),
             "browse" => match arg.split_once(' ') {
                 Some((mode, rest)) => cmd_browse(db, mode, rest.trim()),
@@ -1404,18 +1399,12 @@ fn cmd_stats(db: &Database) -> String {
 fn cmd_query(
     db: &Database,
     text: &str,
-    optimized: bool,
     guard: &Guard,
     tracer: Option<&semistructured::trace::Tracer>,
 ) -> Result<String, CliError> {
-    let result = if tracer.is_some() {
-        db.query_traced(text, Some(guard), optimized, tracer)
-    } else if optimized {
-        db.query_optimized_with(text, guard)
-    } else {
-        db.query_with(text, guard)
-    }
-    .map_err(CliError::Failed)?;
+    let result = db
+        .query_traced(text, Some(guard), tracer)
+        .map_err(CliError::Failed)?;
     let stats = result.stats();
     let mut out = String::new();
     for w in &stats.warnings {
@@ -1497,7 +1486,7 @@ fn cmd_check(
 }
 
 const EXPLAIN_USAGE: &str =
-    "explain DATA QUERY [--analyze] [--optimized] (resource-limit and tracing flags accepted)";
+    "explain DATA QUERY [--analyze] (resource-limit and tracing flags accepted)";
 
 /// `ssd explain`: print the query plan with its static cost envelope;
 /// with `--analyze`, also run the query and print per-operator actual
@@ -1507,22 +1496,13 @@ fn cmd_explain(
     db: &Database,
     text: &str,
     analyze: bool,
-    optimized: bool,
     budget: Budget,
     trace: &TraceOpts,
 ) -> Result<String, CliError> {
     let query =
         semistructured::query::parse_query(text).map_err(|e| CliError::Failed(e.to_string()))?;
     let est = db.estimate_query(text).map_err(CliError::Failed)?;
-    let mut out = format!(
-        "plan ({} binding(s), {}):\n",
-        query.bindings.len(),
-        if optimized {
-            "optimized"
-        } else {
-            "unoptimized"
-        }
-    );
+    let mut out = format!("plan ({} binding(s)):\n", query.bindings.len());
     let access = db.select_access(&query);
     let paths = access.binding_access(query.bindings.len());
     for (i, b) in query.bindings.iter().enumerate() {
@@ -1551,7 +1531,7 @@ fn cmd_explain(
     let (tracer, ring) = trace.build_always()?;
     let guard = budget.guard();
     let result = db
-        .query_traced(text, Some(&guard), optimized, Some(&tracer))
+        .query_traced(text, Some(&guard), Some(&tracer))
         .map_err(CliError::Failed)?;
     tracer.flush();
     let stats = result.stats();
@@ -1584,12 +1564,9 @@ fn cmd_datalog(
     guard: &Guard,
     tracer: Option<&semistructured::trace::Tracer>,
 ) -> Result<String, CliError> {
-    let eval = if tracer.is_some() {
-        db.datalog_traced(program, Some(guard), tracer)
-    } else {
-        db.datalog_with(program, guard)
-    }
-    .map_err(CliError::Failed)?;
+    let eval = db
+        .datalog_traced(program, Some(guard), tracer)
+        .map_err(CliError::Failed)?;
     let mut out = String::new();
     if eval.truncated.is_some() {
         out = prepend_truncation(guard, out);
@@ -1746,18 +1723,21 @@ mod tests {
     }
 
     #[test]
-    fn optimized_query_flag() {
-        let out = run_str(
-            &[
-                "query",
-                "-",
-                "select T from db.Entry.Movie.Title T",
-                "--optimized",
-            ],
-            DATA,
-        )
-        .unwrap();
-        assert!(out.contains("Casablanca"));
+    fn optimized_flag_is_a_usage_error() {
+        // The engine picks the plan; no flag asks for one.
+        for cmd in ["query", "explain"] {
+            let err = run_str(
+                &[
+                    cmd,
+                    "-",
+                    "select T from db.Entry.Movie.Title T",
+                    "--optimized",
+                ],
+                DATA,
+            )
+            .unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{cmd}: {err}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ssd stats     DATA                       database statistics
-//! ssd query     DATA QUERY [--optimized]   run a select-from-where query
+//! ssd query     DATA QUERY                 run a select-from-where query
 //! ssd datalog   DATA PROGRAM [PRED]        run a datalog program
 //! ssd browse    DATA string TEXT           §1.3: find a string
 //! ssd browse    DATA ints THRESHOLD        §1.3: ints greater than N

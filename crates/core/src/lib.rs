@@ -260,11 +260,9 @@ impl Database {
         TripleStore::from_graph(&self.graph)
     }
 
-    /// Parse and evaluate a select-from-where query with default options.
+    /// Parse and evaluate a select-from-where query.
     pub fn query(&self, text: &str) -> Result<QueryResult, String> {
-        let q = ssd_query::parse_query(text).map_err(|e| e.to_string())?;
-        let (graph, stats) = self.evaluate(&q, &EvalOptions::default())?;
-        Ok(QueryResult { graph, stats })
+        self.run_select(text, &Guard::unlimited(), None)
     }
 
     /// Parse and evaluate under a resource [`Guard`] (budget-governed:
@@ -272,87 +270,59 @@ impl Database {
     /// In partial mode exhaustion yields a truncated-but-well-formed
     /// result with `stats().truncated` set; otherwise an SSD1xx headline.
     pub fn query_with(&self, text: &str, guard: &Guard) -> Result<QueryResult, String> {
-        let q = ssd_query::parse_query(text).map_err(|e| e.to_string())?;
-        let opts = EvalOptions::default().with_guard(guard);
-        let (graph, stats) = self.evaluate(&q, &opts)?;
-        Ok(QueryResult { graph, stats })
+        self.run_select(text, guard, None)
     }
 
-    /// Parse and evaluate with the optimizer on (pushdown, RPE
-    /// simplification, DataGuide pruning).
-    pub fn query_optimized(&self, text: &str) -> Result<QueryResult, String> {
-        let q = ssd_query::parse_query(text).map_err(|e| e.to_string())?;
-        let (graph, stats) = self.evaluate(&q, &EvalOptions::optimized(Some(self.dataguide())))?;
-        Ok(QueryResult { graph, stats })
-    }
-
-    /// Optimized evaluation under a resource [`Guard`]. The lazily built
-    /// DataGuide used for pruning is constructed under the same guard.
-    pub fn query_optimized_with(&self, text: &str, guard: &Guard) -> Result<QueryResult, String> {
-        let q = ssd_query::parse_query(text).map_err(|e| e.to_string())?;
-        let guide = match self.guide.get() {
-            Some(g) => g,
-            None => {
-                let built = DataGuide::try_build(&self.graph, guard).map_err(|e| e.headline())?;
-                self.guide.get_or_init(|| built)
-            }
-        };
-        let opts = EvalOptions::optimized(Some(guide)).with_guard(guard);
-        let (graph, stats) = self.evaluate(&q, &opts)?;
-        Ok(QueryResult { graph, stats })
-    }
-
-    /// Parse and evaluate with full structured tracing: spans for parse,
-    /// estimate, optimize (when `optimize` is on), and evaluation (with
-    /// per-binding actuals), plus a final `cost.actual` instant comparing
-    /// the static [`CostEnvelope`] against the fuel/memory/cardinality the
-    /// run actually consumed — the data behind `ssd explain --analyze`.
+    /// As [`Database::query_with`], with full structured tracing: spans
+    /// for parse, estimate, and evaluation (with per-binding actuals),
+    /// plus a final `cost.actual` instant comparing the static
+    /// [`CostEnvelope`] against the fuel/memory/cardinality the run
+    /// actually consumed — the data behind `ssd explain --analyze`. The
+    /// tracer only observes: the plan, and so the guard-measured cost, is
+    /// the one [`Database::query_with`] runs.
     ///
     /// When `guard` is `None` a *metered* guard
     /// ([`ssd_guard::Budget::metered`]) is used instead of an unlimited
     /// one, so fuel and memory counters are live and the trace carries
-    /// real actuals. Estimation runs only when `tracer` is present; with
-    /// `tracer = None` this degrades to [`Database::query_with`] /
-    /// [`Database::query_optimized_with`] behaviour.
+    /// real actuals.
     pub fn query_traced(
         &self,
         text: &str,
         guard: Option<&Guard>,
-        optimize: bool,
         tracer: Option<&trace::Tracer>,
     ) -> Result<QueryResult, String> {
         let metered = Budget::metered().guard();
-        let guard = guard.unwrap_or(&metered);
+        self.run_select(text, guard.unwrap_or(&metered), tracer)
+    }
+
+    /// The one select body behind [`Database::query`],
+    /// [`Database::query_with`] and [`Database::query_traced`]. The plan
+    /// is a function of the query and this snapshot alone: shape picks
+    /// the engine ([`Database::select_access`]), and the interpreter
+    /// always runs with condition pushdown and RPE simplification — the
+    /// rewrites that need no auxiliary structure. Estimation runs only
+    /// for the tracer's `cost.actual` instant.
+    fn run_select(
+        &self,
+        text: &str,
+        guard: &Guard,
+        tracer: Option<&trace::Tracer>,
+    ) -> Result<QueryResult, String> {
         let q = {
             let _sp = trace::span(tracer, trace::Phase::Parse, "parse", Some(guard));
             ssd_query::parse_query(text).map_err(|e| e.to_string())?
         };
-        // Schema-refined statistics feed both the estimate and the
-        // optimizer; collected at most once per call.
-        let mut data_stats = None;
-        let estimate = if tracer.is_some() {
+        let estimate = tracer.and_then(|_| {
             let _sp = trace::span(tracer, trace::Phase::Estimate, "estimate", Some(guard));
-            let (stats, schema) = data_stats.insert(self.data_stats());
-            Self::estimate_query_with(text, stats, schema).ok()
-        } else {
-            None
+            self.estimate_query(text).ok()
+        });
+        let opts = EvalOptions {
+            pushdown: true,
+            simplify_rpe: true,
+            guide: None,
+            guard: Some(guard),
+            tracer,
         };
-        let (q, mut opts) = if optimize {
-            let (stats, schema) = data_stats.get_or_insert_with(|| self.data_stats());
-            let (q2, _report) = ssd_query::optimizer::optimize_with_stats_traced(
-                &q,
-                Some(schema),
-                Some(stats),
-                tracer,
-            );
-            (q2, EvalOptions::optimized(Some(self.dataguide())))
-        } else {
-            (q, EvalOptions::default())
-        };
-        opts = opts.with_guard(guard);
-        if let Some(t) = tracer {
-            opts = opts.with_tracer(t);
-        }
         let (graph, stats) = self.evaluate(&q, &opts)?;
         if let Some(t) = tracer {
             t.instant(
@@ -386,8 +356,7 @@ impl Database {
 
     /// Run a graph-datalog program over the edge relation.
     pub fn datalog(&self, program: &str) -> Result<ssd_triples::datalog::Evaluation, String> {
-        let p = ssd_triples::datalog::parse_program(program, self.graph.symbols())?;
-        ssd_triples::datalog::evaluate(&p, &self.triples()).map_err(|e| e.to_string())
+        self.run_datalog(program, &Guard::unlimited(), None)
     }
 
     /// Run a graph-datalog program under a resource [`Guard`].
@@ -396,8 +365,7 @@ impl Database {
         program: &str,
         guard: &Guard,
     ) -> Result<ssd_triples::datalog::Evaluation, String> {
-        let p = ssd_triples::datalog::parse_program(program, self.graph.symbols())?;
-        ssd_triples::datalog::evaluate_with(&p, &self.triples(), guard).map_err(|e| e.to_string())
+        self.run_datalog(program, guard, None)
     }
 
     /// As [`Database::datalog_with`], with structured tracing: parse and
@@ -411,17 +379,25 @@ impl Database {
         tracer: Option<&trace::Tracer>,
     ) -> Result<ssd_triples::datalog::Evaluation, String> {
         let metered = Budget::metered().guard();
-        let guard = guard.unwrap_or(&metered);
+        self.run_datalog(program, guard.unwrap_or(&metered), tracer)
+    }
+
+    /// The one datalog body behind [`Database::datalog`],
+    /// [`Database::datalog_with`] and [`Database::datalog_traced`].
+    fn run_datalog(
+        &self,
+        program: &str,
+        guard: &Guard,
+        tracer: Option<&trace::Tracer>,
+    ) -> Result<ssd_triples::datalog::Evaluation, String> {
         let p = {
             let _sp = trace::span(tracer, trace::Phase::Parse, "parse", Some(guard));
             ssd_triples::datalog::parse_program(program, self.graph.symbols())?
         };
-        let estimate = if tracer.is_some() {
+        let estimate = tracer.and_then(|_| {
             let _sp = trace::span(tracer, trace::Phase::Estimate, "estimate", Some(guard));
             self.estimate_datalog(program).ok()
-        } else {
-            None
-        };
+        });
         let eval = ssd_triples::datalog::evaluate_traced(&p, &self.triples(), guard, tracer)
             .map_err(|e| e.to_string())?;
         if let Some(t) = tracer {
@@ -474,8 +450,9 @@ impl Database {
     }
 
     /// [`Database::estimate_query`] over already collected
-    /// [`Database::data_stats`].
-    fn estimate_query_with(
+    /// [`Database::data_stats`] — what a caller that keeps the statistics
+    /// (`ssd-serve`'s admission) uses instead of re-collecting per query.
+    pub fn estimate_query_with(
         text: &str,
         stats: &DataStats,
         schema: &Schema,
@@ -494,18 +471,24 @@ impl Database {
 
     /// Statically estimate a graph-datalog program's cost envelope.
     pub fn estimate_datalog(&self, program: &str) -> Result<CostAnalysis, String> {
+        self.estimate_datalog_with(program, &DataStats::collect(&self.graph))
+    }
+
+    /// [`Database::estimate_datalog`] over already collected
+    /// [`DataStats::collect`] statistics (the program is parsed against
+    /// this database's symbols).
+    pub fn estimate_datalog_with(
+        &self,
+        program: &str,
+        stats: &DataStats,
+    ) -> Result<CostAnalysis, String> {
         let (p, spans) =
             ssd_triples::datalog::parse_program_spanned(program, self.graph.symbols())?;
-        let stats = DataStats::collect(&self.graph);
-        let ctx = CostContext {
-            stats: Some(&stats),
-            schema: None,
-        };
         Ok(ssd_query::analyze::analyze_datalog_cost(
             &p,
             Some(&spans),
             None,
-            &ctx,
+            &CostContext::with_stats(stats),
         ))
     }
 
@@ -762,13 +745,18 @@ mod tests {
     }
 
     #[test]
-    fn optimized_query_agrees() {
+    fn facade_query_agrees_with_the_all_off_reference() {
         let db = db();
-        let a = db.query("select T from db.Entry.Movie.Title T").unwrap();
-        let b = db
-            .query_optimized("select T from db.Entry.Movie.Title T")
-            .unwrap();
-        assert!(a.bisimilar_to(&b));
+        // An interpreter shape with a `where`: pushdown is live.
+        let text = r#"select T from db.Entry.% M, M.Title T where exists M.Director"#;
+        let q = ssd_query::parse_query(text).unwrap();
+        let (reference, _) =
+            ssd_query::evaluate_select(db.graph(), &q, &EvalOptions::default()).unwrap();
+        let facade = db.query(text).unwrap();
+        assert!(ssd_graph::bisim::graphs_bisimilar(
+            facade.graph(),
+            &reference
+        ));
     }
 
     #[test]

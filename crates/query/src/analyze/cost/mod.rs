@@ -20,10 +20,11 @@
 //! * diagnostics — SSD031 (unbounded cost), SSD032 (cross-product join),
 //!   SSD033 (imprecise estimate), rendered by `ssd check --estimate`.
 //!
-//! The bounds are *sound*, not tight: the estimator models the baseline
-//! (non-optimized, guide-free) evaluation strategy, and a proptest
-//! harness (`tests/cost_soundness.rs`) checks measured guard fuel/memory
-//! against the envelope on random datasets and programs. These
+//! The bounds are *sound*, not tight: the estimator models the
+//! guide-free engines `Database` dispatches to (and the all-off reference
+//! interpreter), and a proptest harness (`tests/cost_soundness.rs`)
+//! checks measured guard fuel/memory against the envelope on random
+//! datasets and programs. These
 //! diagnostics are deliberately *not* part of
 //! [`analyze_query`](crate::analyze::analyze_query): estimation is
 //! opt-in, so existing warning-exact consumers are unaffected.

@@ -58,14 +58,23 @@ pub fn rpe_cost(
     let mut out = RpeCost::default();
     let split = path.split_trailing_label_var();
     let trailing = split.is_some();
-    // The evaluator compiles the (unsimplified) prefix when the path ends
-    // in a label variable, the whole path otherwise — mirror it exactly.
-    let compiled = match &split {
-        Some((prefix, _)) => Nfa::compile(prefix),
-        None => Nfa::compile(path),
-    };
+    // The evaluator compiles the prefix when the path ends in a label
+    // variable, the whole path otherwise — mirror it exactly.
+    let target = split.as_ref().map_or(path, |(prefix, _)| prefix);
+    let compiled = Nfa::compile(target);
     let states = compiled.state_count() as u64;
-    let closure0 = compiled.closure(compiled.start()).len() as u64;
+    // `Database` simplifies the path before the interpreter compiles it.
+    // Thompson construction only ever loses states to a simplification
+    // rule, so the unsimplified automaton gives the upper bounds and the
+    // simplified one the (smaller) start closure of the lower bound —
+    // together they bracket a run with or without the rewrite.
+    let simplified = target.simplify();
+    let closure0 = if simplified == *target {
+        compiled.closure(compiled.start()).len()
+    } else {
+        let nfa = Nfa::compile(&simplified);
+        nfa.closure(nfa.start()).len()
+    } as u64;
     let nullable = compiled
         .closure(compiled.start())
         .contains(&compiled.accept());

@@ -7,12 +7,14 @@
 //! constructed result at the last depth. Abstract interpretation
 //! multiplies the per-binding match intervals into prefix counts
 //! `P_d` and folds the per-evaluation RPE costs ([`super::rpe`]) through
-//! them. The model is the baseline (non-optimized, guide-free) plan; the
-//! condition term uses `Σ_d P_d` so it also covers pushdown, which may
-//! evaluate a conjunct once per prefix at any single depth. Shapes the
-//! batched pipeline ([`crate::batch`]) serves get that engine's lower
-//! bound and its batch-memory term, so the envelope brackets whichever
-//! engine runs.
+//! them. The model is the guide-free interpreter, with or without the
+//! rewrites `Database` always applies: the condition term uses `Σ_d P_d`
+//! so it covers pushdown, which may evaluate a conjunct once per prefix
+//! at any single depth, and [`super::rpe`] takes upper bounds from the
+//! path as written and the lower bound from its simplified form. Shapes
+//! the batched pipeline ([`crate::batch`]) serves get that engine's
+//! lower bound and its batch-memory term, so the envelope brackets
+//! whichever engine runs.
 
 use super::rpe::{rpe_cost, RpeCost};
 use super::{widen, CostAnalysis, CostContext};

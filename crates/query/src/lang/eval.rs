@@ -7,11 +7,11 @@
 //! sets), so `select T ...` with T bound to title nodes yields the set of
 //! all title values.
 //!
-//! Options toggle the optimizer behaviours benchmarked in E10:
-//! condition pushdown (evaluate each conjunct as soon as its variables are
-//! bound — §4's "extensions of existing techniques for optimization") and
-//! DataGuide pruning (\[20\]: skip bindings whose path provably matches
-//! nothing).
+//! [`EvalOptions`] names the rewrites benchmarked in E10: condition
+//! pushdown (evaluate each conjunct as soon as its variables are bound —
+//! §4's "extensions of existing techniques for optimization"), RPE
+//! simplification, and DataGuide pruning (\[20\]: skip bindings whose path
+//! provably matches nothing).
 
 use super::ast::{CmpOp, Cond, Construct, Expr, LabelExpr, SelectQuery, Source};
 use crate::rpe::eval::{eval_nfa_guarded, eval_rpe_guarded};
@@ -46,7 +46,11 @@ pub enum BindVal {
     Label(Label),
 }
 
-/// Evaluation options (the optimizer's knobs).
+/// Evaluation options. [`EvalOptions::default`] is everything off: the
+/// reference interpreter that E10/E13, the unit tests and the cost
+/// soundness proptests compare against. Callers do not pick rewrites per
+/// query — `Database` always runs the interpreter with `pushdown` and
+/// `simplify_rpe` on, and `guide` is a library option (E10/E12).
 #[derive(Default)]
 pub struct EvalOptions<'a> {
     /// Evaluate conjuncts of the `where` clause as soon as their variables

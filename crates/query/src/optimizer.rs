@@ -20,16 +20,19 @@
 //!    reorders from-clause bindings by their statically estimated match
 //!    cardinality (cheapest first, dependencies respected), and
 //!    [`optimize_datalog`] does the same for positive body atoms of each
-//!    datalog rule. Both record before/after [`CostEnvelope`]s so `ssd
-//!    explain` and experiment E15 can show the predicted effect.
+//!    datalog rule. Both record before/after [`CostEnvelope`]s so
+//!    experiment E15 can show the predicted effect.
+//!
+//! These are library passes. `Database` applies 1 and 2 on its own
+//! whenever the interpreter runs; 3's DataGuide and 4 it never does — no
+//! caller asks for a plan (SSD032 is the user-facing reorder advice).
 
 use crate::analyze::cost::{self, CostContext};
 use crate::analyze::typing;
-use crate::lang::{EvalOptions, SelectQuery, Source};
+use crate::lang::{SelectQuery, Source};
 use crate::rpe::Rpe;
 use ssd_guard::CostEnvelope;
-use ssd_schema::{DataGuide, DataStats, Schema};
-use ssd_trace::{FieldValue, Phase, Tracer};
+use ssd_schema::{DataStats, Schema};
 use ssd_triples::datalog::{is_builtin, Program};
 use std::collections::BTreeSet;
 
@@ -225,67 +228,6 @@ pub fn optimize_datalog(program: &Program, stats: Option<&DataStats>) -> (Progra
     (out, report)
 }
 
-/// Recommended evaluation options after optimization.
-pub fn options_for<'a>(guide: Option<&'a DataGuide>) -> EvalOptions<'a> {
-    EvalOptions::optimized(guide)
-}
-
-/// Emit the decisions recorded in `report` as [`Phase::Optimize`] instant
-/// events: one per simplified and per schema-pruned binding, and one
-/// reorder event carrying the estimated fuel upper bound before/after when
-/// a cost-based reorder was kept.
-pub fn trace_report(tracer: Option<&Tracer>, report: &OptReport) {
-    let Some(t) = tracer else { return };
-    for &i in &report.simplified {
-        t.instant(Phase::Optimize, "opt.simplify", vec![("binding", i.into())]);
-    }
-    for &i in &report.schema_pruned {
-        t.instant(
-            Phase::Optimize,
-            "opt.schema_prune",
-            vec![("binding", i.into())],
-        );
-    }
-    if !report.reordered.is_empty() {
-        let mut fields: Vec<(&'static str, FieldValue)> =
-            vec![("moved", report.reordered.len().into())];
-        if let Some(b) = &report.before {
-            fields.push(("fuel_hi_before", b.fuel.hi.to_string().into()));
-        }
-        if let Some(a) = &report.after {
-            fields.push(("fuel_hi_after", a.fuel.hi.to_string().into()));
-        }
-        t.instant(Phase::Optimize, "opt.reorder", fields);
-    }
-}
-
-/// [`optimize_with_stats`] wrapped in a [`Phase::Optimize`] span, with the
-/// report's decisions emitted as instant events ([`trace_report`]).
-pub fn optimize_with_stats_traced(
-    query: &SelectQuery,
-    schema: Option<&Schema>,
-    stats: Option<&DataStats>,
-    tracer: Option<&Tracer>,
-) -> (SelectQuery, OptReport) {
-    let _sp = ssd_trace::span(tracer, Phase::Optimize, "optimize", None);
-    let (out, report) = optimize_with_stats(query, schema, stats);
-    trace_report(tracer, &report);
-    (out, report)
-}
-
-/// [`optimize_datalog`] wrapped in a [`Phase::Optimize`] span, with the
-/// report's decisions emitted as instant events ([`trace_report`]).
-pub fn optimize_datalog_traced(
-    program: &Program,
-    stats: Option<&DataStats>,
-    tracer: Option<&Tracer>,
-) -> (Program, OptReport) {
-    let _sp = ssd_trace::span(tracer, Phase::Optimize, "optimize.datalog", None);
-    let (out, report) = optimize_datalog(program, stats);
-    trace_report(tracer, &report);
-    (out, report)
-}
-
 /// Could any path from the schema root satisfy `path`? Conservative:
 /// `true` may be wrong (lost optimization), `false` is a proof of
 /// emptiness for every database conforming to `schema`.
@@ -302,7 +244,7 @@ pub fn schema_allows(schema: &Schema, path: &Rpe) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lang::parse_query;
+    use crate::lang::{parse_query, EvalOptions};
     use ssd_schema::Pred;
 
     fn movie_schema() -> Schema {

@@ -162,13 +162,8 @@ fn dispatch_command(
                 *session = Some(Arc::new(handle));
             }
         }
-        Command::Query { text, optimized } => {
-            let kind = if optimized {
-                JobKind::QueryOptimized
-            } else {
-                JobKind::Query
-            };
-            submit(writer, session, kind, &text)?;
+        Command::Query(text) => {
+            submit(writer, session, JobKind::Query, &text)?;
         }
         Command::Datalog(text) => {
             submit(writer, session, JobKind::Datalog, &text)?;

@@ -13,7 +13,6 @@
 //! ```text
 //! HELLO fuel=10000 memory=1048576 jobs=2 job-fuel=5000 job-memory=65536
 //! QUERY select T from db.Entry.%.Title T
-//! QUERYOPT select ...      (optimizer-ordered bindings)
 //! DATALOG reach(X) :- ...
 //! RPE Entry.%.Title        (desugars to `select X from db.<rpe> X`)
 //! INSERT {Movie: {Title: "Z"}}   (stage: union this literal at the root)
@@ -120,8 +119,8 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(String, usize)>, FrameError> {
 pub enum Command {
     /// Open the session, optionally overriding quota fields.
     Hello(SessionQuota),
-    /// Submit a select query (optimized = `QUERYOPT`).
-    Query { text: String, optimized: bool },
+    /// Submit a select query.
+    Query(String),
     /// Submit a graph-datalog program.
     Datalog(String),
     /// Submit a bare regular path expression.
@@ -159,14 +158,11 @@ pub fn parse_command_with(payload: &str, base: &SessionQuota) -> Result<Command,
     };
     match verb {
         "HELLO" => parse_hello(rest, base),
-        "QUERY" | "QUERYOPT" => {
+        "QUERY" => {
             if rest.is_empty() {
-                return err(format!("{verb} needs a query text"));
+                return err("QUERY needs a query text".to_string());
             }
-            Ok(Command::Query {
-                text: rest.to_string(),
-                optimized: verb == "QUERYOPT",
-            })
+            Ok(Command::Query(rest.to_string()))
         }
         "DATALOG" => {
             if rest.is_empty() {
@@ -287,10 +283,7 @@ mod tests {
     fn commands_parse() {
         assert_eq!(
             parse_command("QUERY select T from db.T T"),
-            Ok(Command::Query {
-                text: "select T from db.T T".to_string(),
-                optimized: false,
-            })
+            Ok(Command::Query("select T from db.T T".to_string()))
         );
         assert!(matches!(parse_command("STATS"), Ok(Command::Stats)));
         assert!(matches!(parse_command("CANCEL 7"), Ok(Command::Cancel(7))));
@@ -308,6 +301,15 @@ mod tests {
         };
         assert_eq!(q.fuel, Some(100));
         assert_eq!(q.max_concurrent, 3);
+    }
+
+    #[test]
+    fn queryopt_is_an_unknown_verb() {
+        // The engine picks the plan; no verb asks for one.
+        let retired = parse_command("QUERYOPT select T from db.T T").unwrap_err();
+        let unknown = parse_command("FROB select T from db.T T").unwrap_err();
+        assert_eq!(retired.code, Code::ProtocolError);
+        assert_eq!(retired.message, unknown.message.replace("FROB", "QUERYOPT"));
     }
 
     #[test]

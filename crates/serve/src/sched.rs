@@ -62,7 +62,6 @@ impl std::fmt::Display for JobId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
     Query,
-    QueryOptimized,
     Datalog,
     /// A bare regular path expression; desugared to a `select` over it.
     Rpe,

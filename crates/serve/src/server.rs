@@ -23,7 +23,7 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex, Once, OnceLock};
 use std::thread::JoinHandle;
 
-use semistructured::{CostContext, DataStats, Database, Schema};
+use semistructured::{DataStats, Database, Schema};
 use ssd_diag::{Code, Diagnostic};
 use ssd_guard::{CostEnvelope, Exhausted, Guard, Interval};
 use ssd_store::{Store, Txn};
@@ -531,11 +531,10 @@ impl Drop for SessionHandle {
     }
 }
 
-/// Static cost estimation with per-server cached data statistics —
-/// mirrors `Database::estimate_*` but does not re-extract the schema on
-/// every submit.
+/// Static cost estimation: `Database::estimate_*_with` over statistics
+/// collected once, from the snapshot the server started on, so a submit
+/// never re-extracts the schema. Commits do not refresh them.
 fn estimate(inner: &Inner, kind: JobKind, text: &str) -> Result<CostEnvelope, String> {
-    use semistructured::query::analyze;
     let analysis = match kind {
         JobKind::Commit => {
             // Writes are costed from the transaction script itself: the
@@ -562,28 +561,14 @@ fn estimate(inner: &Inner, kind: JobKind, text: &str) -> Result<CostEnvelope, St
             });
         }
         JobKind::Datalog => {
-            let (p, spans) = semistructured::triples::datalog::parse_program_spanned(
-                text,
-                inner.db.graph().symbols(),
-            )?;
             let stats = inner
                 .datalog_stats
                 .get_or_init(|| DataStats::collect(inner.db.graph()));
-            let ctx = CostContext {
-                stats: Some(stats),
-                schema: None,
-            };
-            analyze::analyze_datalog_cost(&p, Some(&spans), None, &ctx)
+            inner.db.estimate_datalog_with(text, stats)?
         }
-        _ => {
-            let (q, spans) = semistructured::query::lang::parse_query_spanned(text)
-                .map_err(|e| e.to_string())?;
+        JobKind::Query | JobKind::Rpe => {
             let (stats, schema) = inner.query_stats.get_or_init(|| inner.db.data_stats());
-            let ctx = CostContext {
-                stats: Some(stats),
-                schema: Some(schema),
-            };
-            analyze::analyze_query_cost(&q, Some(&spans), &ctx)
+            Database::estimate_query_with(text, stats, schema)?
         }
     };
     Ok(analysis.envelope)
@@ -765,13 +750,8 @@ fn run_job(inner: &Inner, ticket: &Ticket, guard: &Guard, tx: &SyncSender<JobEve
     };
     let summary: String;
     match ticket.kind {
-        JobKind::Query | JobKind::QueryOptimized | JobKind::Rpe => {
-            let res = if ticket.kind == JobKind::QueryOptimized {
-                db.query_optimized_with(&ticket.text, guard)
-            } else {
-                db.query_with(&ticket.text, guard)
-            };
-            match res {
+        JobKind::Query | JobKind::Rpe => {
+            match db.query_with(&ticket.text, guard) {
                 Err(e) => {
                     let _ = tx.send(JobEvent::Failed(e));
                     return if cancelled() {

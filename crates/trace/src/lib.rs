@@ -1,7 +1,7 @@
 //! # ssd-trace — deterministic structured tracing
 //!
 //! A zero-dependency (workspace-internal only) event layer threaded through
-//! the whole stack: parser, analyzer, cost estimator, optimizer, the three
+//! the whole stack: parser, analyzer, cost estimator, the three
 //! evaluators (select, RPE, datalog), the resource guard, and the query
 //! server. Everything observable is *deterministic* — span ids are
 //! monotonic, fuel/memory deltas come from the [`Guard`]'s deterministic
@@ -45,8 +45,6 @@ pub enum Phase {
     Analyze,
     /// Static cost estimation (the estimated-vs-actual envelope).
     Estimate,
-    /// Optimizer rewrite/reorder decisions.
-    Optimize,
     /// Select-from-where evaluation.
     Eval,
     /// Regular-path-expression product BFS.
@@ -71,7 +69,6 @@ impl Phase {
             Phase::Parse => "parse",
             Phase::Analyze => "analyze",
             Phase::Estimate => "estimate",
-            Phase::Optimize => "optimize",
             Phase::Eval => "eval",
             Phase::Rpe => "rpe",
             Phase::Datalog => "datalog",

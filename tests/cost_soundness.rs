@@ -17,6 +17,7 @@ use semistructured::triples::datalog::{evaluate_with, parse_program};
 use semistructured::{
     AccessDecision, Bound, Budget, DataStats, Database, Graph, Guard, Label, TripleStore,
 };
+use ssd_data::movies::{movie_database, MovieDbConfig};
 
 const LABELS: &[&str] = &["a", "b", "c", "Movie", "Title"];
 
@@ -115,8 +116,9 @@ fn huge_active_guard() -> Guard {
         .guard()
 }
 
-/// Run `q` on the interpreter and on the engine `Database` dispatches its
-/// shape to, each under its own fresh guard.
+/// Run `q` on the all-off reference interpreter and on the engine
+/// `Database` dispatches its shape to (the interpreter there always runs
+/// with pushdown and RPE simplification), each under its own fresh guard.
 fn run_both_engines(
     g: &Graph,
     q: &SelectQuery,
@@ -128,7 +130,7 @@ fn run_both_engines(
 
     let db = Database::new(g.clone());
     let guard = huge_active_guard();
-    let opts = EvalOptions::default().with_guard(&guard);
+    let opts = EvalOptions::optimized(None).with_guard(&guard);
     let (_, dispatched) = match (db.select_access(q), db.triple_index()) {
         (AccessDecision::Batched(plan), Some(index)) => {
             evaluate_batched(db.graph(), index, q, &plan, &opts)
@@ -294,6 +296,35 @@ proptest! {
                 guard.steps_used()
             );
         }
+    }
+}
+
+/// The `Database` leg of traced ≡ untraced, on E15's reorder query
+/// (independent bindings in a pessimal order) and an interpreter shape
+/// whose selective `where` pushdown prunes early: the plan is a function
+/// of the query and the snapshot, so `query_with` and `query_traced` —
+/// tracer detached, then attached — spend bit-identical fuel and memory,
+/// inside the envelope `estimate_query` gives admission.
+#[test]
+fn traced_database_queries_run_the_same_plan_and_stay_bracketed() {
+    let db = Database::new(movie_database(&MovieDbConfig::sized(100)));
+    for text in [
+        r#"select {e: E, a: A} from db.Entry E, db.Entry.Movie.(!Movie)*."Actor 1" A"#,
+        r#"select {t: T} from db.Entry.% M, M.Year Y, M.Title T where Y < 1935"#,
+    ] {
+        let ring = semistructured::trace::SharedRing::new(65_536);
+        let tracer = semistructured::trace::Tracer::with_sink(Box::new(ring.clone()));
+        let [plain, untraced, traced] = [(); 3].map(|()| huge_active_guard());
+        db.query_with(text, &plain).unwrap();
+        db.query_traced(text, Some(&untraced), None).unwrap();
+        db.query_traced(text, Some(&traced), Some(&tracer)).unwrap();
+        tracer.flush();
+        let cost = |g: &Guard| (g.steps_used(), g.memory_used());
+        assert_eq!(cost(&plain), cost(&untraced), "{text}: query_traced");
+        assert_eq!(cost(&plain), cost(&traced), "{text}: tracer attached");
+        let a = db.estimate_query(text).unwrap();
+        assert_brackets(text, &a.envelope, traced.steps_used(), traced.memory_used()).unwrap();
+        semistructured::trace::validate(&ring.snapshot()).unwrap();
     }
 }
 

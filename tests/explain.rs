@@ -93,7 +93,7 @@ fn estimated_envelope_brackets_traced_actuals_on_movies() {
     let tracer = Tracer::with_sink(Box::new(ring.clone()));
     let guard = Budget::metered().guard();
     let result = db
-        .query_traced(QUERY, Some(&guard), false, Some(&tracer))
+        .query_traced(QUERY, Some(&guard), Some(&tracer))
         .expect("traced evaluation failed");
     tracer.flush();
 

@@ -1,7 +1,7 @@
 //! Integration tests for `ssd-trace`: across every traced evaluator —
-//! select (plain and optimized), datalog, and bare RPEs — and every
-//! outcome — success, fuel/memory exhaustion, cancellation, injected
-//! faults, and panics — the emitted event stream is *well-formed*:
+//! select, datalog, and bare RPEs — and every outcome — success,
+//! fuel/memory exhaustion, cancellation, injected faults, and panics —
+//! the emitted event stream is *well-formed*:
 //! strictly increasing sequence numbers, every span opened is closed
 //! exactly once, and parent links are acyclic (a parent always opens
 //! before its children). `semistructured::trace::validate` checks all
@@ -45,7 +45,6 @@ proptest! {
         n in 1usize..16,
         fuel_raw in 0u64..1_500,
         kind in 0u8..4,
-        optimize in any::<bool>(),
         cancelled in any::<bool>(),
         inject in any::<bool>(),
     ) {
@@ -68,10 +67,10 @@ proptest! {
         let guard = budget.guard();
         match kind {
             0 => {
-                let _ = db.query_traced(SELECT, Some(&guard), optimize, Some(&tracer));
+                let _ = db.query_traced(SELECT, Some(&guard), Some(&tracer));
             }
             1 => {
-                let _ = db.query_traced(JOIN, Some(&guard), optimize, Some(&tracer));
+                let _ = db.query_traced(JOIN, Some(&guard), Some(&tracer));
             }
             2 => {
                 let _ = db.datalog_traced(TC, Some(&guard), Some(&tracer));
@@ -148,7 +147,7 @@ fn exhaustion_emits_guard_event_and_closes_spans() {
     let (tracer, ring) = ring_tracer();
     let budget = Budget::metered().max_steps(10);
     let guard = budget.guard();
-    let err = db.query_traced(SELECT, Some(&guard), false, Some(&tracer));
+    let err = db.query_traced(SELECT, Some(&guard), Some(&tracer));
     assert!(err.is_err(), "10 fuel cannot evaluate 50 movies");
     tracer.flush();
     let events = ring.snapshot();
