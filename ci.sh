@@ -6,6 +6,10 @@ set -eu
 
 export CARGO_NET_OFFLINE=true
 
+# Every server this script starts must be gone when it ends (checked at
+# the bottom against the `ssd` processes that were already running).
+ssd_before=$(pgrep -x ssd | sort | tr '\n' ' ' || true)
+
 echo "== cargo fmt --check" >&2
 cargo fmt --all --check
 
@@ -50,6 +54,11 @@ if SSD_FAILPOINTS="datalog.round=1" ./target/release/ssd datalog examples/movies
     echo "ci: SSD_FAILPOINTS fault did not surface as a failure" >&2
     exit 1
 fi
+# Closure smoke, CLI half: the serve smoke below must report the same
+# `reach: N tuple(s)` line for the same program over the wire.
+reach_prog='reach(X) :- root(X). reach(Y) :- reach(X), edge(X, _L, Y).'
+reach_cli=$(timeout 60 ./target/release/ssd datalog examples/movies.ssd "$reach_prog" \
+    | grep '^reach: [1-9][0-9]* tuple(s)$')
 
 echo "== governed query smoke run" >&2
 smoke=$(timeout 60 ./target/release/ssd query examples/movies.ssd \
@@ -92,7 +101,7 @@ if [ -z "$port" ]; then
 fi
 # Three sessions at once: one admitted, one forced to queue, one rejected.
 a_out=$(mktemp); b_out=$(mktemp); c_out=$(mktemp)
-printf 'HELLO fuel=1000000\nQUERY select T from db.Entry.%%.Title T\nQUERYOPT select T from db.Entry.%%.Title T\nSTATS\n' \
+printf 'HELLO fuel=1000000\nQUERY select T from db.Entry.%%.Title T\nQUERYOPT select T from db.Entry.%%.Title T\nDATALOG %s\nSTATS\n' "$reach_prog" \
     | timeout 60 ./target/release/ssd client "$port" > "$a_out" &
 a_pid=$!
 printf 'HELLO job-fuel=1\nQUERY select T from db.Entry.%%.Title T\n' \
@@ -110,6 +119,7 @@ grep -q "Casablanca" "$a_out"          # results streamed back
 grep -q " DONE " "$a_out"              # job settled
 grep -q "admitted" "$a_out"            # STATS block present
 grep -q "ERR error\[SSD210\]" "$a_out" # the retired plan-choosing verb is unknown
+grep -qxF "$reach_cli" "$a_out"        # DATALOG over the wire = `ssd datalog`
 grep -q "SSD030" "$b_out"              # over-ceiling job rejected statically
 grep -q "queued" "$c_out"              # concurrency cap 1 forces queueing
 grep -q " DONE " "$c_out"              # ...and the queue drains
@@ -163,7 +173,9 @@ echo "== durable store recovery smoke run" >&2
 # all that survives.
 store_dir=$(mktemp -d)
 serve2_log=$(mktemp)
-timeout 120 ./target/release/ssd serve examples/movies.ssd --port 0 \
+# No `timeout` wrapper here: the kill -9 below must hit the server
+# itself, not a wrapper that would leave it running.
+./target/release/ssd serve examples/movies.ssd --port 0 \
     --data-dir "$store_dir" --allow-remote-shutdown > "$serve2_log" 2>&1 &
 serve2_pid=$!
 port=""
@@ -260,5 +272,11 @@ done
 # E20 shape: the batched pipeline must be present at every size and
 # carry a speedup column (the measured values live in EXPERIMENTS.md).
 grep -q '"speedup"' BENCH_index.json
+
+ssd_after=$(pgrep -x ssd | sort | tr '\n' ' ' || true)
+if [ "$ssd_after" != "$ssd_before" ]; then
+    echo "ci: an ssd process outlived the script: [$ssd_after] (before: [$ssd_before])" >&2
+    exit 1
+fi
 
 echo "ci: all gates passed" >&2

@@ -38,6 +38,8 @@ ssd — semistructured data toolkit (Buneman, PODS 1997)
   ssd check     DATA (query|datalog) TEXT  static analysis; flags:
                 [--deny-warnings]          warnings also fail (exit 1)
                 [--explain]                print inferred binding types
+                                           (query) or per-literal access
+                                           paths (datalog)
                 [--estimate]               print the static cost envelope
                                            and SSD03x cost diagnostics
   ssd lint      [ROOT] [--deny-warnings]   workspace source lints (SSD9xx);
@@ -1444,7 +1446,11 @@ fn cmd_check(
                 .map(|t| t.explain(&query));
             (analysis.diagnostics, types)
         }
-        "datalog" => (db.check_datalog(text).map_err(CliError::Failed)?, None),
+        "datalog" => {
+            let diags = db.check_datalog(text).map_err(CliError::Failed)?;
+            // Refused programs have no access paths; the diagnostics say why.
+            (diags, explain.then(|| explain_datalog(db, text)).flatten())
+        }
         other => {
             return Err(CliError::Usage(format!(
                 "check kind must be query|datalog, got '{other}'"
@@ -1483,6 +1489,30 @@ fn cmd_check(
         return Err(CliError::Failed(out));
     }
     Ok(out)
+}
+
+/// `ssd check DATA datalog PROGRAM --explain`: the EDB the evaluator
+/// will run on and, per body literal, the access path it will use — the
+/// datalog counterpart of `ssd explain`'s per-binding `access=`.
+fn explain_datalog(db: &Database, text: &str) -> Option<String> {
+    let (edb, paths) = db.datalog_access(text).ok()?;
+    let (program, spans) =
+        semistructured::triples::datalog::parse_program_spanned(text, db.graph().symbols()).ok()?;
+    let src = |span: Option<semistructured::diag::Span>| {
+        span.and_then(|s| text.get(s.start..s.end)).unwrap_or("?")
+    };
+    let mut out = format!("access (edb={edb}):\n");
+    for (i, (rule, access)) in program.rules.iter().zip(&paths).enumerate() {
+        out.push_str(&format!("  rule {i}: {}\n", src(spans.head(i))));
+        for (j, (lit, path)) in rule.body.iter().zip(access).enumerate() {
+            let not = if lit.positive { "" } else { "not " };
+            out.push_str(&format!(
+                "    {not}{}  access={path}\n",
+                src(spans.body(i, j))
+            ));
+        }
+    }
+    Some(out)
 }
 
 const EXPLAIN_USAGE: &str =
@@ -1571,14 +1601,8 @@ fn cmd_datalog(
     if eval.truncated.is_some() {
         out = prepend_truncation(guard, out);
     }
-    let mut preds: Vec<&String> = eval.facts.keys().collect();
-    preds.sort();
-    for p in preds {
+    for p in eval.predicates() {
         if pred.is_some_and(|want| want != p) {
-            continue;
-        }
-        // Skip the EDB unless explicitly requested.
-        if pred.is_none() && matches!(p.as_str(), "edge" | "node" | "root") {
             continue;
         }
         out.push_str(&format!("{p}: {} tuple(s)\n", eval.count(p)));

@@ -11,7 +11,7 @@
 //! | workload generators | [`data`] (`ssd-data`) | §1 |
 //!
 //! The [`Database`] type bundles a data graph with lazily built auxiliary
-//! structures (edge index, DataGuide, triple store) and exposes the whole
+//! structures (edge index, DataGuide, triple index) and exposes the whole
 //! feature set behind a compact API:
 //!
 //! ```
@@ -255,7 +255,9 @@ impl Database {
         self.guide.get_or_init(|| DataGuide::build(&self.graph))
     }
 
-    /// A freshly shredded triple store view.
+    /// A freshly shredded triple store view — the relational strategy's
+    /// substrate (algebra, E5/E6). Queries and datalog run on
+    /// [`Database::triple_index`] instead.
     pub fn triples(&self) -> TripleStore {
         TripleStore::from_graph(&self.graph)
     }
@@ -383,7 +385,10 @@ impl Database {
     }
 
     /// The one datalog body behind [`Database::datalog`],
-    /// [`Database::datalog_with`] and [`Database::datalog_traced`].
+    /// [`Database::datalog_with`] and [`Database::datalog_traced`]. The
+    /// EDB is this snapshot's triple index, read in place; only when the
+    /// index could not be built (SSD051) is the graph shredded into a
+    /// [`TripleStore`] for the same evaluator to read instead.
     fn run_datalog(
         &self,
         program: &str,
@@ -398,21 +403,38 @@ impl Database {
             let _sp = trace::span(tracer, trace::Phase::Estimate, "estimate", Some(guard));
             self.estimate_datalog(program).ok()
         });
-        let eval = ssd_triples::datalog::evaluate_traced(&p, &self.triples(), guard, tracer)
-            .map_err(|e| e.to_string())?;
+        let eval = match self.triple_index() {
+            Some(index) => ssd_triples::datalog::evaluate_on(&p, &IndexEdb(index), guard, tracer),
+            None => ssd_triples::datalog::evaluate_traced(&p, &self.triples(), guard, tracer),
+        }
+        .map_err(|e| e.to_string())?;
         if let Some(t) = tracer {
-            let derived: usize = eval
-                .facts
-                .values()
-                .map(std::collections::BTreeSet::len)
-                .sum();
             t.instant(
                 trace::Phase::Estimate,
                 "cost.actual",
-                cost_actual_fields(estimate.as_ref(), guard, derived as u64),
+                cost_actual_fields(estimate.as_ref(), guard, eval.derived() as u64),
             );
         }
         Ok(eval)
+    }
+
+    /// How a datalog program will read this snapshot: which EDB the
+    /// evaluator runs on (`"index"`, or `"triples"` after SSD051) and,
+    /// per rule and body literal, the access path
+    /// ([`ssd_triples::datalog::access_paths`]) — the datalog counterpart
+    /// of [`Database::select_access`].
+    pub fn datalog_access(
+        &self,
+        program: &str,
+    ) -> Result<(&'static str, Vec<Vec<String>>), String> {
+        let p = ssd_triples::datalog::parse_program(program, self.graph.symbols())?;
+        let paths = ssd_triples::datalog::access_paths(&p).map_err(|e| e.to_string())?;
+        let edb = if self.triple_index().is_some() {
+            "index"
+        } else {
+            "triples"
+        };
+        Ok((edb, paths))
     }
 
     /// Statically analyze a query against this database's extracted
@@ -676,6 +698,83 @@ impl AccessDecision {
             AccessDecision::Batched(_) => None,
             AccessDecision::Interpreter { reason } => Some(reason),
         }
+    }
+}
+
+/// The datalog EDB of a snapshot: its triple index, read in place. Each
+/// bound-argument pattern of `edge` is one contiguous range of the
+/// permutation sorted for it.
+struct IndexEdb<'a>(&'a TripleIndex);
+
+impl ssd_triples::datalog::Edb for IndexEdb<'_> {
+    fn name(&self) -> &'static str {
+        "index"
+    }
+
+    fn root(&self) -> u32 {
+        self.0.root()
+    }
+
+    fn max_node(&self) -> u32 {
+        // Both runs are sorted on their first component.
+        let last = |run: &ssd_index::SortedRun| run.as_slice().last().map_or(0, |k| k[0]);
+        self.0
+            .root()
+            .max(last(self.0.spo()))
+            .max(last(self.0.osp()))
+    }
+
+    fn label_count(&self) -> usize {
+        self.0.dict().len()
+    }
+
+    fn label_id(&self, label: &Label) -> Option<u32> {
+        self.0.label_id(label)
+    }
+
+    fn label(&self, id: u32) -> Option<&Label> {
+        self.0.dict().resolve(id)
+    }
+
+    fn scan(
+        &self,
+        s: Option<u32>,
+        p: Option<u32>,
+        o: Option<u32>,
+        visit: &mut dyn FnMut([u32; 3]) -> bool,
+    ) {
+        let ix = self.0;
+        // (the matching range, where s, p, o sit in its keys)
+        let (keys, [si, pi, oi]) = match (s, p, o) {
+            (Some(s), Some(p), Some(o)) => {
+                if ix.spo().contains(&[s, p, o]) {
+                    visit([s, p, o]);
+                }
+                return;
+            }
+            (Some(s), Some(p), None) => (ix.edges_from_labeled(s, p), [0, 1, 2]),
+            (Some(s), None, None) => (ix.edges_from(s), [0, 1, 2]),
+            (None, None, None) => (ix.spo().as_slice(), [0, 1, 2]),
+            (None, Some(p), None) => (ix.by_label(p), [2, 0, 1]),
+            (None, Some(p), Some(o)) => (ix.pos().range2(p, o), [2, 0, 1]),
+            (None, None, Some(o)) => (ix.edges_into(o), [1, 2, 0]),
+            (Some(s), None, Some(o)) => (ix.osp().range2(o, s), [1, 2, 0]),
+        };
+        for k in keys {
+            if !visit([k[si], k[pi], k[oi]]) {
+                return;
+            }
+        }
+    }
+
+    fn nodes(&self) -> Vec<u32> {
+        let firsts = |run: &ssd_index::SortedRun| run.iter().map(|k| k[0]).collect::<Vec<u32>>();
+        let mut out = firsts(self.0.spo());
+        out.extend(firsts(self.0.osp()));
+        out.push(self.0.root());
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 

@@ -1,8 +1,10 @@
 //! Cost of a graph-datalog program.
 //!
 //! The evaluator ([`ssd_triples::datalog::eval`]) runs a stratified
-//! semi-naive fixpoint: one fuel tick per round and per join candidate,
-//! [`TUPLE_COST`] bytes per derived tuple. Statically, predicate arities
+//! semi-naive fixpoint: one fuel tick per round and per join candidate
+//! its access path offers — for an EDB literal exactly the tuples that
+//! match the arguments already resolved, never the whole relation —
+//! and [`TUPLE_COST`] bytes per derived tuple. Statically, predicate arities
 //! and the active domain bound every IDB relation (`|p| ≤ |D|^arity`,
 //! the classic datalog bound), which in turn bounds rounds per stratum
 //! (each growing round adds at least one tuple) and the join candidates
@@ -12,9 +14,12 @@
 use super::{bound_pow, widen, CostAnalysis, CostContext};
 use crate::analyze::datalog::EDB_PREDICATES;
 use ssd_diag::{Code, Diagnostic};
+use ssd_graph::Label;
 use ssd_guard::{Bound, Interval};
 use ssd_triples::datalog::eval::TUPLE_COST;
-use ssd_triples::datalog::{is_builtin, stratify, Program, ProgramSpans, Rule, Term};
+use ssd_triples::datalog::{
+    check_arities, is_builtin, stratify, Program, ProgramSpans, Rule, Term,
+};
 use ssd_triples::Datum;
 use std::collections::{BTreeSet, HashMap};
 
@@ -33,7 +38,7 @@ pub fn analyze_datalog_cost(
     let Ok(strata) = stratify(program) else {
         return out; // refused at run time: zero fuel, zero memory
     };
-    if program.check_safety().is_err() || !arities_consistent(program) {
+    if program.check_safety().is_err() || check_arities(program).is_err() {
         return out;
     }
 
@@ -78,8 +83,8 @@ pub fn analyze_datalog_cost(
                     .mul(Bound::Finite(TUPLE_COST)),
             );
             // Lower bound: the seed round evaluates every rule once in
-            // full; a leading positive EDB literal scans its exact
-            // relation (one tick per tuple).
+            // full; a leading positive EDB literal is offered exactly
+            // the tuples its constants select (one tick each).
             fuel_lo = fuel_lo.saturating_add(first_literal_floor(rule, ctx));
         }
         fuel_hi = fuel_hi.add(rounds.mul(per_round_fuel));
@@ -132,9 +137,10 @@ pub fn analyze_datalog_cost(
 }
 
 /// Static upper bounds on relation sizes: EDB relations from statistics
-/// (exact — the triple shredder materializes the reachable fragment the
-/// collector counts), IDB relations from the classic `|D|^arity` domain
-/// bound. Shared by the cost analysis and the datalog body reorderer.
+/// (exact — the triple index and the triple store both hold the
+/// reachable fragment the collector counts), IDB relations from the
+/// classic `|D|^arity` domain bound. Shared by the cost analysis and the
+/// datalog body reorderer.
 pub(crate) struct RelBounds {
     domain: Bound,
     arity: HashMap<String, usize>,
@@ -194,19 +200,32 @@ impl RelBounds {
 }
 
 /// Exact tick count of a rule's leading literal on the seed round, when
-/// it is a positive non-builtin EDB atom (the nested-loop join ticks
-/// once per source tuple before matching).
+/// it is a positive EDB atom: the size of the range its constants select.
+/// No constant selects the whole relation; a symbol in `edge`'s label
+/// position selects that label's edges (none if no edge carries it). A
+/// node constant selects one node's fan-in or fan-out, and a value label
+/// is only counted by displayed form, which a symbol may share — both
+/// are floored at 0.
 fn first_literal_floor(rule: &Rule, ctx: &CostContext<'_>) -> u64 {
     let Some(first) = rule.body.first() else {
         return 0;
     };
-    if !first.positive || is_builtin(first.atom.pred.as_str()) {
+    if !first.positive {
         return 0;
     }
-    match (first.atom.pred.as_str(), ctx.stats) {
-        ("root", _) => 1,
-        ("edge", Some(st)) => st.edges_reachable,
-        ("node", Some(st)) => st.edb_nodes,
+    match (
+        first.atom.pred.as_str(),
+        first.atom.terms.as_slice(),
+        ctx.stats,
+    ) {
+        ("root", _, _) => 1,
+        ("edge", [Term::Var(_), Term::Var(_), Term::Var(_)], Some(st)) => st.edges_reachable,
+        (
+            "edge",
+            [Term::Var(_), Term::Const(Datum::Label(Label::Symbol(s))), Term::Var(_)],
+            Some(st),
+        ) => st.symbol_count(*s),
+        ("node", [Term::Var(_)], Some(st)) => st.edb_nodes,
         _ => 0,
     }
 }
@@ -225,30 +244,6 @@ fn arity_map(program: &Program) -> HashMap<String, usize> {
         }
     }
     arity
-}
-
-/// Would the evaluator's arity check pass? (A mismatch refuses the whole
-/// program before any guard work.)
-fn arities_consistent(program: &Program) -> bool {
-    let mut arity: HashMap<String, usize> = EDB_PREDICATES
-        .iter()
-        .map(|&(p, a)| (p.to_owned(), a))
-        .collect();
-    for rule in &program.rules {
-        for atom in std::iter::once(&rule.head).chain(rule.body.iter().map(|l| &l.atom)) {
-            if is_builtin(atom.pred.as_str()) {
-                continue;
-            }
-            match arity.get(atom.pred.as_str()) {
-                Some(&a) if a != atom.terms.len() => return false,
-                Some(_) => {}
-                None => {
-                    arity.insert(atom.pred.clone(), atom.terms.len());
-                }
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -317,8 +312,11 @@ mod tests {
             a.diagnostics
         );
         assert!(a.envelope.fuel.is_bounded());
-        // Seed round scans the edge relation exactly.
-        assert!(a.envelope.fuel.lo >= stats.edges_reachable);
+        // Seed round is offered exactly the `a` edges, plus the round tick.
+        assert_eq!(a.envelope.fuel.lo, stats.label_count("a") + 1);
+        let all = parse_program("hit(Y) :- edge(_X, _L, Y).", g.symbols()).unwrap();
+        let a = analyze_datalog_cost(&all, None, None, &CostContext::with_stats(&stats));
+        assert_eq!(a.envelope.fuel.lo, stats.edges_reachable + 1);
     }
 
     #[test]

@@ -12,9 +12,7 @@ use ssd_diag::{Code, Diagnostic, Span};
 use ssd_triples::datalog::{is_builtin, stratify, Atom, Program, ProgramSpans};
 use std::collections::{HashMap, HashSet};
 
-/// The EDB relations the triple store exposes, with their arities:
-/// `edge(Src, Label, Dst)`, `node(N)`, `root(R)`.
-pub const EDB_PREDICATES: &[(&str, usize)] = &[("edge", 3), ("node", 1), ("root", 1)];
+pub use ssd_triples::datalog::EDB_PREDICATES;
 
 fn edb_arity(pred: &str) -> Option<usize> {
     EDB_PREDICATES
@@ -54,12 +52,14 @@ fn check_safety(
     diags: &mut Vec<Diagnostic>,
 ) {
     for (i, rule) in program.rules.iter().enumerate() {
-        if is_builtin(rule.head.pred.as_str()) {
+        let edb = edb_arity(rule.head.pred.as_str()).is_some();
+        if edb || is_builtin(rule.head.pred.as_str()) {
             diags.push(
                 Diagnostic::new(
                     Code::DatalogUnsafe,
                     format!(
-                        "rule {i}: cannot define builtin predicate `{}`",
+                        "rule {i}: cannot define {} predicate `{}`",
+                        if edb { "EDB" } else { "builtin" },
                         rule.head.pred
                     ),
                 )

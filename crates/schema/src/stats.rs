@@ -18,7 +18,7 @@
 
 use crate::schema::{Schema, SchemaNodeId};
 use crate::simulation::conforms;
-use ssd_graph::{Graph, Label, NodeId};
+use ssd_graph::{Graph, Label, NodeId, SymbolId};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Statistics over the reachable fragment of one data graph, optionally
@@ -36,8 +36,7 @@ pub struct DataStats {
     /// Out-degree of the root.
     pub root_fanout: u64,
     /// Distinct nodes appearing as an endpoint of a reachable edge, plus
-    /// the root — exactly the `node/1` EDB relation the triple shredder
-    /// produces.
+    /// the root — exactly the `node/1` EDB relation datalog reads.
     pub edb_nodes: u64,
     /// Distinct edge labels in the reachable fragment.
     pub distinct_labels: u64,
@@ -46,6 +45,10 @@ pub struct DataStats {
     pub cyclic: bool,
     /// Edge count per label (displayed form; symbols by name).
     pub label_counts: BTreeMap<String, u64>,
+    /// Edge count per symbol label, by id — exact where the displayed
+    /// form is not (a value can be spelled like a symbol), and usable
+    /// without the symbol table.
+    pub symbol_counts: BTreeMap<SymbolId, u64>,
     /// With a schema: for each schema node, how many distinct data nodes
     /// the reachable data×schema product assigns to it. Empty without a
     /// schema.
@@ -72,11 +75,15 @@ impl DataStats {
                 stats.edges_reachable += 1;
                 endpoints.insert(n);
                 endpoints.insert(e.to);
-                *stats
-                    .label_counts
-                    .entry(label_key(&e.label, g))
-                    .or_insert(0) += 1;
+                match &e.label {
+                    Label::Symbol(s) => *stats.symbol_counts.entry(*s).or_insert(0) += 1,
+                    Label::Value(v) => *stats.label_counts.entry(v.to_string()).or_insert(0) += 1,
+                }
             }
+        }
+        for (&s, &n) in &stats.symbol_counts {
+            let name = g.symbols().resolve(s).to_string();
+            *stats.label_counts.entry(name).or_insert(0) += n;
         }
         stats.edb_nodes = endpoints.len() as u64;
         stats.distinct_labels = stats.label_counts.len() as u64;
@@ -123,6 +130,11 @@ impl DataStats {
         self.label_counts.get(label).copied().unwrap_or(0)
     }
 
+    /// Edges carrying the symbol `s`, zero if absent.
+    pub fn symbol_count(&self, s: SymbolId) -> u64 {
+        self.symbol_counts.get(&s).copied().unwrap_or(0)
+    }
+
     /// Fraction of reachable edges carrying `label` (by displayed form),
     /// in `[0, 1]` — the per-step selectivity the index access-path
     /// planner feeds on when weighing a POS label scan against an SPO
@@ -156,14 +168,6 @@ impl std::fmt::Display for DataStats {
             )?;
         }
         Ok(())
-    }
-}
-
-/// Stable display key for a label: symbol name, or the value's display.
-fn label_key(label: &Label, g: &Graph) -> String {
-    match label {
-        Label::Symbol(s) => g.symbols().resolve(*s).to_string(),
-        Label::Value(v) => v.to_string(),
     }
 }
 

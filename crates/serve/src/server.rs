@@ -859,15 +859,10 @@ fn run_job(inner: &Inner, ticket: &Ticket, guard: &Guard, tx: &SyncSender<JobEve
                 };
             }
             Ok(eval) => {
-                let mut lines = Vec::new();
-                let mut preds: Vec<&String> = eval.facts.keys().collect();
-                preds.sort();
-                for p in preds {
-                    if matches!(p.as_str(), "edge" | "node" | "root") {
-                        continue;
-                    }
-                    lines.push(format!("{p}: {} tuple(s)", eval.count(p)));
-                }
+                let lines: Vec<String> = eval
+                    .predicates()
+                    .map(|p| format!("{p}: {} tuple(s)", eval.count(p)))
+                    .collect();
                 for batch in lines.chunks(inner.cfg.chunk_size.max(1)) {
                     if let Err(e) = guard.poll() {
                         let _ = tx.send(JobEvent::Failed(e.headline()));

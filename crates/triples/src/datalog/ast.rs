@@ -107,6 +107,11 @@ pub fn is_builtin(pred: &str) -> bool {
     matches!(pred, "lt" | "le" | "gt" | "ge" | "eq" | "neq")
 }
 
+/// The EDB relations with their arities: `edge(Src, Label, Dst)`,
+/// `node(N)`, `root(R)`. They are read from the graph snapshot, never
+/// copied, so a program may use them in bodies but not define them.
+pub const EDB_PREDICATES: &[(&str, usize)] = &[("edge", 3), ("node", 1), ("root", 1)];
+
 /// A datalog program.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Program {
@@ -131,10 +136,12 @@ impl Program {
     /// literal.
     pub fn check_safety(&self) -> Result<(), String> {
         for (i, rule) in self.rules.iter().enumerate() {
-            if is_builtin(rule.head.pred.as_str()) {
+            let head = rule.head.pred.as_str();
+            let edb = EDB_PREDICATES.iter().any(|&(p, _)| p == head);
+            if edb || is_builtin(head) {
                 return Err(format!(
-                    "rule {i}: cannot define builtin predicate {}",
-                    rule.head.pred
+                    "rule {i}: cannot define {} predicate {head}",
+                    if edb { "EDB" } else { "builtin" }
                 ));
             }
             let positive_vars: std::collections::HashSet<&str> = rule

@@ -1,19 +1,37 @@
-//! Stratified datalog evaluation: naive and semi-naive.
+//! Stratified datalog evaluation: naive and semi-naive, over encoded
+//! tuples.
 //!
-//! The EDB is derived from a [`TripleStore`]: `edge(Src, Label, Dst)`,
-//! `root(R)`, and `node(N)` (every node occurring in a triple or as root).
+//! The EDB — `edge(Src, Label, Dst)`, `root(R)` and `node(N)` (every node
+//! occurring in a triple or as root) — is never copied: rule bodies read
+//! it through an [`Edb`], asking for the triples that match whatever
+//! arguments are already resolved. A `Database` snapshot passes its
+//! columnar triple index; [`evaluate`] and friends wrap a [`TripleStore`]
+//! in a [`StoreEdb`], which is what finally reads that store's hash
+//! indexes. One `run` / `eval_rule` serves both.
+//!
+//! Everything inside the fixpoint is a `u32`: a node is its index, a
+//! label is its EDB id with the top bit set, and a constant the EDB does
+//! not know gets an id past the label ids from a per-evaluation side
+//! table. Rules are compiled once (variables numbered into a slot row,
+//! constants encoded); IDB relations are flat row arenas
+//! ([`super::rel`]); [`Datum`]s are only rebuilt when a caller asks an
+//! [`Evaluation`] for tuples.
+//!
 //! Programs are stratified on negation; within a stratum, recursion is
 //! evaluated either naively (recompute everything each round) or
 //! semi-naively (join only against the last round's delta). Experiment E6
 //! measures the gap between the two, which §3's pointer to "graph datalog"
 //! implicitly relies on being large.
 
-use super::ast::{is_builtin, Atom, Program, Rule, Term};
+use super::ast::{is_builtin, Atom, Literal, Program, Rule, Term, EDB_PREDICATES};
+use super::edb::{Edb, StoreEdb};
+use super::rel::Relation;
 use crate::algebra::Datum;
 use crate::store::TripleStore;
+use ssd_graph::{Label, NodeId};
 use ssd_guard::{Exhausted, Guard};
 use ssd_trace::{Phase, Tracer};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Fault-injection seam: hit once per fixpoint round.
 pub const FP_DATALOG_ROUND: &str = "datalog.round";
@@ -22,8 +40,13 @@ pub const FP_DATALOG_ROUND: &str = "datalog.round";
 /// Public so the static cost analysis charges the same unit it measures.
 pub const TUPLE_COST: u64 = 96;
 
-/// The fact database: predicate name → set of tuples.
-pub type Facts = HashMap<String, BTreeSet<Vec<Datum>>>;
+/// Tag bit of an encoded value: clear for a node index, set for a label
+/// id (EDB ids first, side-table constants after them).
+const LABEL: u32 = 1 << 31;
+
+/// A variable slot no literal has bound yet. Never a valid value: the
+/// capacity check keeps label ids below `LABEL - 1`.
+const UNBOUND: u32 = u32::MAX;
 
 /// Errors from evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,6 +58,9 @@ pub enum DatalogError {
         expected: usize,
         got: usize,
     },
+    /// The snapshot's node or label ids do not fit the evaluator's
+    /// 31-bit id spaces.
+    Capacity(String),
     /// A resource budget (fuel, memory, deadline, cancellation, fault
     /// injection) tripped mid-fixpoint.
     Exhausted(Exhausted),
@@ -58,6 +84,7 @@ impl std::fmt::Display for DatalogError {
                 f,
                 "predicate {pred} used with arity {got}, expected {expected}"
             ),
+            DatalogError::Capacity(m) => write!(f, "snapshot too large for datalog: {m}"),
             DatalogError::Exhausted(e) => write!(f, "{}", e.headline()),
         }
     }
@@ -65,65 +92,74 @@ impl std::fmt::Display for DatalogError {
 
 impl std::error::Error for DatalogError {}
 
-/// Result of evaluating a program: all facts plus iteration statistics.
+/// The encoded rows of one derived predicate.
+#[derive(Debug)]
+struct Rows {
+    arity: usize,
+    len: usize,
+    data: Vec<u32>,
+}
+
+/// Result of evaluating a program: the derived (IDB) relations plus
+/// iteration statistics. Tuples stay encoded until asked for.
 #[derive(Debug)]
 pub struct Evaluation {
-    pub facts: Facts,
+    relations: BTreeMap<String, Rows>,
+    /// Decoded form of every label-tagged value the rows mention.
+    labels: HashMap<u32, Datum>,
     /// Total fixpoint iterations across strata.
     pub iterations: usize,
     /// Total number of rule-body join evaluations performed (work measure
     /// for the naive vs semi-naive comparison).
     pub rule_evaluations: usize,
     /// Set when a guard in partial mode stopped evaluation early: the
-    /// headline of the exhaustion cause. Facts hold everything derived up
-    /// to that point (a sound under-approximation of the fixpoint).
+    /// headline of the exhaustion cause. The relations hold everything
+    /// derived up to that point (a sound under-approximation of the
+    /// fixpoint).
     pub truncated: Option<String>,
 }
 
 impl Evaluation {
-    /// Tuples derived for `pred` (empty slice view if none).
-    pub fn tuples(&self, pred: &str) -> impl Iterator<Item = &Vec<Datum>> {
-        self.facts.get(pred).into_iter().flatten()
+    /// The derived predicates (every rule head, even if empty), sorted.
+    pub fn predicates(&self) -> impl Iterator<Item = &str> {
+        self.relations.keys().map(String::as_str)
+    }
+
+    /// Tuples derived for `pred`, decoded and in sorted order (none for
+    /// an unknown predicate).
+    pub fn tuples(&self, pred: &str) -> impl Iterator<Item = Vec<Datum>> {
+        let mut out: Vec<Vec<Datum>> = self.relations.get(pred).map_or_else(Vec::new, |r| {
+            (0..r.len)
+                .map(|i| {
+                    let row = &r.data[i * r.arity..(i + 1) * r.arity];
+                    row.iter().map(|&v| self.decode(v)).collect()
+                })
+                .collect()
+        });
+        out.sort_unstable();
+        out.into_iter()
     }
 
     pub fn count(&self, pred: &str) -> usize {
-        self.facts.get(pred).map_or(0, BTreeSet::len)
+        self.relations.get(pred).map_or(0, |r| r.len)
     }
-}
 
-/// Build the EDB facts from a triple store.
-pub fn edb_from_store(store: &TripleStore) -> Facts {
-    let mut facts: Facts = HashMap::new();
-    let mut edges = BTreeSet::new();
-    let mut nodes = BTreeSet::new();
-    for t in store.iter() {
-        edges.insert(vec![
-            Datum::Node(t.src),
-            Datum::Label(t.label.clone()),
-            Datum::Node(t.dst),
-        ]);
-        nodes.insert(vec![Datum::Node(t.src)]);
-        nodes.insert(vec![Datum::Node(t.dst)]);
+    /// Tuples derived across all predicates.
+    pub fn derived(&self) -> usize {
+        self.relations.values().map(|r| r.len).sum()
     }
-    nodes.insert(vec![Datum::Node(store.root())]);
-    facts.insert("edge".to_owned(), edges);
-    facts.insert("node".to_owned(), nodes);
-    facts.insert(
-        "root".to_owned(),
-        std::iter::once(vec![Datum::Node(store.root())]).collect(),
-    );
-    facts
+
+    fn decode(&self, v: u32) -> Datum {
+        match self.labels.get(&v) {
+            Some(d) => d.clone(),
+            None => Datum::Node(NodeId::from_index(v as usize)),
+        }
+    }
 }
 
 /// Evaluate `program` over the EDB of `store`, semi-naively.
 pub fn evaluate(program: &Program, store: &TripleStore) -> Result<Evaluation, DatalogError> {
-    run(
-        program,
-        edb_from_store(store),
-        Mode::SemiNaive,
-        &Guard::unlimited(),
-        None,
-    )
+    evaluate_with(program, store, &Guard::unlimited())
 }
 
 /// Evaluate naively (for the E6 comparison).
@@ -131,7 +167,7 @@ pub fn evaluate(program: &Program, store: &TripleStore) -> Result<Evaluation, Da
 pub fn evaluate_naive(program: &Program, store: &TripleStore) -> Result<Evaluation, DatalogError> {
     run(
         program,
-        edb_from_store(store),
+        &StoreEdb::new(store),
         Mode::Naive,
         &Guard::unlimited(),
         None,
@@ -139,35 +175,41 @@ pub fn evaluate_naive(program: &Program, store: &TripleStore) -> Result<Evaluati
 }
 
 /// Evaluate semi-naively under a resource [`Guard`]. Fuel is ticked per
-/// fixpoint round and per join candidate; memory is accounted per derived
-/// tuple; deadline and cancellation are polled at every round boundary.
-/// In partial mode exhaustion yields the facts derived so far with
-/// [`Evaluation::truncated`] set; otherwise [`DatalogError::Exhausted`].
+/// fixpoint round and per join candidate the access path offers; memory
+/// is accounted per derived tuple; deadline and cancellation are polled
+/// at every round boundary. In partial mode exhaustion yields the facts
+/// derived so far with [`Evaluation::truncated`] set; otherwise
+/// [`DatalogError::Exhausted`].
 pub fn evaluate_with(
     program: &Program,
     store: &TripleStore,
     guard: &Guard,
 ) -> Result<Evaluation, DatalogError> {
-    run(program, edb_from_store(store), Mode::SemiNaive, guard, None)
+    evaluate_on(program, &StoreEdb::new(store), guard, None)
 }
 
-/// As [`evaluate_with`], with structured tracing: one [`Phase::Datalog`]
-/// span for the whole fixpoint, a child span per round (stratum, round
-/// number, delta size, rule evaluations, guard fuel/memory deltas), and a
-/// [`Phase::Guard`] instant when the guard stops evaluation.
+/// As [`evaluate_with`], with structured tracing; see [`evaluate_on`].
 pub fn evaluate_traced(
     program: &Program,
     store: &TripleStore,
     guard: &Guard,
     tracer: Option<&Tracer>,
 ) -> Result<Evaluation, DatalogError> {
-    let res = run(
-        program,
-        edb_from_store(store),
-        Mode::SemiNaive,
-        guard,
-        tracer,
-    );
+    evaluate_on(program, &StoreEdb::new(store), guard, tracer)
+}
+
+/// Evaluate semi-naively over any [`Edb`] — what a `Database` snapshot
+/// calls with its triple index. Tracing: one [`Phase::Datalog`] span for
+/// the whole fixpoint (naming the EDB), a child span per round (stratum,
+/// round number, delta size, rule evaluations, guard fuel/memory deltas),
+/// and a [`Phase::Guard`] instant when the guard stops evaluation.
+pub fn evaluate_on(
+    program: &Program,
+    edb: &dyn Edb,
+    guard: &Guard,
+    tracer: Option<&Tracer>,
+) -> Result<Evaluation, DatalogError> {
+    let res = run(program, edb, Mode::SemiNaive, guard, tracer);
     if let Err(e) = &res {
         ssd_trace::instant(
             tracer,
@@ -177,35 +219,6 @@ pub fn evaluate_traced(
         );
     }
     res
-}
-
-/// Evaluate over explicit base facts (no store).
-pub fn evaluate_with_facts(
-    program: &Program,
-    base: Facts,
-    semi_naive: bool,
-) -> Result<Evaluation, DatalogError> {
-    evaluate_with_facts_guarded(program, base, semi_naive, &Guard::unlimited())
-}
-
-/// As [`evaluate_with_facts`], under a resource [`Guard`].
-pub fn evaluate_with_facts_guarded(
-    program: &Program,
-    base: Facts,
-    semi_naive: bool,
-    guard: &Guard,
-) -> Result<Evaluation, DatalogError> {
-    run(
-        program,
-        base,
-        if semi_naive {
-            Mode::SemiNaive
-        } else {
-            Mode::Naive
-        },
-        guard,
-        None,
-    )
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -264,34 +277,373 @@ pub fn stratify(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
     Ok(strata)
 }
 
+/// What the evaluator refuses before doing any guard work: unsafe rules,
+/// inconsistent arities, negative cycles. Returns the strata otherwise.
+fn admit(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
+    program.check_safety().map_err(DatalogError::Unsafe)?;
+    check_arities(program)?;
+    stratify(program)
+}
+
+/// Every predicate is used with one arity: the EDB's own for `edge`,
+/// `node` and `root`, the first use's otherwise. (Builtin arity is part
+/// of the safety check.) Public so the static cost analysis refuses
+/// exactly what evaluation refuses.
+pub fn check_arities(program: &Program) -> Result<(), DatalogError> {
+    let mut arity: HashMap<&str, usize> = EDB_PREDICATES.iter().copied().collect();
+    for rule in &program.rules {
+        for atom in std::iter::once(&rule.head).chain(rule.body.iter().map(|l| &l.atom)) {
+            if is_builtin(atom.pred.as_str()) {
+                continue;
+            }
+            let expected = *arity.entry(atom.pred.as_str()).or_insert(atom.terms.len());
+            if expected != atom.terms.len() {
+                return Err(DatalogError::ArityMismatch {
+                    pred: atom.pred.clone(),
+                    expected,
+                    got: atom.terms.len(),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// For each body literal of `rule`, which arguments are resolved before
+/// the literal runs: constants, and variables an earlier positive
+/// relational literal bound. (Negated literals and builtins bind
+/// nothing.) This alone decides the access path of a literal.
+fn bound_args(rule: &Rule) -> Vec<Vec<bool>> {
+    let mut seen: HashSet<&str> = HashSet::new();
+    rule.body
+        .iter()
+        .map(|lit| {
+            let bound = lit
+                .atom
+                .terms
+                .iter()
+                .map(|t| match t {
+                    Term::Const(_) => true,
+                    Term::Var(v) => seen.contains(v.as_str()),
+                })
+                .collect();
+            if lit.positive && !is_builtin(lit.atom.pred.as_str()) {
+                seen.extend(lit.atom.vars());
+            }
+            bound
+        })
+        .collect()
+}
+
+/// Per rule and body literal, the access path the evaluator will use —
+/// the datalog counterpart of a select's per-binding access:
+///
+/// * `edge`: the permutation sorted for the bound arguments —
+///   `SPO(s)`, `SPO(s,p)`, `SPO(s,p,o)`, `POS(p)`, `POS(p,o)`, `OSP(o)`,
+///   `OSP(o,s)` — or `scan` when none is bound;
+/// * `node(lookup)` / `node(scan)`, `root`;
+/// * `idb` for a derived relation, `idb-delta` for a positive literal
+///   over the rule's own stratum (read from the last round's delta once
+///   the seed round is over), with the hash-probed columns in
+///   parentheses when some argument is bound;
+/// * `filter` for builtins, `empty` for a predicate nothing defines.
+///
+/// Fails exactly when evaluation would refuse the program.
+pub fn access_paths(program: &Program) -> Result<Vec<Vec<String>>, DatalogError> {
+    let strata = admit(program)?;
+    let stratum: HashMap<&str, usize> = strata
+        .iter()
+        .enumerate()
+        .flat_map(|(i, rules)| rules.iter().map(move |r| (r.head.pred.as_str(), i)))
+        .collect();
+    Ok(program
+        .rules
+        .iter()
+        .map(|rule| {
+            let own = stratum.get(rule.head.pred.as_str());
+            rule.body
+                .iter()
+                .zip(bound_args(rule))
+                .map(|(lit, bound)| {
+                    let pred = lit.atom.pred.as_str();
+                    let same_stratum = lit.positive && stratum.get(pred) == own;
+                    access_name(pred, &bound, stratum.contains_key(pred), same_stratum)
+                })
+                .collect()
+        })
+        .collect())
+}
+
+fn access_name(pred: &str, bound: &[bool], idb: bool, same_stratum: bool) -> String {
+    match (pred, bound) {
+        (p, _) if is_builtin(p) => "filter".to_owned(),
+        ("edge", &[s, p, o]) => match (s, p, o) {
+            (true, true, true) => "SPO(s,p,o)",
+            (true, true, false) => "SPO(s,p)",
+            (true, false, false) => "SPO(s)",
+            (false, true, false) => "POS(p)",
+            (false, true, true) => "POS(p,o)",
+            (false, false, true) => "OSP(o)",
+            (true, false, true) => "OSP(o,s)",
+            (false, false, false) => "scan",
+        }
+        .to_owned(),
+        ("node", &[true]) => "node(lookup)".to_owned(),
+        ("node", _) => "node(scan)".to_owned(),
+        ("root", _) => "root".to_owned(),
+        _ if idb => {
+            let cols: Vec<String> = (0..bound.len())
+                .filter(|&i| bound[i])
+                .map(|i| i.to_string())
+                .collect();
+            let name = if same_stratum { "idb-delta" } else { "idb" };
+            if cols.is_empty() {
+                name.to_owned()
+            } else {
+                format!("{name}({})", cols.join(","))
+            }
+        }
+        _ => "empty".to_owned(),
+    }
+}
+
+/// Encoding of [`Datum`]s for one evaluation: EDB label ids, then the
+/// side table of constants the EDB cannot encode (labels no edge carries,
+/// node ids past the tag bit).
+struct Terms<'e> {
+    edb: &'e dyn Edb,
+    nlabels: u32,
+    extra: Vec<Datum>,
+    extra_ids: HashMap<Datum, u32>,
+}
+
+impl<'e> Terms<'e> {
+    /// Refuses snapshots whose ids (plus the program's constants) do not
+    /// fit below the tag bit.
+    fn new(edb: &'e dyn Edb, program: &Program) -> Result<Terms<'e>, DatalogError> {
+        let constants: usize = program
+            .rules
+            .iter()
+            .map(|r| r.head.terms.len() + r.body.iter().map(|l| l.atom.terms.len()).sum::<usize>())
+            .sum();
+        let ids = edb.label_count().saturating_add(constants);
+        if edb.max_node() >= LABEL || ids >= (LABEL - 1) as usize {
+            return Err(DatalogError::Capacity(format!(
+                "node ids up to {} and {ids} label/constant ids need more than 31 bits",
+                edb.max_node()
+            )));
+        }
+        Ok(Terms {
+            edb,
+            nlabels: edb.label_count() as u32,
+            extra: Vec::new(),
+            extra_ids: HashMap::new(),
+        })
+    }
+
+    fn encode(&mut self, d: &Datum) -> u32 {
+        match d {
+            Datum::Node(n) if n.index() < LABEL as usize => return n.index() as u32,
+            Datum::Label(l) => {
+                if let Some(id) = self.edb.label_id(l) {
+                    return LABEL | id;
+                }
+            }
+            Datum::Node(_) => {}
+        }
+        let next = self.nlabels + self.extra.len() as u32;
+        let id = *self.extra_ids.entry(d.clone()).or_insert(next);
+        if id == next {
+            self.extra.push(d.clone());
+        }
+        LABEL | id
+    }
+
+    /// The label behind a tagged value (`None` for nodes).
+    fn label(&self, v: u32) -> Option<&Label> {
+        let id = v.checked_sub(LABEL)?;
+        match id.checked_sub(self.nlabels) {
+            None => self.edb.label(id),
+            Some(k) => self.extra.get(k as usize).and_then(Datum::as_label),
+        }
+    }
+
+    /// Decode a tagged value (label or side-table constant).
+    fn decode(&self, v: u32) -> Option<Datum> {
+        let id = v.checked_sub(LABEL)?;
+        match id.checked_sub(self.nlabels) {
+            None => self.edb.label(id).cloned().map(Datum::Label),
+            Some(k) => self.extra.get(k as usize).cloned(),
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Arg {
+    Const(u32),
+    Var(usize),
+}
+
+enum Source {
+    Edge,
+    Node,
+    Root,
+    /// A derived relation, probed through hash index `index` when some
+    /// argument arrives bound, scanned otherwise.
+    Idb {
+        rel: usize,
+        index: Option<usize>,
+    },
+    Builtin,
+    /// A predicate no rule defines: always empty.
+    Undefined,
+}
+
+struct Lit<'p> {
+    source: Source,
+    pred: &'p str,
+    positive: bool,
+    args: Vec<Arg>,
+    /// Parallel to `args`; see [`bound_args`].
+    bound: Vec<bool>,
+}
+
+/// A rule compiled against one evaluation's relations and encoding.
+struct Compiled<'p> {
+    head: usize,
+    head_args: Vec<Arg>,
+    body: Vec<Lit<'p>>,
+    nvars: usize,
+}
+
+/// The IDB relations of one evaluation: one per rule-head predicate.
+struct Idb<'p> {
+    index: HashMap<&'p str, usize>,
+    names: Vec<&'p str>,
+    rels: Vec<Relation>,
+}
+
+impl<'p> Idb<'p> {
+    fn new(program: &'p Program) -> Idb<'p> {
+        let mut idb = Idb {
+            index: HashMap::new(),
+            names: Vec::new(),
+            rels: Vec::new(),
+        };
+        for rule in &program.rules {
+            let pred = rule.head.pred.as_str();
+            if !idb.index.contains_key(pred) {
+                idb.index.insert(pred, idb.rels.len());
+                idb.names.push(pred);
+                idb.rels.push(Relation::new(rule.head.terms.len()));
+            }
+        }
+        idb
+    }
+}
+
+fn compile<'p>(rule: &'p Rule, terms: &mut Terms<'_>, idb: &mut Idb<'p>) -> Compiled<'p> {
+    let mut vars: HashMap<&str, usize> = HashMap::new();
+    let mut args_of = |atom: &'p Atom, terms: &mut Terms<'_>| -> Vec<Arg> {
+        atom.terms
+            .iter()
+            .map(|t| match t {
+                Term::Const(d) => Arg::Const(terms.encode(d)),
+                Term::Var(v) => {
+                    let next = vars.len();
+                    Arg::Var(*vars.entry(v.as_str()).or_insert(next))
+                }
+            })
+            .collect()
+    };
+    let body = rule
+        .body
+        .iter()
+        .zip(bound_args(rule))
+        .map(|(lit, bound): (&'p Literal, _)| {
+            let pred = lit.atom.pred.as_str();
+            let source = match pred {
+                "edge" => Source::Edge,
+                "node" => Source::Node,
+                "root" => Source::Root,
+                p if is_builtin(p) => Source::Builtin,
+                p => match idb.index.get(p) {
+                    Some(&rel) => {
+                        let cols: Vec<usize> = (0..bound.len()).filter(|&i| bound[i]).collect();
+                        let index = (!cols.is_empty()).then(|| idb.rels[rel].index_on(cols));
+                        Source::Idb { rel, index }
+                    }
+                    None => Source::Undefined,
+                },
+            };
+            Lit {
+                source,
+                pred,
+                positive: lit.positive,
+                args: args_of(&lit.atom, terms),
+                bound,
+            }
+        })
+        .collect();
+    let head_args = args_of(&rule.head, terms);
+    Compiled {
+        head: idb.index[rule.head.pred.as_str()],
+        head_args,
+        body,
+        nvars: vars.len(),
+    }
+}
+
 fn run(
     program: &Program,
-    mut facts: Facts,
+    edb: &dyn Edb,
     mode: Mode,
     guard: &Guard,
     tracer: Option<&Tracer>,
 ) -> Result<Evaluation, DatalogError> {
     let mut dsp = ssd_trace::span(tracer, Phase::Datalog, "datalog", Some(guard));
+    dsp.field("edb", edb.name());
     let exh = DatalogError::Exhausted;
-    program.check_safety().map_err(DatalogError::Unsafe)?;
-    check_arities(program, &facts)?;
-    let strata = stratify(program)?;
+    let strata = admit(program)?;
+    let mut terms = Terms::new(edb, program)?;
+    let mut idb = Idb::new(program);
+    let compiled: Vec<Vec<Compiled<'_>>> = strata
+        .iter()
+        .map(|rules| {
+            rules
+                .iter()
+                .map(|r| compile(r, &mut terms, &mut idb))
+                .collect()
+        })
+        .collect();
+    let reads_node = program
+        .rules
+        .iter()
+        .any(|r| r.body.iter().any(|l| l.atom.pred == "node"));
+    let nodes = if reads_node { edb.nodes() } else { Vec::new() };
+    let mut rels = idb.rels;
+    let mut out: Vec<u32> = Vec::new();
     let mut iterations = 0usize;
     let mut rule_evaluations = 0usize;
-    'strata: for (si, stratum_rules) in strata.iter().enumerate() {
-        if stratum_rules.is_empty() {
+    'strata: for (si, rules) in compiled.iter().enumerate() {
+        if rules.is_empty() {
             continue;
         }
-        let recursive_preds: BTreeSet<&str> =
-            stratum_rules.iter().map(|r| r.head.pred.as_str()).collect();
-        // Initialise deltas with any facts already present for these preds
-        // (usually empty).
-        let mut delta: Facts = HashMap::new();
-        for p in &recursive_preds {
-            let existing = facts.get(*p).cloned().unwrap_or_default();
-            delta.insert((*p).to_owned(), existing);
-        }
-        // First full round (naive step) to seed.
+        let heads: HashSet<usize> = rules.iter().map(|r| r.head).collect();
+        // Positive body literals over this stratum's own predicates: the
+        // positions semi-naive evaluation restricts to the delta.
+        let recursive: Vec<Vec<Option<usize>>> = rules
+            .iter()
+            .map(|r| {
+                (0..r.body.len())
+                    .filter(|&i| match r.body[i].source {
+                        Source::Idb { rel, .. } => r.body[i].positive && heads.contains(&rel),
+                        _ => false,
+                    })
+                    .map(Some)
+                    .collect()
+            })
+            .collect();
         let mut round = 0usize;
         loop {
             iterations += 1;
@@ -303,101 +655,61 @@ fn run(
             if !(guard.tick(1).map_err(exh)? && guard.fail_point(FP_DATALOG_ROUND).map_err(exh)?) {
                 break 'strata;
             }
-            let mut new_delta: Facts = HashMap::new();
-            for rule in stratum_rules {
-                let derived = match mode {
-                    Mode::Naive => {
-                        rule_evaluations += 1;
-                        eval_rule(rule, &facts, None, guard).map_err(exh)?
-                    }
-                    Mode::SemiNaive => {
-                        // One evaluation per occurrence of a recursive
-                        // predicate in the body, with that occurrence
-                        // restricted to the delta. Rules with no recursive
-                        // body literal run only on the first iteration.
-                        let rec_positions: Vec<usize> = rule
-                            .body
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, l)| {
-                                l.positive && recursive_preds.contains(l.atom.pred.as_str())
-                            })
-                            .map(|(i, _)| i)
-                            .collect();
-                        if rec_positions.is_empty() {
-                            // Non-recursive rules fire once, on the seed round.
-                            if round == 0 {
-                                rule_evaluations += 1;
-                                eval_rule(rule, &facts, None, guard).map_err(exh)?
-                            } else {
-                                BTreeSet::new()
-                            }
-                        } else if round == 0 {
-                            // Seed round: recursive literals have no prior
-                            // delta; run the rule in full once (it typically
-                            // finds nothing until base rules populate facts).
-                            rule_evaluations += 1;
-                            eval_rule(rule, &facts, None, guard).map_err(exh)?
-                        } else {
-                            let mut out = BTreeSet::new();
-                            for &pos in &rec_positions {
-                                rule_evaluations += 1;
-                                out.extend(
-                                    eval_rule(rule, &facts, Some((pos, &delta)), guard)
-                                        .map_err(exh)?,
-                                );
-                            }
-                            out
-                        }
-                    }
-                };
-                'derive: for tuple in derived {
-                    let known = facts
-                        .get(rule.head.pred.as_str())
-                        .is_some_and(|s| s.contains(&tuple));
-                    if !known {
-                        if !guard.alloc(TUPLE_COST).map_err(exh)? {
-                            break 'derive;
-                        }
-                        new_delta
-                            .entry(rule.head.pred.clone())
-                            .or_default()
-                            .insert(tuple);
-                    }
-                }
+            // What the previous round added becomes this round's delta;
+            // what this round adds stays invisible until the next.
+            for &h in &heads {
+                rels[h].prev = rels[h].vis;
+                rels[h].vis = rels[h].len();
             }
-            // Merge new facts.
-            let mut grew = false;
-            for (pred, tuples) in &new_delta {
-                let entry = facts.entry(pred.clone()).or_default();
-                for t in tuples {
-                    if entry.insert(t.clone()) {
-                        grew = true;
+            let mut added = 0usize;
+            for (rule, rec) in rules.iter().zip(&recursive) {
+                // Semi-naive: one evaluation per occurrence of a recursive
+                // predicate in the body, with that occurrence restricted
+                // to the delta. The seed round, and naive mode, run every
+                // rule once in full; rules with no recursive body literal
+                // run only on the seed round.
+                let variants: &[Option<usize>] = match mode {
+                    Mode::SemiNaive if round > 0 => rec,
+                    _ => &[None],
+                };
+                for &delta_at in variants {
+                    rule_evaluations += 1;
+                    out.clear();
+                    let cx = Cx {
+                        edb,
+                        terms: &terms,
+                        rels: &rels,
+                        nodes: &nodes,
+                        guard,
+                    };
+                    let derived = cx.eval_rule(rule, delta_at, &mut out).map_err(exh)?;
+                    let head = &mut rels[rule.head];
+                    let k = head.arity();
+                    for t in (0..derived).map(|j| &out[j * k..(j + 1) * k]) {
+                        if !head.contains(t) {
+                            if !guard.alloc(TUPLE_COST).map_err(exh)? {
+                                break;
+                            }
+                            head.insert(t);
+                            added += 1;
+                        }
                     }
                 }
             }
             if round_sp.enabled() {
-                let delta_tuples: usize = new_delta.values().map(BTreeSet::len).sum();
                 round_sp.field("stratum", si);
                 round_sp.field("round", round);
-                round_sp.field("delta", delta_tuples);
+                round_sp.field("delta", added);
                 round_sp.field("rule_evals", rule_evaluations - rule_evals_before);
             }
             round_sp.close();
-            if mode == Mode::SemiNaive {
-                delta = new_delta;
-            }
             round += 1;
-            if !grew {
+            if added == 0 {
                 break;
             }
         }
-    }
-    // Ensure all head predicates exist in the output even if empty — also
-    // after a partial-mode stop, so truncated results stay well-formed.
-    for stratum_rules in &strata {
-        for rule in stratum_rules {
-            facts.entry(rule.head.pred.clone()).or_default();
+        for &h in &heads {
+            rels[h].vis = rels[h].len();
         }
     }
     let truncated = guard.truncation().map(|e| e.headline());
@@ -408,242 +720,261 @@ fn run(
             vec![("cause", why.as_str().into())],
         );
     }
-    if dsp.enabled() {
-        dsp.field("iterations", iterations);
-        dsp.field("rule_evals", rule_evaluations);
-        dsp.field("facts", facts.values().map(BTreeSet::len).sum::<usize>());
+    // Every head predicate appears in the output, even if empty — also
+    // after a partial-mode stop, so truncated results stay well-formed.
+    let mut relations = BTreeMap::new();
+    let mut labels: HashMap<u32, Datum> = HashMap::new();
+    for (pred, rel) in idb.names.into_iter().zip(rels) {
+        let (arity, len) = (rel.arity(), rel.len());
+        let data = rel.into_rows();
+        for &v in &data {
+            if v & LABEL != 0 && !labels.contains_key(&v) {
+                if let Some(d) = terms.decode(v) {
+                    labels.insert(v, d);
+                }
+            }
+        }
+        relations.insert(pred.to_owned(), Rows { arity, len, data });
     }
-    dsp.close();
-    Ok(Evaluation {
-        facts,
+    let eval = Evaluation {
+        relations,
+        labels,
         iterations,
         rule_evaluations,
         truncated,
-    })
+    };
+    if dsp.enabled() {
+        dsp.field("iterations", iterations);
+        dsp.field("rule_evals", rule_evaluations);
+        dsp.field("facts", eval.derived());
+    }
+    dsp.close();
+    Ok(eval)
 }
 
-fn check_arities(program: &Program, facts: &Facts) -> Result<(), DatalogError> {
-    let mut arity: HashMap<String, usize> = HashMap::new();
-    for (p, tuples) in facts {
-        if let Some(t) = tuples.iter().next() {
-            arity.insert(p.clone(), t.len());
-        }
-    }
-    let check =
-        |arity: &mut HashMap<String, usize>, atom: &Atom| match arity.get(atom.pred.as_str()) {
-            Some(&a) if a != atom.terms.len() => Err(DatalogError::ArityMismatch {
-                pred: atom.pred.clone(),
-                expected: a,
-                got: atom.terms.len(),
-            }),
-            Some(_) => Ok(()),
-            None => {
-                arity.insert(atom.pred.clone(), atom.terms.len());
-                Ok(())
-            }
-        };
-    for rule in &program.rules {
-        check(&mut arity, &rule.head)?;
-        for lit in &rule.body {
-            check(&mut arity, &lit.atom)?;
-        }
-    }
-    Ok(())
+/// What one rule evaluation reads.
+struct Cx<'a> {
+    edb: &'a dyn Edb,
+    terms: &'a Terms<'a>,
+    rels: &'a [Relation],
+    nodes: &'a [u32],
+    guard: &'a Guard,
 }
 
-/// Evaluate one rule body against `facts`, optionally restricting the
-/// positive literal at `delta_at.0` to the delta relation. Returns derived
-/// head tuples. Fuel is ticked per join candidate considered; in partial
-/// mode exhaustion returns the tuples derivable from the bindings built
-/// so far.
-fn eval_rule(
-    rule: &Rule,
-    facts: &Facts,
-    delta_at: Option<(usize, &Facts)>,
-    guard: &Guard,
-) -> Result<BTreeSet<Vec<Datum>>, Exhausted> {
-    type Binding = HashMap<String, Datum>;
-    let empty = BTreeSet::new();
-    let mut bindings: Vec<Binding> = vec![HashMap::new()];
-    'body: for (i, lit) in rule.body.iter().enumerate() {
-        if is_builtin(lit.atom.pred.as_str()) {
-            // Builtins filter the current bindings; safety guarantees all
-            // their variables are bound.
-            bindings.retain(|b| {
-                let sat = eval_builtin(&lit.atom, b);
-                if lit.positive {
-                    sat
+impl Cx<'_> {
+    /// Evaluate one rule body, optionally restricting the positive
+    /// literal at `delta_at` to its relation's delta, and append the
+    /// derived head tuples to `out`; returns how many. Bindings are flat
+    /// rows of variable slots carried literal by literal. Fuel is ticked
+    /// per candidate a positive literal is offered and per binding a
+    /// negated literal tests.
+    fn eval_rule(
+        &self,
+        rule: &Compiled<'_>,
+        delta_at: Option<usize>,
+        out: &mut Vec<u32>,
+    ) -> Result<usize, Exhausted> {
+        let w = rule.nvars.max(1);
+        let mut cur: Vec<u32> = vec![UNBOUND; w];
+        let mut next: Vec<u32> = Vec::new();
+        let mut scratch: Vec<u32> = vec![UNBOUND; w];
+        for (i, lit) in rule.body.iter().enumerate() {
+            next.clear();
+            let mut go: Result<bool, Exhausted> = Ok(true);
+            for row in cur.chunks_exact(w) {
+                if matches!(lit.source, Source::Builtin) {
+                    // Builtins filter the current bindings.
+                    if self.builtin(lit, row) == lit.positive {
+                        next.extend_from_slice(row);
+                    }
+                } else if lit.positive {
+                    self.offer(lit, row, delta_at == Some(i), &mut |tuple| {
+                        go = self.guard.tick(1);
+                        if !matches!(go, Ok(true)) {
+                            return false;
+                        }
+                        let at = next.len();
+                        next.extend_from_slice(row);
+                        if !unify(&lit.args, tuple, &mut next[at..]) {
+                            next.truncate(at);
+                        }
+                        true
+                    });
                 } else {
-                    !sat
-                }
-            });
-            if bindings.is_empty() {
-                return Ok(BTreeSet::new());
-            }
-            continue;
-        }
-        let source: &BTreeSet<Vec<Datum>> = match delta_at {
-            Some((pos, delta)) if pos == i => delta.get(lit.atom.pred.as_str()).unwrap_or(&empty),
-            _ => facts.get(lit.atom.pred.as_str()).unwrap_or(&empty),
-        };
-        if lit.positive {
-            let mut next = Vec::new();
-            for b in &bindings {
-                for tuple in candidates(source, &lit.atom, b) {
-                    if !guard.tick(1)? {
-                        bindings = next;
-                        break 'body;
-                    }
-                    if let Some(extended) = try_match(&lit.atom, tuple, b) {
-                        next.push(extended);
+                    // Negation filters: variables no earlier literal
+                    // bound are existential.
+                    go = self.guard.tick(1);
+                    if matches!(go, Ok(true)) {
+                        let mut hit = false;
+                        self.offer(lit, row, false, &mut |tuple| {
+                            scratch.copy_from_slice(row);
+                            hit = unify(&lit.args, tuple, &mut scratch);
+                            !hit
+                        });
+                        if !hit {
+                            next.extend_from_slice(row);
+                        }
                     }
                 }
-            }
-            bindings = next;
-        } else {
-            // Negation: all variables already bound (safety-checked), so
-            // just filter.
-            let mut kept = Vec::new();
-            for b in bindings {
-                if !guard.tick(1)? {
-                    bindings = kept;
-                    break 'body;
-                }
-                if !candidates(source, &lit.atom, &b)
-                    .any(|tuple| try_match(&lit.atom, tuple, &b).is_some())
-                {
-                    kept.push(b);
+                if !matches!(go, Ok(true)) {
+                    break;
                 }
             }
-            bindings = kept;
+            // A partial-mode stop derives nothing: the guard refuses the
+            // tuples' memory from here on anyway.
+            if !go? || next.is_empty() {
+                return Ok(0);
+            }
+            std::mem::swap(&mut cur, &mut next);
         }
-        if bindings.is_empty() {
-            return Ok(BTreeSet::new());
-        }
-    }
-    let mut out = BTreeSet::new();
-    'heads: for b in bindings {
-        let mut tuple = Vec::with_capacity(rule.head.terms.len());
-        for t in &rule.head.terms {
-            match t {
+        let mut derived = 0usize;
+        'rows: for row in cur.chunks_exact(w) {
+            let at = out.len();
+            for a in &rule.head_args {
+                let v = match *a {
+                    Arg::Const(c) => c,
+                    Arg::Var(v) => row[v],
+                };
                 // The safety check guarantees head vars are bound; if that
                 // invariant ever breaks, drop the binding rather than panic.
-                Term::Var(v) => match b.get(v) {
-                    Some(d) => tuple.push(d.clone()),
-                    None => continue 'heads,
-                },
-                Term::Const(d) => tuple.push(d.clone()),
+                if v == UNBOUND {
+                    out.truncate(at);
+                    continue 'rows;
+                }
+                out.push(v);
             }
+            derived += 1;
         }
-        out.insert(tuple);
+        Ok(derived)
     }
-    Ok(out)
-}
 
-/// Evaluate a builtin comparison over a complete binding. Unbound
-/// variables (impossible after the safety check) make the builtin
-/// unsatisfied rather than panicking.
-fn eval_builtin(atom: &Atom, binding: &HashMap<String, Datum>) -> bool {
-    let resolve = |t: &Term| -> Option<Datum> {
-        match t {
-            Term::Const(d) => Some(d.clone()),
-            Term::Var(v) => binding.get(v).cloned(),
-        }
-    };
-    let (Some(a), Some(b)) = (
-        atom.terms.first().and_then(&resolve),
-        atom.terms.get(1).and_then(&resolve),
-    ) else {
-        return false;
-    };
-    use crate::algebra::Datum::*;
-    match atom.pred.as_str() {
-        "eq" => a == b,
-        "neq" => a != b,
-        op => match (&a, &b) {
-            // Ordered comparisons apply to values only (node ids and
-            // symbols have no meaningful order for queries).
-            (Label(la), Label(lb)) => match (la.as_value(), lb.as_value()) {
-                (Some(va), Some(vb)) => {
-                    let ord = va.query_cmp(vb);
-                    match op {
-                        "lt" => ord == std::cmp::Ordering::Less,
-                        "le" => ord != std::cmp::Ordering::Greater,
-                        "gt" => ord == std::cmp::Ordering::Greater,
-                        "ge" => ord != std::cmp::Ordering::Less,
-                        // is_builtin covers exactly the six above; treat
-                        // anything else as unsatisfied.
-                        _ => false,
+    /// Offer `visit` the tuples of `lit`'s relation that agree with `row`
+    /// on every bound argument — no others, so candidates (and the fuel
+    /// ticked per candidate) are what the access path selects, not what
+    /// the relation holds. A bound value of the wrong kind (a label where
+    /// `edge` wants a node, a constant no edge carries) selects nothing.
+    fn offer(
+        &self,
+        lit: &Lit<'_>,
+        row: &[u32],
+        delta: bool,
+        visit: &mut dyn FnMut(&[u32]) -> bool,
+    ) {
+        let val = |i: usize| match lit.args[i] {
+            Arg::Const(c) => c,
+            Arg::Var(v) => row[v],
+        };
+        let bound = |i: usize| lit.bound[i].then(|| val(i));
+        match lit.source {
+            Source::Edge => {
+                let node = |v: Option<u32>| match v {
+                    Some(v) if v & LABEL != 0 => Err(()),
+                    v => Ok(v),
+                };
+                let label = |v: Option<u32>| match v {
+                    None => Ok(None),
+                    Some(v) if v & LABEL != 0 && (v ^ LABEL) < self.terms.nlabels => {
+                        Ok(Some(v ^ LABEL))
+                    }
+                    Some(_) => Err(()),
+                };
+                if let (Ok(s), Ok(p), Ok(o)) = (node(bound(0)), label(bound(1)), node(bound(2))) {
+                    self.edb
+                        .scan(s, p, o, &mut |[s, p, o]| visit(&[s, p | LABEL, o]));
+                }
+            }
+            Source::Node => match bound(0) {
+                Some(v) => {
+                    if self.nodes.binary_search(&v).is_ok() {
+                        visit(&[v]);
                     }
                 }
-                _ => false,
+                None => {
+                    for &n in self.nodes {
+                        if !visit(&[n]) {
+                            break;
+                        }
+                    }
+                }
             },
-            _ => false,
-        },
-    }
-}
-
-/// The tuples of `source` worth offering to [`try_match`] for `atom`
-/// under `binding`: the relation is a lexicographically sorted set, so
-/// any leading run of terms already resolved (constants or bound
-/// variables) narrows the scan to the matching range instead of the
-/// whole relation. For `edge(Y, 'References', Z)` with `Y` bound this
-/// is the out-adjacency of one node — the difference between linear
-/// and quadratic fixpoints on large graphs. Tuples outside the range
-/// can never match, so candidates (and the fuel ticked per candidate)
-/// shrink without changing any result.
-fn candidates<'s>(
-    source: &'s BTreeSet<Vec<Datum>>,
-    atom: &Atom,
-    binding: &HashMap<String, Datum>,
-) -> Box<dyn Iterator<Item = &'s Vec<Datum>> + 's> {
-    let mut prefix: Vec<Datum> = Vec::new();
-    for term in &atom.terms {
-        match term {
-            Term::Const(d) => prefix.push(d.clone()),
-            Term::Var(v) => match binding.get(v) {
-                Some(d) => prefix.push(d.clone()),
-                None => break,
-            },
-        }
-    }
-    if prefix.is_empty() {
-        Box::new(source.iter())
-    } else {
-        Box::new(
-            source
-                .range(prefix.clone()..)
-                .take_while(move |t| t.starts_with(&prefix)),
-        )
-    }
-}
-
-fn try_match(
-    atom: &Atom,
-    tuple: &[Datum],
-    binding: &HashMap<String, Datum>,
-) -> Option<HashMap<String, Datum>> {
-    if atom.terms.len() != tuple.len() {
-        return None;
-    }
-    let mut out = binding.clone();
-    for (term, datum) in atom.terms.iter().zip(tuple) {
-        match term {
-            Term::Const(c) => {
-                if c != datum {
-                    return None;
+            Source::Root => {
+                visit(&[self.edb.root()]);
+            }
+            Source::Idb { rel, index } => {
+                let rel = &self.rels[rel];
+                let range = if delta { rel.prev..rel.vis } else { 0..rel.vis };
+                match index {
+                    Some(ix) => rel.probe(ix, &val, range, visit),
+                    None => {
+                        for r in range {
+                            if !visit(rel.row(r)) {
+                                break;
+                            }
+                        }
+                    }
                 }
             }
-            Term::Var(v) => match out.get(v) {
-                Some(bound) if bound != datum => return None,
-                Some(_) => {}
-                None => {
-                    out.insert(v.clone(), datum.clone());
-                }
-            },
+            Source::Builtin | Source::Undefined => {}
         }
     }
-    Some(out)
+
+    /// Evaluate a builtin comparison. An argument no earlier literal
+    /// bound makes the builtin unsatisfied rather than panicking.
+    fn builtin(&self, lit: &Lit<'_>, row: &[u32]) -> bool {
+        if !(lit.bound[0] && lit.bound[1]) {
+            return false;
+        }
+        let val = |a: Arg| match a {
+            Arg::Const(c) => c,
+            Arg::Var(v) => row[v],
+        };
+        let (a, b) = (val(lit.args[0]), val(lit.args[1]));
+        match lit.pred {
+            // The encoding is one-to-one, so equality is on the codes.
+            "eq" => a == b,
+            "neq" => a != b,
+            op => {
+                // Ordered comparisons apply to values only (node ids and
+                // symbols have no meaningful order for queries).
+                let value = |v: u32| self.terms.label(v).and_then(Label::as_value);
+                let (Some(va), Some(vb)) = (value(a), value(b)) else {
+                    return false;
+                };
+                let ord = va.query_cmp(vb);
+                match op {
+                    "lt" => ord == std::cmp::Ordering::Less,
+                    "le" => ord != std::cmp::Ordering::Greater,
+                    "gt" => ord == std::cmp::Ordering::Greater,
+                    "ge" => ord != std::cmp::Ordering::Less,
+                    // is_builtin covers exactly the six above; treat
+                    // anything else as unsatisfied.
+                    _ => false,
+                }
+            }
+        }
+    }
+}
+
+/// Match `tuple` against `args` under the bindings in `slots`, binding
+/// the variables it meets unbound. On `false`, `slots` is garbage.
+fn unify(args: &[Arg], tuple: &[u32], slots: &mut [u32]) -> bool {
+    for (a, &t) in args.iter().zip(tuple) {
+        match *a {
+            Arg::Const(c) => {
+                if c != t {
+                    return false;
+                }
+            }
+            Arg::Var(v) => {
+                if slots[v] == UNBOUND {
+                    slots[v] = t;
+                } else if slots[v] != t {
+                    return false;
+                }
+            }
+        }
+    }
+    true
 }
 
 #[cfg(test)]
@@ -690,7 +1021,7 @@ mod tests {
         let p = tc_program(&g);
         let semi = evaluate(&p, &store).unwrap();
         let naive = evaluate_naive(&p, &store).unwrap();
-        assert_eq!(semi.facts.get("path"), naive.facts.get("path"));
+        assert!(semi.tuples("path").eq(naive.tuples("path")));
         assert!(semi.count("path") > 0);
     }
 
@@ -743,7 +1074,7 @@ mod tests {
         assert_eq!(eval.count("reach"), 3);
         assert_eq!(
             eval.count("unreached") + eval.count("reach"),
-            eval.count("node")
+            StoreEdb::new(&store).nodes().len()
         );
         assert!(eval.count("unreached") > 0);
     }
@@ -781,6 +1112,57 @@ mod tests {
             evaluate(&p, &store),
             Err(DatalogError::ArityMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn defining_an_edb_predicate_is_rejected() {
+        let g = chain(1);
+        let p = parse_program("edge(X, a, Y) :- edge(Y, a, X).", g.symbols()).unwrap();
+        let store = TripleStore::from_graph(&g);
+        assert!(matches!(evaluate(&p, &store), Err(DatalogError::Unsafe(_))));
+    }
+
+    #[test]
+    fn labels_and_nodes_never_unify() {
+        // Integer labels 0 and 1 beside node ids 0 and 1: equal as raw
+        // numbers, distinct as data. A constant no edge carries matches
+        // nothing, but still travels through derived relations.
+        let g = parse_graph("{0: {1: {}}}").unwrap();
+        let p = parse_program(
+            "confused(X) :- edge(_A, X, _B), edge(X, _L, _C).\n\
+             confused(X) :- node(X), edge(_A, X, _B).\n\
+             absent(X) :- edge(X, 'Nope', _Y).\n\
+             seed('Nope').\nseed(0).\n\
+             carried(L) :- seed(L), not absent(L).\n\
+             used(L) :- seed(L), edge(_X, L, _Y).",
+            g.symbols(),
+        )
+        .unwrap();
+        let store = TripleStore::from_graph(&g);
+        let eval = evaluate(&p, &store).unwrap();
+        assert_eq!(eval.count("confused"), 0);
+        assert_eq!(eval.count("absent"), 0);
+        assert_eq!(eval.count("carried"), 2);
+        let used: Vec<Vec<Datum>> = eval.tuples("used").collect();
+        assert_eq!(used, vec![vec![Datum::Label(Label::int(0))]]);
+    }
+
+    #[test]
+    fn access_paths_follow_bound_arguments() {
+        let g = Graph::new();
+        let p = parse_program(
+            "reach(X) :- root(X).\n\
+             reach(Y) :- reach(X), edge(X, a, Y).\n\
+             far(X) :- node(X), not reach(X), edge(_S, _L, X), gone(X).",
+            g.symbols(),
+        )
+        .unwrap();
+        let paths = access_paths(&p).unwrap();
+        assert_eq!(paths[0], ["root"]);
+        assert_eq!(paths[1], ["idb-delta", "SPO(s,p)"]);
+        assert_eq!(paths[2], ["node(scan)", "idb(0)", "OSP(o)", "empty"]);
+        let refused = parse_program("q(X, Y) :- node(X).", g.symbols()).unwrap();
+        assert!(access_paths(&refused).is_err());
     }
 
     #[test]
@@ -822,7 +1204,7 @@ mod tests {
         let store = TripleStore::from_graph(&g);
         let eval = evaluate(&p, &store).unwrap();
         assert_eq!(eval.count("q"), 0);
-        assert!(eval.facts.contains_key("q"));
+        assert!(eval.predicates().any(|p| p == "q"));
     }
 }
 

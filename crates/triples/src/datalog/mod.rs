@@ -5,20 +5,23 @@
 //! the web and for hypertext."
 //!
 //! * [`ast`] — rules, atoms, terms, plus a Prolog-ish text syntax.
-//! * [`eval`] — stratified evaluation, both naive and semi-naive (the
-//!   semi-naive/naive gap is experiment E6).
-//!
-//! The EDB is the triple store's edge relation, exposed as
-//! `edge(Src, Label, Dst)` together with `root(R)`.
+//! * [`edb`] — how rule bodies read `edge(Src, Label, Dst)`, `node(N)`
+//!   and `root(R)`: one access interface, answered by a snapshot's triple
+//!   index or by a [`crate::TripleStore`], never a per-query copy.
+//! * [`eval`] — stratified evaluation over encoded tuples, both naive
+//!   and semi-naive (the semi-naive/naive gap is experiment E6).
 
 pub mod ast;
+pub mod edb;
 pub mod eval;
+mod rel;
 
 pub use ast::{
     is_builtin, parse_program, parse_program_spanned, Atom, Literal, Program, ProgramSpans, Rule,
-    RuleSpans, Term,
+    RuleSpans, Term, EDB_PREDICATES,
 };
+pub use edb::{Edb, Key, StoreEdb};
 pub use eval::{
-    edb_from_store, evaluate, evaluate_naive, evaluate_traced, evaluate_with, evaluate_with_facts,
-    evaluate_with_facts_guarded, stratify, DatalogError, Evaluation, Facts, FP_DATALOG_ROUND,
+    access_paths, check_arities, evaluate, evaluate_naive, evaluate_on, evaluate_traced,
+    evaluate_with, stratify, DatalogError, Evaluation, FP_DATALOG_ROUND,
 };

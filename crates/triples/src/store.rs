@@ -19,6 +19,12 @@
 //! 4. *"We are concerned with what is accessible from a given root by
 //!    forward traversal"* — the store is built from the root-reachable
 //!    fragment only, and records the root.
+//!
+//! The hash indexes (`by_src`, `by_dst`, `by_label`, `by_src_label`) are
+//! read by [`crate::algebra`] / [`crate::paths`] through the `with_*`
+//! scans and by the datalog evaluator through
+//! [`crate::datalog::StoreEdb`] — the EDB it runs on when no columnar
+//! index exists (tests, E6, and the facade's SSD051 fallback).
 
 use crate::triple::Triple;
 use ssd_graph::{Graph, Label, NodeId, SymbolId, Value};
@@ -94,6 +100,27 @@ impl TripleStore {
         ids.map_or_else(Vec::new, |v| {
             v.iter().map(|&i| &self.triples[i as usize]).collect()
         })
+    }
+
+    /// Positions (into [`TripleStore::iter`] order) the most selective
+    /// hash index offers for the given bound arguments, or `None` when
+    /// nothing is bound and every triple is a candidate. `by_src_label`
+    /// and the single-column indexes are exact for the columns they
+    /// cover; the caller filters on the rest.
+    pub(crate) fn positions(
+        &self,
+        src: Option<NodeId>,
+        label: Option<&Label>,
+        dst: Option<NodeId>,
+    ) -> Option<&[u32]> {
+        let picks = match (src, label, dst) {
+            (Some(s), Some(l), _) => self.by_src_label.get(&(s, l.clone())),
+            (Some(s), None, _) => self.by_src.get(&s),
+            (None, Some(l), _) => self.by_label.get(l),
+            (None, None, Some(d)) => self.by_dst.get(&d),
+            (None, None, None) => return None,
+        };
+        Some(picks.map_or(&[], Vec::as_slice))
     }
 
     /// Index scan: all triples with the given source.

@@ -164,7 +164,9 @@ fn assert_brackets(
     Ok(())
 }
 
-/// The fixed datalog workloads: recursion, stratified negation, joins.
+/// The fixed datalog workloads: recursion, stratified negation, joins,
+/// and leading `edge` literals whose constants pick the access path — a
+/// label (symbol and value), the source node, a label no edge carries.
 const PROGRAMS: &[&str] = &[
     "tc(X, Y) :- edge(X, _L, Y).\n\
      tc(X, Y) :- edge(X, _L, Z), tc(Z, Y).",
@@ -174,6 +176,13 @@ const PROGRAMS: &[&str] = &[
      reach(Y) :- r(Y).\n\
      reach(Y) :- reach(X), edge(X, _L, Y).",
     "pair(X, Y) :- edge(X, _L, Y), edge(Y, _K, X).",
+    "hop(X, Y) :- edge(X, a, Y).\n\
+     hop(X, Z) :- hop(X, Y), edge(Y, a, Z).",
+    "num(X, Y) :- edge(X, 0, Y).",
+    "out(L, Y) :- edge(&0, L, Y).\n\
+     back(X) :- edge(X, _L, &0).",
+    "none(Y) :- edge(_X, 'Nope', Y).\n\
+     some(X) :- node(X), not none(X).",
 ];
 
 proptest! {
@@ -274,6 +283,21 @@ proptest! {
         })?;
         prop_assert!(eval.truncated.is_none(), "huge budget must not truncate");
         assert_brackets("datalog", &a.envelope, guard.steps_used(), guard.memory_used())?;
+        // The same program on the snapshot's triple index: one envelope,
+        // identical fuel and memory — both EDBs offer exactly the
+        // matching triples.
+        let db = Database::new(g);
+        prop_assert!(db.triple_index().is_some());
+        let on_index = huge_active_guard();
+        let indexed = db.datalog_with(PROGRAMS[which], &on_index).map_err(|e| {
+            TestCaseError::Fail(format!("indexed evaluation failed: {e}"))
+        })?;
+        prop_assert!(indexed.truncated.is_none());
+        prop_assert_eq!(on_index.steps_used(), guard.steps_used(), "fuel differs by EDB");
+        prop_assert_eq!(on_index.memory_used(), guard.memory_used(), "memory differs by EDB");
+        for pred in eval.predicates() {
+            prop_assert!(eval.tuples(pred).eq(indexed.tuples(pred)), "{} differs by EDB", pred);
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Golden-file test for `ssd explain --analyze` plus the programmatic
+//! Golden-file tests for `ssd explain --analyze` and for the datalog
+//! access paths of `ssd check ... datalog --explain`, plus the programmatic
 //! counterpart: on `examples/movies.ssd` the statically estimated
 //! `CostEnvelope` must bracket the actuals the tracer measures — the
 //! same soundness contract `tests/cost_soundness.rs` checks with
 //! random graphs, pinned here to the shipped example so the rendered
 //! output stays reviewable.
 //!
-//! Numbers in the golden file are masked (`N`) so cosmetic cost-model
+//! Numbers in the explain golden file are masked (`N`) so cosmetic cost-model
 //! retuning does not churn the fixture; the *bracketing* is asserted
 //! exactly, not masked.
 
@@ -64,6 +65,32 @@ fn explain_analyze_matches_golden() {
         masked,
         golden.trim_end(),
         "ssd explain --analyze drifted from tests/golden/explain_movies.txt \
+         (run with UPDATE_GOLDEN=1 to regenerate)"
+    );
+}
+
+/// Recursion, a builtin, a constant label in each join position and
+/// stratified negation: every kind of access path `ssd check ... datalog
+/// --explain` can print.
+const PROGRAM: &str = "reach(X) :- root(X).\n\
+    reach(Y) :- reach(X), edge(X, _L, Y).\n\
+    old(M) :- reach(M), edge(M, 'Year', Y), edge(Y, V, _Z), lt(V, 1945).\n\
+    recent(M) :- edge(_E, 'Movie', M), not old(M).";
+
+#[test]
+fn check_datalog_explain_matches_golden() {
+    let movies = repo_path("examples/movies.ssd");
+    let out = run_cli(&["check", &movies, "datalog", PROGRAM, "--explain"]);
+    let golden_path = repo_path("tests/golden/check_datalog_movies.txt");
+    let golden = std::fs::read_to_string(&golden_path).unwrap_or_default();
+    if out.trim_end() != golden.trim_end() && std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&golden_path, format!("{}\n", out.trim_end())).expect("write golden");
+        return;
+    }
+    assert_eq!(
+        out.trim_end(),
+        golden.trim_end(),
+        "ssd check datalog --explain drifted from tests/golden/check_datalog_movies.txt \
          (run with UPDATE_GOLDEN=1 to regenerate)"
     );
 }

@@ -10,7 +10,11 @@
 //! * every batchable shape is dispatched to the batched columnar
 //!   pipeline, at any graph size, and returns a result bisimilar to the
 //!   interpreter's — the reference the pipeline is checked against;
-//! * unbatchable shapes fall back (SSD050) without building an index.
+//! * unbatchable shapes fall back (SSD050) without building an index;
+//! * datalog derives the same tuples whether its EDB is the triple index
+//!   or a shredded `TripleStore`, semi-naively or naively — also after
+//!   id-stable commits, with the index carried by `merge_delta` or
+//!   rebuilt.
 
 use proptest::prelude::*;
 use semistructured::{
@@ -55,6 +59,103 @@ fn arb_db() -> impl Strategy<Value = Database> {
         });
     let figure1 = Just(()).prop_map(|()| Database::new(semistructured::data::movies::figure1()));
     prop_oneof![(1usize..60).prop_map(movies), figure1, random]
+}
+
+/// Small graphs for the datalog differential: symbol and integer labels
+/// (so builtins and label/node id confusion have something to bite on),
+/// self-loops and cycles included.
+fn arb_datalog_graph() -> impl Strategy<Value = Graph> {
+    (
+        1usize..6,
+        proptest::collection::vec((0usize..6, 0usize..6, 0usize..7), 0..14),
+    )
+        .prop_map(|(n, edges)| {
+            let mut g = Graph::new();
+            let mut ids = vec![g.root()];
+            ids.extend((1..n).map(|_| g.add_node()));
+            for (from, to, label) in edges {
+                let label = match label {
+                    0 => Label::symbol(g.symbols(), "a"),
+                    1 => Label::symbol(g.symbols(), "b"),
+                    2 => Label::symbol(g.symbols(), "References"),
+                    k => Label::int(k as i64 - 3),
+                };
+                g.add_edge(ids[from % n], label, ids[to % n]);
+            }
+            g
+        })
+}
+
+/// Recursion on either side of the join, stratified negation, builtins,
+/// constants in every `edge` position, repeated variables, `node`/`root`,
+/// facts in program text, and labels meeting nodes in one variable.
+const DATALOG_PROGRAMS: &[&str] = &[
+    "path(X, Y) :- edge(X, _L, Y).\n\
+     path(X, Y) :- edge(X, _L, Z), path(Z, Y).",
+    "path(X, Y) :- edge(X, _L, Y).\n\
+     path(X, Z) :- path(X, Y), edge(Y, _L, Z).",
+    "reach(X) :- root(X).\n\
+     reach(Y) :- reach(X), edge(X, a, Y).\n\
+     unreached(X) :- node(X), not reach(X).\n\
+     noloop(X) :- node(X), not edge(X, a, X).",
+    "small(X, V) :- edge(X, V, _Y), lt(V, 2).\n\
+     big(V) :- edge(_X, V, _Y), ge(V, 1), not lt(V, 2).\n\
+     same(X, Y) :- edge(X, L, _Z), edge(Y, K, _W), eq(L, K), neq(X, Y).",
+    "from(L, Y) :- edge(&0, L, Y).\n\
+     via(X, Y) :- edge(X, a, Y).\n\
+     into(X, L) :- edge(X, L, &1).\n\
+     between(L) :- edge(&0, L, &1).\n\
+     hop(Y) :- edge(&0, a, Y).\n\
+     pre(X) :- edge(X, 'References', &1).\n\
+     exact(X) :- node(X), edge(&0, a, &1).\n\
+     never(X) :- edge(X, 'Nope', _Y).",
+    "loop(X, L) :- edge(X, L, X).\n\
+     twin(X, Y) :- edge(X, L, Y), edge(Y, L, X).",
+    "n(X) :- node(X).\n\
+     r(X) :- root(X).\n\
+     both(X) :- root(X), node(X).\n\
+     inner(X) :- node(X), not root(X).",
+    "likes(\"ann\", \"bob\").\nlikes(\"bob\", \"cy\").\n\
+     knows(X, Y) :- likes(X, Y).\n\
+     knows(X, Y) :- likes(X, Z), knows(Z, Y).\n\
+     seed(a).\nseed(\"zzz\").\nseed(1).\nstart(&1).\n\
+     used(L) :- edge(_X, L, _Y), seed(L).\n\
+     next(Y) :- start(X), edge(X, _L, Y).",
+    "mixed(X) :- edge(_A, X, _B), edge(X, _L, _C).\n\
+     mixed(X) :- node(X), edge(_A, X, _B).\n\
+     any(X) :- node(X).\n\
+     any(L) :- edge(_X, L, _Y).",
+    "sg(X, X) :- node(X).\n\
+     sg(X, Y) :- edge(P, _L1, X), edge(Q, _L2, Y), sg(P, Q).",
+];
+
+/// `program` derives the same tuples, predicate by predicate, on `db`'s
+/// triple index, on a shredded store (semi-naive) and naively.
+fn assert_datalog_agrees(db: &Database, program: &str) -> Result<(), TestCaseError> {
+    use semistructured::triples::datalog::{evaluate, evaluate_naive, parse_program};
+    prop_assert!(db.triple_index().is_some());
+    let parsed = parse_program(program, db.graph().symbols()).unwrap();
+    let store = db.triples();
+    let indexed = db.datalog(program).unwrap();
+    let semi = evaluate(&parsed, &store).unwrap();
+    let naive = evaluate_naive(&parsed, &store).unwrap();
+    prop_assert!(indexed.predicates().eq(semi.predicates()));
+    prop_assert!(indexed.predicates().eq(naive.predicates()));
+    for pred in indexed.predicates() {
+        let want: Vec<_> = naive.tuples(pred).collect();
+        prop_assert_eq!(indexed.count(pred), want.len(), "{}: count", pred);
+        prop_assert!(
+            indexed.tuples(pred).eq(want.iter().cloned()),
+            "{}: index EDB",
+            pred
+        );
+        prop_assert!(
+            semi.tuples(pred).eq(want.iter().cloned()),
+            "{}: store EDB",
+            pred
+        );
+    }
+    Ok(())
 }
 
 fn arb_label() -> impl Strategy<Value = Label> {
@@ -185,6 +286,43 @@ proptest! {
             graphs_bisimilar(batched.graph(), &interp.0),
             "access paths diverged on {} over {}", q, db.to_literal()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Datalog over the index, over the store, and naive agree on every
+    /// derived predicate of every program in the pool.
+    #[test]
+    fn datalog_agrees_across_edbs_and_modes(g in arb_datalog_graph()) {
+        let db = Database::new(g);
+        for program in DATALOG_PROGRAMS {
+            assert_datalog_agrees(&db, program)?;
+        }
+    }
+
+    /// The same after an id-stable commit step, with the index carried
+    /// across it by `merge_delta` (dictionary ids from before the commit,
+    /// labels that lost their last edge still interned) and rebuilt.
+    #[test]
+    fn datalog_agrees_after_commits(
+        g in arb_datalog_graph(),
+        insert in arb_datalog_graph(),
+        delete in 0usize..4,
+    ) {
+        let base = Database::new(g);
+        let before = base.triple_index().unwrap();
+        let mut next = base.union_id_stable(&Database::new(insert));
+        if let Some(name) = ["a", "b", "References"].get(delete) {
+            next = next.delete_edges_id_stable(&semistructured::Pred::Symbol((*name).into()));
+        }
+        let merged = before.merge_delta(next.graph()).unwrap();
+        let carried = Database::new(next.graph().clone()).with_seeded_index(merged);
+        for program in DATALOG_PROGRAMS {
+            assert_datalog_agrees(&carried, program)?;
+            assert_datalog_agrees(&next, program)?;
+        }
     }
 }
 

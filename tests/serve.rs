@@ -910,6 +910,47 @@ fn commit_jobs_write_through_the_store_and_refresh_snapshots() {
     server.shutdown();
 }
 
+/// Datalog reads the snapshot's triple index in place, and commits carry
+/// that index forward by `merge_delta`: a `DATALOG` job after a commit on
+/// the same session must see the committed edge, not the index of the
+/// generation it was first built for.
+#[test]
+fn datalog_after_a_commit_reads_the_new_generation() {
+    const CLOSURE: &str = "reach(X, Y) :- edge(X, 'References', Y).\n\
+                           reach(X, Z) :- reach(X, Y), edge(Y, 'References', Z).";
+    let dir = store_dir("closure");
+    let seed = Database::from_literal(
+        r#"{Entry: {Movie: {Title: "A", References: {Movie: {Title: "B"}}}}}"#,
+    )
+    .unwrap();
+    ssd_store::Store::init(&dir, &seed).unwrap();
+    let (store, _) = ssd_store::Store::open(&dir, &semistructured::Budget::unlimited()).unwrap();
+    let server = Server::start_with_store(Arc::new(store), ServeConfig::default());
+    let session = server.open_session(SessionQuota::default());
+    let closure = |expect: &str| {
+        let out = session.submit(JobKind::Datalog, CLOSURE).unwrap().wait();
+        assert_eq!(out.error, None);
+        assert_eq!(out.chunks, vec![expect.to_string()]);
+    };
+    // Builds generation 0's index, which the commit then merges into.
+    closure("reach: 1 tuple(s)");
+    let out = session
+        .submit(
+            JobKind::Commit,
+            &script(&[ssd_store::Op::Insert(
+                r#"{Entry: {Movie: {Title: "C", References: {References: {Title: "D"}}}}}"#
+                    .to_string(),
+            )]),
+        )
+        .unwrap()
+        .wait();
+    assert_eq!(out.error, None);
+    assert_eq!(server.generation(), Some(1));
+    // Two new edges in a chain: 1 + (2 direct + 1 transitive).
+    closure("reach: 4 tuple(s)");
+    server.shutdown();
+}
+
 #[test]
 fn commit_on_a_storeless_server_is_ssd403() {
     let server = Server::start(movies(), ServeConfig::default());

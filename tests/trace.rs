@@ -175,3 +175,38 @@ fn cancellation_closes_spans() {
     tracer.flush();
     trace::validate(&ring.snapshot()).expect("cancelled trace must be well-formed");
 }
+
+/// The datalog span names the EDB it read (the snapshot's triple index,
+/// in place), and every round span carries its delta and rule-evaluation
+/// counts; the deltas add up to the tuples derived.
+#[test]
+fn datalog_span_names_its_edb_and_rounds_report_deltas() {
+    let db = movies(5);
+    let (tracer, ring) = ring_tracer();
+    let eval = db.datalog_traced(TC, None, Some(&tracer)).unwrap();
+    tracer.flush();
+    let events = ring.snapshot();
+    let field = |e: &trace::Event, key: &str| {
+        e.fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.clone())
+    };
+    let whole = events
+        .iter()
+        .find(|e| e.phase == Phase::Datalog && e.name == "datalog" && !e.fields.is_empty())
+        .expect("a closed datalog span");
+    assert_eq!(field(whole, "edb"), Some("index".into()));
+    let deltas: u64 = events
+        .iter()
+        .filter(|e| e.phase == Phase::Datalog && e.name == "round")
+        .filter_map(|e| {
+            assert!(field(e, "rule_evals").is_some() == field(e, "delta").is_some());
+            match field(e, "delta") {
+                Some(trace::FieldValue::U64(n)) => Some(n),
+                _ => None,
+            }
+        })
+        .sum();
+    assert_eq!(deltas, eval.count("reach") as u64);
+}
