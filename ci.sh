@@ -19,6 +19,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo build --release" >&2
 cargo build --release --offline
 
+echo "== benchmark harness builds" >&2
+# benchmark/ is a package of its own that the driver builds from source.
+# Build it (only) so that API drift against what it calls fails here.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo test" >&2
 cargo test -q --offline
 

@@ -1566,10 +1566,11 @@ fn cmd_explain(
     tracer.flush();
     let stats = result.stats();
     out.push_str(&format!(
-        "\n-- actual cost: fuel={} memory={} results={}\n",
+        "\n-- actual cost: fuel={} memory={} results={} root_edges={}\n",
         guard.steps_used(),
         guard.memory_used(),
-        stats.results_constructed
+        stats.results_constructed,
+        result.graph().out_degree(result.graph().root())
     ));
     out.push_str("per-operator (actuals):\n");
     for bp in &stats.per_binding {

@@ -643,13 +643,9 @@ impl Database {
     pub fn delete_edges_id_stable(&self, pred: &Pred) -> Database {
         let mut g = self.graph.clone();
         for n in g.reachable() {
-            let edges = g.edges(n).to_vec();
-            let kept: Vec<ssd_graph::Edge> = edges
-                .iter()
-                .filter(|e| !pred.matches(&e.label, g.symbols()))
-                .cloned()
-                .collect();
-            if kept.len() != edges.len() {
+            let doomed = |e: &ssd_graph::Edge| pred.matches(&e.label, g.symbols());
+            if g.edges(n).iter().any(doomed) {
+                let kept = g.edges(n).iter().filter(|e| !doomed(e)).cloned().collect();
                 g.set_edges(n, kept);
             }
         }

@@ -17,8 +17,9 @@
 use crate::label::Label;
 use crate::symbol::{new_symbols, SymbolId, SymbolTable, Symbols};
 use crate::value::Value;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// Index of a node within a [`Graph`] arena.
@@ -57,12 +58,42 @@ struct Node {
     edges: Vec<Edge>,
 }
 
+/// Out-degree from which a node's edge set answers membership from a
+/// table in [`Graph::wide`] instead of a scan of its edge list.
+const WIDE: usize = 32;
+
+/// An unoccupied slot of a membership table. Slots hold `u32` positions,
+/// so a table serves out-degrees in `WIDE..EMPTY`.
+const EMPTY: u32 = u32::MAX;
+
 /// A rooted, edge-labeled, possibly-cyclic data graph.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Graph {
     nodes: Vec<Node>,
     root: NodeId,
     symbols: Symbols,
+    /// Membership tables of wide nodes, by node index: open-addressed,
+    /// linearly probed from the hash of `(label, to)`, each occupied slot
+    /// a position in that node's `edges`. A side table rather than a
+    /// `Node` field so that a graph with no wide node pays nothing. A
+    /// table is built by the first insertion that finds its node wide and
+    /// dropped by whatever moves edges or rewrites targets (`remove_edge`,
+    /// `set_edges`, `gc`); a missing table only means "not built yet".
+    wide: HashMap<u32, Vec<u32>>,
+}
+
+impl Clone for Graph {
+    /// The copy starts without membership tables: each is rebuilt by the
+    /// copy's first insertion at that node, and most nodes of a copy
+    /// (a commit's superseded roots among them) never see one.
+    fn clone(&self) -> Graph {
+        Graph {
+            nodes: self.nodes.clone(),
+            root: self.root,
+            symbols: Arc::clone(&self.symbols),
+            wide: HashMap::new(),
+        }
+    }
 }
 
 impl Default for Graph {
@@ -83,6 +114,7 @@ impl Graph {
             nodes: vec![Node::default()],
             root: NodeId(0),
             symbols,
+            wide: HashMap::new(),
         }
     }
 
@@ -126,10 +158,29 @@ impl Graph {
     pub fn add_edge(&mut self, from: NodeId, label: Label, to: NodeId) {
         self.check(from);
         self.check(to);
-        let node = &mut self.nodes[from.index()];
+        let edges = &mut self.nodes[from.index()].edges;
         let edge = Edge { label, to };
-        if !node.edges.contains(&edge) {
-            node.edges.push(edge);
+        if !(WIDE..EMPTY as usize).contains(&edges.len()) {
+            if !edges.contains(&edge) {
+                edges.push(edge);
+            }
+            return;
+        }
+        let hasher = self.wide.hasher().clone();
+        let slots = self.wide.entry(from.0).or_default();
+        if slots.len() < 2 * (edges.len() + 1) {
+            // Not built yet, or over half full: lay the positions out
+            // afresh at a quarter full.
+            *slots = vec![EMPTY; (4 * edges.len()).next_power_of_two()];
+            for (pos, e) in edges.iter().enumerate() {
+                let free = probe(slots, hasher.hash_one(e), |_| false);
+                slots[free] = pos as u32;
+            }
+        }
+        let at = probe(slots, hasher.hash_one(&edge), |pos| edges[pos] == edge);
+        if slots[at] == EMPTY {
+            slots[at] = edges.len() as u32;
+            edges.push(edge);
         }
     }
 
@@ -166,20 +217,21 @@ impl Graph {
         let node = &mut self.nodes[from.index()];
         let before = node.edges.len();
         node.edges.retain(|e| !(e.label == *label && e.to == to));
-        node.edges.len() != before
+        let removed = node.edges.len() != before;
+        if removed {
+            self.wide.remove(&from.0);
+        }
+        removed
     }
 
     /// Replace the whole edge set of `n`.
     pub fn set_edges(&mut self, n: NodeId, edges: Vec<Edge>) {
         self.check(n);
-        let mut deduped: Vec<Edge> = Vec::with_capacity(edges.len());
+        self.wide.remove(&n.0);
+        self.nodes[n.index()].edges = Vec::with_capacity(edges.len());
         for e in edges {
-            self.check(e.to);
-            if !deduped.contains(&e) {
-                deduped.push(e);
-            }
+            self.add_edge(n, e.label, e.to);
         }
-        self.nodes[n.index()].edges = deduped;
     }
 
     /// The out-edges of `n`.
@@ -340,6 +392,16 @@ impl Graph {
                 }
             }
         }
+        for (&i, slots) in &self.wide {
+            let degree = self.nodes.get(i as usize).map_or(0, |n| n.edges.len());
+            let mut held: Vec<u32> = slots.iter().copied().filter(|&p| p != EMPTY).collect();
+            held.sort_unstable();
+            if !held.iter().copied().eq(0..degree as u32) {
+                return Err(format!(
+                    "membership table of &{i} out of step with its edges"
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -355,9 +417,9 @@ impl Graph {
 
     /// Remove all nodes not reachable from the root, compacting ids.
     /// Returns the mapping `old id -> new id` for reachable nodes.
-    pub fn gc(&mut self) -> std::collections::HashMap<NodeId, NodeId> {
+    pub fn gc(&mut self) -> HashMap<NodeId, NodeId> {
         let reachable = self.reachable();
-        let mut remap = std::collections::HashMap::with_capacity(reachable.len());
+        let mut remap = HashMap::with_capacity(reachable.len());
         for (new_idx, old) in reachable.iter().enumerate() {
             remap.insert(*old, NodeId::from_index(new_idx));
         }
@@ -371,8 +433,23 @@ impl Graph {
         }
         self.nodes = new_nodes;
         self.root = remap[&self.root];
+        // Every table is stale (targets rewritten, nodes renumbered), and
+        // a compacted graph is usually finished: free the map itself too.
+        self.wide = HashMap::new();
         remap
     }
+}
+
+/// Walk a membership table from `hash`'s home slot to the first slot that
+/// is empty or holds a position `is_match` accepts; returns that slot.
+/// Terminates because tables are kept at most half full.
+fn probe(slots: &[u32], hash: u64, is_match: impl Fn(usize) -> bool) -> usize {
+    let mask = slots.len() - 1;
+    let mut at = hash as usize & mask;
+    while slots[at] != EMPTY && !is_match(slots[at] as usize) {
+        at = (at + 1) & mask;
+    }
+    at
 }
 
 #[cfg(test)]
@@ -520,6 +597,23 @@ mod tests {
             ],
         );
         assert_eq!(g.out_degree(g.root()), 1);
+    }
+
+    #[test]
+    fn narrow_nodes_pay_nothing_for_wide_ones() {
+        // The membership tables live beside the arena, not in it: a node
+        // is its edge vector and a graph without a wide node has no table.
+        assert_eq!(std::mem::size_of::<Node>(), 24);
+        let mut g = Graph::new();
+        let leaf = g.add_node();
+        for i in 0..WIDE as i64 {
+            g.add_edge(g.root(), Label::int(i), leaf);
+        }
+        assert!(g.wide.is_empty());
+        g.add_edge(g.root(), Label::int(-1), leaf);
+        assert_eq!(g.wide.len(), 1);
+        assert!(g.clone().wide.is_empty());
+        assert!(g.validate().is_ok());
     }
 
     #[test]

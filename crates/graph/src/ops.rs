@@ -8,32 +8,18 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::label::Label;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Union of two trees *within one graph*: a fresh node whose edges are the
 /// set-union of the edges of `a` and `b`. (UnQL's `∪`.)
 pub fn union(g: &mut Graph, a: NodeId, b: NodeId) -> NodeId {
-    let mut edges = g.edges(a).to_vec();
-    for e in g.edges(b) {
-        if !edges.contains(e) {
-            edges.push(e.clone());
-        }
-    }
-    let n = g.add_node();
-    g.set_edges(n, edges);
-    n
+    union_all(g, &[a, b])
 }
 
-/// Union of many trees.
+/// Union of many trees. The edge set itself drops the duplicates
+/// ([`Graph::set_edges`]).
 pub fn union_all(g: &mut Graph, parts: &[NodeId]) -> NodeId {
-    let mut edges = Vec::new();
-    for &p in parts {
-        for e in g.edges(p) {
-            if !edges.contains(e) {
-                edges.push(e.clone());
-            }
-        }
-    }
+    let edges = parts.iter().flat_map(|&p| g.edges(p)).cloned().collect();
     let n = g.add_node();
     g.set_edges(n, edges);
     n
@@ -54,26 +40,28 @@ pub fn singleton(g: &mut Graph, label: Label, sub: NodeId) -> NodeId {
 /// between databases (§1.2).
 pub fn copy_subgraph(src: &Graph, src_root: NodeId, dst: &mut Graph) -> NodeId {
     let shared = src.shares_symbols(dst);
-    let mut map: HashMap<NodeId, NodeId> = HashMap::new();
-    // Two phases so cycles work: allocate all images first, then wire edges.
-    let reachable = src.reachable_from(src_root);
-    for &n in &reachable {
-        let img = dst.add_node();
-        map.insert(n, img);
-    }
-    for &n in &reachable {
-        let from = map[&n];
+    // Breadth-first over the subtree alone: `map` is the visited set, and
+    // a node's image is allocated when it is first seen, so every target
+    // has one by the time its edge is wired (cycles included).
+    let dst_root = dst.add_node();
+    let mut map: HashMap<NodeId, NodeId> = HashMap::from([(src_root, dst_root)]);
+    let mut queue = VecDeque::from([(src_root, dst_root)]);
+    while let Some((n, from)) = queue.pop_front() {
         for e in src.edges(n) {
             let label = if shared {
                 e.label.clone()
             } else {
                 translate_label(src, &e.label, dst)
             };
-            let to = map[&e.to];
+            let to = *map.entry(e.to).or_insert_with(|| {
+                let img = dst.add_node();
+                queue.push_back((e.to, img));
+                img
+            });
             dst.add_edge(from, label, to);
         }
     }
-    map[&src_root]
+    dst_root
 }
 
 /// Translate a label from `src`'s symbol table into `dst`'s.

@@ -588,6 +588,7 @@ fn run_pipeline(
             }
         }
         op.field("rows", rows);
+        op.field("root_edges", result.out_degree(result.root()));
     }
     Ok(result)
 }

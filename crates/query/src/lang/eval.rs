@@ -327,7 +327,7 @@ pub(crate) fn finish_select(
     })?;
     result.gc();
     note_truncation(guard, &mut stats);
-    finish_select_trace(tracer, sp, &stats);
+    finish_select_trace(tracer, sp, &stats, result.out_degree(result.root()));
     Ok((result, stats))
 }
 
@@ -335,7 +335,12 @@ pub(crate) fn finish_select(
 /// its accumulated actuals (fuel attributed so folded stacks weigh the
 /// bindings correctly), a truncation instant when partial mode stopped
 /// early, and summary fields on the enclosing select span.
-fn finish_select_trace(tracer: Option<&Tracer>, sp: &mut ssd_trace::Span<'_>, stats: &EvalStats) {
+fn finish_select_trace(
+    tracer: Option<&Tracer>,
+    sp: &mut ssd_trace::Span<'_>,
+    stats: &EvalStats,
+    root_edges: usize,
+) {
     let Some(t) = tracer else { return };
     if let Some(why) = &stats.truncated {
         t.instant(
@@ -368,6 +373,8 @@ fn finish_select_trace(tracer: Option<&Tracer>, sp: &mut ssd_trace::Span<'_>, st
         );
     }
     sp.field("results", stats.results_constructed);
+    // Distinct top-level edges the union of those results left.
+    sp.field("root_edges", root_edges);
     sp.field("assignments", stats.assignments_tried);
     sp.field("rpe_evals", stats.rpe_evals);
     sp.field("guide_pruned", stats.guide_pruned);

@@ -21,6 +21,7 @@ use semistructured::{
     AccessDecision, Budget, Database, EvalOptions, Graph, Label, TripleIndex, Value,
 };
 use ssd_graph::bisim::graphs_bisimilar;
+use ssd_graph::ops::extract_subgraph;
 use ssd_index::run::SortedRun;
 use ssd_index::{Dictionary, Key};
 
@@ -360,6 +361,86 @@ fn dictionary_overflow_is_ssd051() {
     let err = dict.intern(&Label::Value(Value::Int(2))).unwrap_err();
     assert_eq!(err.code, semistructured::diag::Code::DictionaryOverflow);
     assert!(err.headline().contains("SSD051"), "{}", err.headline());
+}
+
+/// Results wide at the root — thousands of top-level edges, titles
+/// repeated so that equal labels meet — are the same set, in the same
+/// order, from the all-off interpreter and from whichever engine the shape
+/// is dispatched to; and `chunks` deals that root out 8 edges at a time
+/// without losing, repeating or reordering one.
+#[test]
+fn wide_results_agree_across_engines_and_chunks() {
+    let entries: Vec<String> = (0..5_000)
+        .map(|i| {
+            format!(
+                "Entry: {{Movie: {{Title: \"T{}\", Year: {}}}}}",
+                i % 1_250,
+                1900 + i % 90
+            )
+        })
+        .collect();
+    let db = Database::from_literal(&format!("{{{}}}", entries.join(", "))).unwrap();
+    for (text, batched, root_edges) in [
+        ("select T from db.Entry.Movie.Title T", true, 5_000),
+        (
+            "select {t: T, y: Y} from db.Entry.Movie M, M.Title T, M.Year Y",
+            true,
+            10_000,
+        ),
+        ("select T from db.Entry.%.Title T", false, 5_000),
+        ("select T from db.Entry*.Movie.Title T", false, 5_000),
+        // Label variables land on one shared leaf: the union keeps one
+        // edge per distinct label out of 10 000 constructed.
+        ("select L from db.Entry.Movie.^L X", false, 2),
+    ] {
+        let parsed = semistructured::query::parse_query(text).unwrap();
+        let access = db.select_access(&parsed);
+        assert_eq!(
+            matches!(access, AccessDecision::Batched(_)),
+            batched,
+            "{text}"
+        );
+        let served = db.query(text).unwrap();
+        let (interp, _) =
+            semistructured::query::evaluate_select(db.graph(), &parsed, &EvalOptions::default())
+                .unwrap();
+        let full = served.graph();
+        assert_eq!(full.out_degree(full.root()), root_edges, "{text}");
+        assert_eq!(interp.out_degree(interp.root()), root_edges, "{text}");
+        assert!(graphs_bisimilar(full, &interp), "{text}");
+        assert_eq!(full.validate(), Ok(()), "{text}");
+
+        let chunks: Vec<Database> = served
+            .chunks(8)
+            .map(|c| Database::from_literal(&c).unwrap())
+            .collect();
+        assert_eq!(chunks.len(), root_edges.div_ceil(8), "{text}");
+        let mut dealt = 0;
+        for chunk in &chunks {
+            let g = chunk.graph();
+            assert_eq!(g.out_degree(g.root()), 8.min(root_edges - dealt), "{text}");
+            for (got, want) in g
+                .edges(g.root())
+                .iter()
+                .zip(&full.edges(full.root())[dealt..])
+            {
+                assert_eq!(
+                    got.label.display(g.symbols()).to_string(),
+                    want.label.display(full.symbols()).to_string(),
+                    "{text}: root edge {dealt}"
+                );
+                assert!(
+                    graphs_bisimilar(
+                        &extract_subgraph(g, got.to),
+                        &extract_subgraph(full, want.to)
+                    ),
+                    "{text}: subtree of root edge {dealt}"
+                );
+                dealt += 1;
+            }
+        }
+        assert_eq!(dealt, root_edges, "{text}");
+    }
 }
 
 /// SSD050: unbatchable query shapes fall back to the interpreter with a

@@ -210,3 +210,30 @@ fn datalog_span_names_its_edb_and_rounds_report_deltas() {
         .sum();
     assert_eq!(deltas, eval.count("reach") as u64);
 }
+
+/// Both engines say how many distinct top-level edges the union of the
+/// constructed results left: the interpreter on its `select` span, the
+/// pipeline on `project` — beside `results`, which counts before the
+/// union.
+#[test]
+fn select_spans_report_root_edges_after_the_union() {
+    let db = movies(20);
+    let closed = |text: &str, span: &str, key: &str| {
+        let (tracer, ring) = ring_tracer();
+        db.query_traced(text, None, Some(&tracer)).unwrap();
+        tracer.flush();
+        let events = ring.snapshot();
+        let field = events
+            .iter()
+            .filter(|e| e.name == span)
+            .find_map(|e| e.fields.iter().find(|(k, _)| *k == key))
+            .map(|(_, v)| v.to_string());
+        field.unwrap_or_else(|| panic!("no `{key}` on a closed `{span}` span for {text}"))
+    };
+    // Three label names, sixty times over, all onto one shared leaf.
+    let labels = "select L from db.Entry.Movie.^L X";
+    assert_eq!(closed(labels, "select", "results"), "60");
+    assert_eq!(closed(labels, "select", "root_edges"), "3");
+    assert_eq!(closed(SELECT, "project", "rows"), "20");
+    assert_eq!(closed(SELECT, "project", "root_edges"), "20");
+}
