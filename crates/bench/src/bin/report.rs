@@ -8,10 +8,8 @@
 //! Criterion (`cargo bench`) provides rigorous timings; this binary
 //! produces the *shape* tables — counts, work measures, and coarse
 //! wall-clock ratios — that stand in for the tutorial's (non-existent)
-//! evaluation tables. The serving (E16), tracing (E17), and storage
-//! (E18) sections also drop machine-readable `BENCH_serve.json` /
-//! `BENCH_trace.json` / `BENCH_store.json` in the current directory,
-//! the per-PR data points for the perf trajectory (ROADMAP item 5).
+//! evaluation tables. It prints and writes nothing else: the served
+//! system's numbers come from `benchmark/` (BENCHMARK.json).
 
 use semistructured::graph::bisim::graphs_bisimilar;
 use semistructured::graph::index::GraphIndex;
@@ -67,25 +65,6 @@ fn main() {
     e19();
     e20();
     println!("\nreport complete.");
-}
-
-/// Write a `BENCH_*.json` perf-trajectory data point next to the report.
-fn write_json(path: &str, text: &str) {
-    match std::fs::write(path, text) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// Shared artifact envelope — every `BENCH_*.json` opens with the same
-/// three keys so downstream tooling can dispatch without per-experiment
-/// parsers: `{"experiment", "schema_version", "host_cores", ...payload}`.
-fn envelope(experiment: &str) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    format!(
-        "\"experiment\": \"{experiment}\",\n  \"schema_version\": 1,\n  \
-         \"host_cores\": {cores},"
-    )
 }
 
 fn e01() {
@@ -429,11 +408,12 @@ fn e11() {
     let nfa = Nfa::compile(&rpe);
     let t_seq = time_us(5, || eval_nfa(&g, g.root(), &nfa));
     println!(
-        "graph: {} nodes, {} edges; host cores: {cores}; sequential: {t_seq:.1} µs",
+        "graph: {} nodes, {} edges; sequential: {t_seq:.1} µs",
         g.reachable().len(),
         g.edge_count()
     );
-    println!("(wall-clock speedup is bounded by host cores; the work profile below gives the partition-determined ideal)");
+    println!("host cores: {cores}; wall clock is core-bound — the ideal speedup is the");
+    println!("partition-determined work profile, a model of a k-core host (one site per core)");
     println!(
         "{:>6} {:>12} {:>10} {:>8} {:>10} {:>10} {:>12} {:>10}",
         "sites", "blocks µs", "wall spd", "cross", "waves", "ideal spd", "hash µs", "wall spd"
@@ -603,14 +583,13 @@ fn e16() {
 
     // (a) Throughput scaling, 32 identical join jobs per run.
     println!("host cores: {cores}; wall clock is core-bound — the simulated makespan");
-    println!("replays FIFO dispatch over the measured per-job fuel (E11 precedent)");
+    println!("replays FIFO dispatch over the measured per-job fuel, a model of a k-core host");
     println!(
         "{:>8} {:>12} {:>10} {:>16} {:>10}",
         "workers", "wall µs", "wall spd", "sim makespan", "sim spd"
     );
     let mut fuels: Vec<u64> = Vec::new();
     let (mut wall1, mut mk1) = (0.0f64, 0u64);
-    let mut scaling_rows: Vec<String> = Vec::new();
     for &w in &[1usize, 2, 4, 8] {
         let server = Server::start(Arc::clone(&db), cfg(w));
         let sess = server.open_session(roomy.clone());
@@ -639,12 +618,6 @@ fn e16() {
             wall1 / wall.max(0.01),
             mk1 as f64 / mk.max(1) as f64
         );
-        scaling_rows.push(format!(
-            "{{\"workers\": {w}, \"wall_us\": {wall:.1}, \"wall_speedup\": {:.3}, \
-             \"sim_makespan\": {mk}, \"sim_speedup\": {:.3}}}",
-            wall1 / wall.max(0.01),
-            mk1 as f64 / mk.max(1) as f64
-        ));
     }
 
     // (b) Admission rejection never reaches the engine. Only an
@@ -662,8 +635,6 @@ fn e16() {
     let per = t.elapsed().as_secs_f64() * 1e6 / 64.0;
     sess.close();
     let m = server.shutdown();
-    assert_eq!(m.counters.fuel_spent, 0, "rejection must cost no fuel");
-    let rej_fuel = m.counters.fuel_spent;
     println!(
         "admission: {rejected}/64 over-ceiling jobs rejected, {per:.1} µs each; \
          engine fuel spent = {} (rejection is free)",
@@ -693,23 +664,6 @@ fn e16() {
         "mixed load ({JOBS} jobs, 2 workers): p50={p50} µs p99={p99} µs queue peak={} \
          fuel est/spent={}/{}",
         m.queue_peak, m.counters.fuel_estimated, m.counters.fuel_spent
-    );
-
-    write_json(
-        "BENCH_serve.json",
-        &format!(
-            "{{\n  {}\n  \
-             \"jobs\": {JOBS},\n  \"scaling\": [\n    {}\n  ],\n  \
-             \"admission\": {{\"rejected\": {rejected}, \"per_us\": {per:.1}, \
-             \"engine_fuel_spent\": {rej_fuel}}},\n  \
-             \"mixed_load\": {{\"workers\": 2, \"p50_us\": {p50}, \"p99_us\": {p99}, \
-             \"queue_peak\": {}, \"fuel_estimated\": {}, \"fuel_spent\": {}}}\n}}\n",
-            envelope("E16"),
-            scaling_rows.join(",\n    "),
-            m.queue_peak,
-            m.counters.fuel_estimated,
-            m.counters.fuel_spent,
-        ),
     );
 }
 
@@ -780,22 +734,6 @@ fn e17() {
         pct(ring_t)
     );
     println!("{:>10} {jsonl:>12.1} {:>9.1}%", "jsonl", pct(jsonl));
-
-    write_json(
-        "BENCH_trace.json",
-        &format!(
-            "{{\n  {}\n  \
-             \"workload\": \"select join, movies(1000), median of 15 runs\",\n  \
-             \"variants\": [\n    \
-             {{\"name\": \"baseline\", \"median_us\": {baseline:.1}}},\n    \
-             {{\"name\": \"ring\", \"median_us\": {ring_t:.1}, \"overhead_pct\": {:.2}, \
-             \"events\": {events}}},\n    \
-             {{\"name\": \"jsonl\", \"median_us\": {jsonl:.1}, \"overhead_pct\": {:.2}}}\n  ]\n}}\n",
-            envelope("E17"),
-            pct(ring_t),
-            pct(jsonl),
-        ),
-    );
 }
 
 fn e18() {
@@ -842,19 +780,6 @@ fn e18() {
         "recovery replay: {recover_us:.1} µs total, {replay_per_txn:.2} µs/txn, \
          generation={generation}"
     );
-
-    write_json(
-        "BENCH_store.json",
-        &format!(
-            "{{\n  {}\n  \
-             \"workload\": \"{TXNS} single-op commits, then recovery replay (median of 9)\",\n  \
-             \"commit\": {{\"txns\": {TXNS}, \"per_commit_us\": {per_commit:.1}, \
-             \"wal_bytes\": {wal_bytes}}},\n  \
-             \"recovery\": {{\"total_us\": {recover_us:.1}, \
-             \"per_txn_us\": {replay_per_txn:.2}, \"generation\": {generation}}}\n}}\n",
-            envelope("E18"),
-        ),
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -885,18 +810,6 @@ fn e19() {
         "full workspace lint (median of 5): {:.1} ms total, {per_file:.0} µs/file \
          ({files} files, {functions} functions, {findings} findings)",
         wall_us / 1e3
-    );
-
-    write_json(
-        "BENCH_lint.json",
-        &format!(
-            "{{\n  {}\n  \
-             \"workload\": \"ssd lint over the whole workspace (median of 5)\",\n  \
-             \"wall_us\": {wall_us:.1},\n  \"per_file_us\": {per_file:.1},\n  \
-             \"files_scanned\": {files},\n  \"functions_scanned\": {functions},\n  \
-             \"findings\": {findings}\n}}\n",
-            envelope("E19"),
-        ),
     );
 }
 
@@ -930,7 +843,6 @@ fn e20() {
         "{:>8} {:>12} {:>14} {:>12} {:>10} {:>9}",
         "entries", "query", "interpreter", "batched", "speedup", "results"
     );
-    let mut rows = Vec::new();
     for &size in &[1usize, 30, 100, 300, 3000] {
         let g = movies(size);
         let index = TripleIndex::build(&g).expect("index build");
@@ -950,22 +862,6 @@ fn e20() {
                 "{size:>8} {name:>12} {t_interp:>14.1} {t_batch:>12.1} {speedup:>9.1}x {:>9}",
                 bstats.results_constructed
             );
-            rows.push(format!(
-                "    {{\"entries\": {size}, \"query\": \"{name}\", \
-                 \"interp_us\": {t_interp:.1}, \"batched_us\": {t_batch:.1}, \
-                 \"speedup\": {speedup:.2}, \"results\": {}}}",
-                bstats.results_constructed
-            ));
         }
     }
-    write_json(
-        "BENCH_index.json",
-        &format!(
-            "{{\n  {}\n  \
-             \"workload\": \"interpreter vs batched merge-join pipeline on the movie DB (median of 9)\",\n  \
-             \"rows\": [\n{}\n  ]\n}}\n",
-            envelope("E20"),
-            rows.join(",\n")
-        ),
-    );
 }

@@ -58,12 +58,6 @@ ssd — semistructured data toolkit (Buneman, PODS 1997)
   ssd fmt       DATA                       canonical literal form
   ssd repl      DATA                       run commands from stdin (see 'help')
   ssd serve     DATA [--port N]            serve DATA over TCP (see below)
-  ssd bench     [--scale N] [--seed S]     deterministic workload bench: a
-                [--scenario M] [--json F]  seeded IMDB-shaped graph driven
-                [--baseline F] [--rate R]  through a real server; emits the
-                [--sessions N] [--profile] unified BENCH_workload.json and
-                [--workers N] [--queue N]  checks it against --baseline
-                                           (see docs/OBSERVABILITY.md)
   ssd client    PORT                       speak the wire protocol from stdin
   ssd recover   DIR                        replay DIR's write-ahead log and
                                            report what recovery found
@@ -394,7 +388,6 @@ fn dispatch(args: &[String], stdin: &mut impl Read) -> Result<String, CliError> 
             Ok(db.to_literal())
         }
         "serve" => cmd_serve(&rest, stdin),
-        "bench" => cmd_bench(&rest),
         "client" => cmd_client(&rest, stdin),
         "recover" => cmd_recover(&rest),
         // Hidden trigger for exercising the panic-isolation boundary.
@@ -889,190 +882,6 @@ fn cmd_serve(rest: &[&str], stdin: &mut impl Read) -> Result<String, CliError> {
         metrics_dump,
         allow_shutdown,
     )
-}
-
-const BENCH_USAGE: &str = "bench [--scale N] [--seed S] [--scenario M] [--json FILE] \
-     [--baseline FILE] [--rate R] [--sessions N] [--workers N] [--queue N] \
-     [--fanout N] [--payload N] [--profile]";
-
-/// `ssd bench`: generate a seeded graph, replay the deterministic
-/// scheduler trace, drive a real server with the mixed scenario load,
-/// emit `BENCH_workload.json`, and (optionally) gate against a
-/// committed baseline. Exits nonzero on scenario errors (SSD060) or
-/// regressions beyond tolerance (SSD061); baseline-shape mismatches
-/// are SSD062 warnings.
-fn cmd_bench(rest: &[&str]) -> Result<String, CliError> {
-    fn take_value(tail: &mut Vec<&str>, i: usize, flag: &str) -> Result<u64, CliError> {
-        if i + 1 >= tail.len() {
-            return Err(CliError::Usage(format!("{flag} needs a value")));
-        }
-        let v = tail.remove(i + 1);
-        v.parse()
-            .map_err(|_| CliError::Usage(format!("{flag}: '{v}' is not a non-negative integer")))
-    }
-    fn take_str<'a>(tail: &mut Vec<&'a str>, i: usize, flag: &str) -> Result<&'a str, CliError> {
-        if i + 1 >= tail.len() {
-            return Err(CliError::Usage(format!("{flag} needs a value")));
-        }
-        Ok(tail.remove(i + 1))
-    }
-    let mut tail: Vec<&str> = rest.to_vec();
-    let mut cfg = ssd_workload::GenConfig::new(10_000, 42);
-    let mut dcfg = ssd_workload::DriveConfig::default();
-    let mut scenario: Option<ssd_workload::Scenario> = None;
-    let mut json_out: Option<&str> = None;
-    let mut baseline: Option<&str> = None;
-    let mut profile = false;
-    // Every recognised flag removes itself (and its value) from the
-    // front; anything left unconsumed at position 0 is a usage error.
-    let i = 0;
-    while i < tail.len() {
-        match tail[i] {
-            "--scale" => {
-                cfg.scale = take_value(&mut tail, i, "--scale")?.max(100);
-                tail.remove(i);
-            }
-            "--seed" => {
-                cfg.seed = take_value(&mut tail, i, "--seed")?;
-                tail.remove(i);
-            }
-            "--fanout" => {
-                cfg.fanout = take_value(&mut tail, i, "--fanout")?.clamp(1, 64);
-                tail.remove(i);
-            }
-            "--payload" => {
-                cfg.payload = take_value(&mut tail, i, "--payload")?.clamp(1, 4096) as usize;
-                tail.remove(i);
-            }
-            "--scenario" => {
-                let name = take_str(&mut tail, i, "--scenario")?;
-                scenario = if name == "mixed" {
-                    None
-                } else {
-                    Some(ssd_workload::Scenario::from_name(name).ok_or_else(|| {
-                        CliError::Usage(format!(
-                            "--scenario: '{name}' is not one of mixed, {}",
-                            ssd_workload::scenario::ALL.map(|s| s.name()).join(", ")
-                        ))
-                    })?)
-                };
-                tail.remove(i);
-            }
-            "--json" => {
-                json_out = Some(take_str(&mut tail, i, "--json")?);
-                tail.remove(i);
-            }
-            "--baseline" => {
-                baseline = Some(take_str(&mut tail, i, "--baseline")?);
-                tail.remove(i);
-            }
-            "--rate" => {
-                dcfg.rate = take_value(&mut tail, i, "--rate")?;
-                tail.remove(i);
-            }
-            "--sessions" => {
-                dcfg.sessions = (take_value(&mut tail, i, "--sessions")? as usize).max(1);
-                tail.remove(i);
-            }
-            "--workers" => {
-                dcfg.workers = (take_value(&mut tail, i, "--workers")? as usize).max(1);
-                tail.remove(i);
-            }
-            "--queue" => {
-                dcfg.queue_cap = (take_value(&mut tail, i, "--queue")? as usize).max(1);
-                tail.remove(i);
-            }
-            "--profile" => {
-                profile = true;
-                tail.remove(i);
-            }
-            other => {
-                return Err(CliError::Usage(format!("{BENCH_USAGE} (got '{other}')")));
-            }
-        }
-    }
-
-    let (report, profile_text) =
-        ssd_workload::run_bench(&cfg, &dcfg, scenario, profile).map_err(CliError::Failed)?;
-    let json = report.to_json();
-    if let Some(path) = json_out {
-        std::fs::write(path, &json).map_err(|e| CliError::Failed(format!("write {path}: {e}")))?;
-    }
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "workload: scale={} seed={} scenario={} movies={} nodes={} edges={}\n\
-         graph fingerprint {:#018x} (gen {} ms, store load {} ms)\n\
-         replay: {} events, fingerprint {:#018x} \
-         (dispatched {}, queued {}, rejected {}, cancelled {})\n",
-        cfg.scale,
-        cfg.seed,
-        report.scenario,
-        report.movies,
-        report.nodes,
-        report.edges,
-        report.graph_fingerprint,
-        report.gen_ms,
-        report.load_ms,
-        report.replay.trace_len,
-        report.replay.trace_fingerprint,
-        report.replay.dispatched,
-        report.replay.queued,
-        report.replay.rejected,
-        report.replay.cancelled,
-    ));
-    for s in &report.drive.scenarios {
-        out.push_str(&format!(
-            "{:<16} ops={:<4} completed={:<4} rejected={:<3} errors={:<2} \
-             p50={} µs p99={} µs max={} µs\n",
-            s.scenario.name(),
-            s.ops,
-            s.latency.count(),
-            s.rejected,
-            s.errors,
-            s.latency.percentile(50),
-            s.latency.percentile(99),
-            s.latency.max(),
-        ));
-    }
-    out.push_str(&format!(
-        "totals: {} ops in {} ms ({} ops/s), queue peak {}, fuel spent/estimated {}/{}\n",
-        report.drive.total_ops,
-        report.drive.wall_ms,
-        report
-            .drive
-            .scenarios
-            .iter()
-            .map(|s| s.latency.count())
-            .sum::<u64>()
-            * 1000
-            / report.drive.wall_ms.max(1),
-        report.drive.metrics.queue_peak,
-        report.drive.metrics.counters.fuel_spent,
-        report.drive.metrics.counters.fuel_estimated,
-    ));
-    if let Some(p) = profile_text {
-        out.push_str(&p);
-    }
-
-    // Gate: fresh-run scenario errors always fail; a baseline adds the
-    // regression comparison.
-    let baseline_text = match baseline {
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| CliError::Failed(format!("read baseline {path}: {e}")))?,
-        None => json.clone(), // self-compare: only SSD060 can fire
-    };
-    let findings = ssd_workload::check_against_baseline(&json, &baseline_text);
-    let mut failed = false;
-    for d in &findings {
-        out.push_str(&d.headline());
-        out.push('\n');
-        failed |= d.is_error();
-    }
-    if failed {
-        return Err(CliError::Failed(out));
-    }
-    Ok(out)
 }
 
 /// Open (initialising on first run) the durable store behind

@@ -139,19 +139,6 @@ pub enum Code {
     /// labels — the graph has more distinct labels than the index can
     /// address.
     DictionaryOverflow,
-    /// A workload-harness scenario produced an unexpected error while
-    /// replaying against the server (`ssd bench`): the op failed for a
-    /// reason the scenario does not anticipate (cancellation of a
-    /// `cancel` op is expected; SSD101 on a read is not).
-    WorkloadScenarioFailed,
-    /// The benchmark regression checker found a fresh `ssd bench` run
-    /// worse than the committed baseline beyond the configured
-    /// tolerance (p99 latency or throughput per scenario).
-    PerfRegression,
-    /// The committed benchmark baseline could not be compared: the file
-    /// is malformed, has a different schema version, or was recorded at
-    /// a different scale/scenario than the fresh run.
-    BaselineMismatch,
     /// Evaluation ran out of its deterministic step (fuel) budget.
     StepLimitExceeded,
     /// Evaluation exceeded its byte-accounted memory budget.
@@ -265,9 +252,6 @@ impl Code {
             Code::AdmissionOverridesPartial => "SSD034",
             Code::IndexFallback => "SSD050",
             Code::DictionaryOverflow => "SSD051",
-            Code::WorkloadScenarioFailed => "SSD060",
-            Code::PerfRegression => "SSD061",
-            Code::BaselineMismatch => "SSD062",
             Code::StepLimitExceeded => "SSD101",
             Code::MemoryLimitExceeded => "SSD102",
             Code::DeadlineExceeded => "SSD103",
@@ -338,8 +322,6 @@ impl Code {
             | Code::PublishBeforeLog
             | Code::FaultCoverageGap
             | Code::DictionaryOverflow
-            | Code::WorkloadScenarioFailed
-            | Code::PerfRegression
             | Code::CostExceedsBudget => Severity::Error,
             Code::UnusedBinding
             | Code::EmptyPath
@@ -351,7 +333,6 @@ impl Code {
             | Code::RefundExceedsGrant
             | Code::PanicSite
             | Code::WalTornTail
-            | Code::BaselineMismatch
             | Code::TruncatedResult => Severity::Warning,
             Code::ImpreciseEstimate
             | Code::AdmissionOverridesPartial
@@ -397,9 +378,6 @@ impl Code {
             Code::AdmissionOverridesPartial,
             Code::IndexFallback,
             Code::DictionaryOverflow,
-            Code::WorkloadScenarioFailed,
-            Code::PerfRegression,
-            Code::BaselineMismatch,
             Code::StepLimitExceeded,
             Code::MemoryLimitExceeded,
             Code::DeadlineExceeded,
@@ -632,24 +610,6 @@ mod tests {
         assert_eq!(Code::DictionaryOverflow.severity(), Severity::Error);
         for c in [Code::IndexFallback, Code::DictionaryOverflow] {
             assert!(!c.is_runtime(), "{c}: index codes are static-band codes");
-            assert!(!c.is_lint());
-        }
-    }
-
-    #[test]
-    fn workload_band_codes_and_severities() {
-        assert_eq!(Code::WorkloadScenarioFailed.as_str(), "SSD060");
-        assert_eq!(Code::WorkloadScenarioFailed.severity(), Severity::Error);
-        assert_eq!(Code::PerfRegression.as_str(), "SSD061");
-        assert_eq!(Code::PerfRegression.severity(), Severity::Error);
-        assert_eq!(Code::BaselineMismatch.as_str(), "SSD062");
-        assert_eq!(Code::BaselineMismatch.severity(), Severity::Warning);
-        for c in [
-            Code::WorkloadScenarioFailed,
-            Code::PerfRegression,
-            Code::BaselineMismatch,
-        ] {
-            assert!(!c.is_runtime(), "{c}: harness codes are tool-band codes");
             assert!(!c.is_lint());
         }
     }

@@ -221,19 +221,6 @@ impl Server {
         Server::start_full(db, Some(store), cfg, Arc::new(MonotonicClock::new()), None)
     }
 
-    /// [`Server::start_with_store`] plus a lifecycle tracer; commit and
-    /// recovery spans from the store land in it too.
-    pub fn start_with_store_traced(store: Arc<Store>, cfg: ServeConfig, tracer: Tracer) -> Server {
-        let db = store.snapshot();
-        Server::start_full(
-            db,
-            Some(store),
-            cfg,
-            Arc::new(MonotonicClock::new()),
-            Some(tracer),
-        )
-    }
-
     /// As [`Server::start`] with an injected clock (deterministic tests).
     pub fn start_with_clock(db: Arc<Database>, cfg: ServeConfig, clock: Arc<dyn Clock>) -> Server {
         Server::start_full(db, None, cfg, clock, None)

@@ -59,8 +59,6 @@ pub enum Phase {
     Store,
     /// Columnar triple index: batched operators, delta merges.
     Index,
-    /// Workload harness: generation, scenario replay, bench phases.
-    Workload,
 }
 
 impl Phase {
@@ -76,7 +74,6 @@ impl Phase {
             Phase::Serve => "serve",
             Phase::Store => "store",
             Phase::Index => "index",
-            Phase::Workload => "workload",
         }
     }
 }

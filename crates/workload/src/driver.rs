@@ -1,47 +1,16 @@
-//! The open-loop serve driver: replays a mixed op sequence against a
-//! real [`Server`] at a configured arrival rate with session churn,
-//! recording per-op client latency into log-bucketed histograms plus a
-//! periodic timeline of queue depth, admission outcomes, fuel
-//! spent-vs-estimated, and snapshot-generation lag.
-//!
-//! *Open loop* means arrivals are scheduled by the clock, not gated on
-//! completions: the submit loop never waits for a job, so queueing and
-//! rejection behaviour under overload is actually exercised. Waiting is
-//! delegated to a pool of waiter threads, each with its **own** channel
-//! (a shared receiver would mean blocking `recv()` under a lock);
-//! completed ops fold into per-scenario [`Histogram`]s behind a mutex
-//! held only for the O(1) record.
+//! The session quota the repo benchmark runs under. The module keeps
+//! its name only because `benchmark/` imports [`bench_quota`] and
+//! [`DriveConfig`] from here.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
-use std::time::{Duration, Instant};
-
-use ssd_serve::metrics::Histogram;
-use ssd_serve::server::{Server, SubmitError};
 use ssd_serve::SessionQuota;
 
-use crate::gen::{GenConfig, SplitMix64};
-use crate::scenario::{Scenario, ALL};
-
-/// Driver knobs. The defaults are what `ssd bench` uses unless flags
-/// override them.
+/// The server shape [`bench_quota`] sizes a quota for.
 #[derive(Debug, Clone)]
 pub struct DriveConfig {
     /// Server worker threads.
     pub workers: usize,
     /// Server run-queue bound.
     pub queue_cap: usize,
-    /// Target arrival rate in ops/second; 0 = submit as fast as
-    /// possible (the queue and admission control take the strain).
-    pub rate: u64,
-    /// Concurrent sessions ops are spread across (round-robin).
-    pub sessions: usize,
-    /// Retire the oldest session and open a fresh one every this many
-    /// ops (0 = no churn). Retired handles stay alive until the final
-    /// drain so their in-flight jobs finish undisturbed.
-    pub churn_every: u64,
-    /// Timeline sampling interval.
-    pub sample_every_ms: u64,
 }
 
 impl Default for DriveConfig {
@@ -49,18 +18,14 @@ impl Default for DriveConfig {
         DriveConfig {
             workers: 2,
             queue_cap: 32,
-            rate: 0,
-            sessions: 4,
-            churn_every: 40,
-            sample_every_ms: 100,
         }
     }
 }
 
 /// The quota bench sessions run under: unmetered session totals with a
-/// per-job ceiling far above any scenario's envelope, and enough
-/// concurrency headroom that admission outcomes reflect the shared run
-/// queue rather than a per-session cap.
+/// per-job ceiling far above any op's envelope, and enough concurrency
+/// headroom that admission outcomes reflect the shared run queue rather
+/// than a per-session cap.
 pub fn bench_quota(cfg: &DriveConfig) -> SessionQuota {
     SessionQuota {
         fuel: None,
@@ -68,253 +33,5 @@ pub fn bench_quota(cfg: &DriveConfig) -> SessionQuota {
         max_concurrent: cfg.workers + cfg.queue_cap,
         job_fuel: 4_000_000_000,
         job_memory: 1 << 30,
-    }
-}
-
-/// Per-scenario outcome of a drive.
-#[derive(Debug, Clone)]
-pub struct ScenarioStats {
-    pub scenario: Scenario,
-    /// Ops submitted (including rejected ones).
-    pub ops: u64,
-    /// Admission rejections (the op never ran).
-    pub rejected: u64,
-    /// Unexpected failures — anything but a cancellation of a
-    /// [`Scenario::Cancel`] op. These are SSD060 material.
-    pub errors: u64,
-    /// Client-side submit→finish latency of completed ops.
-    pub latency: Histogram,
-}
-
-/// One sampled point of the live telemetry timeline.
-#[derive(Debug, Clone)]
-pub struct TimelineRow {
-    pub t_ms: u64,
-    pub queue_depth: usize,
-    pub admitted: u64,
-    pub rejected: u64,
-    pub completed: u64,
-    pub fuel_spent: u64,
-    pub fuel_estimated: u64,
-    /// Write txns submitted but not yet visible as a store generation —
-    /// how far snapshots lag the write stream.
-    pub generation_lag: u64,
-}
-
-/// Everything one drive produced.
-#[derive(Debug, Clone)]
-pub struct DriveReport {
-    pub scenarios: Vec<ScenarioStats>,
-    pub timeline: Vec<TimelineRow>,
-    pub wall_ms: u64,
-    pub total_ops: u64,
-    /// Final server metrics (scheduler-side histogram and counters).
-    pub metrics: ssd_serve::Metrics,
-}
-
-impl DriveReport {
-    pub fn total_errors(&self) -> u64 {
-        self.scenarios.iter().map(|s| s.errors).sum()
-    }
-}
-
-/// The deterministic mixed op sequence: every scenario's ops, shuffled
-/// by the workload seed. Replay (`crate::replay`) and the live driver
-/// iterate the exact same sequence.
-pub fn op_sequence(cfg: &GenConfig, only: Option<Scenario>) -> Vec<(Scenario, u64)> {
-    let mut ops = Vec::new();
-    for s in ALL {
-        if only.is_some_and(|o| o != s) {
-            continue;
-        }
-        for i in 0..s.ops_at(cfg.scale) {
-            ops.push((s, i));
-        }
-    }
-    // Fisher–Yates with the workload seed: the interleaving is part of
-    // the workload's identity.
-    let mut rng = SplitMix64::new(cfg.seed ^ 0x6b65_7973_6871_7566);
-    for i in (1..ops.len()).rev() {
-        ops.swap(i, rng.below(i as u64 + 1) as usize);
-    }
-    ops
-}
-
-struct WaitItem {
-    scenario: Scenario,
-    submitted: Instant,
-    handle: ssd_serve::server::JobHandle,
-    cancel_expected: bool,
-}
-
-fn scenario_slot(s: Scenario) -> usize {
-    ALL.iter().position(|&x| x == s).expect("scenario in ALL")
-}
-
-/// Drive `server` with the mixed sequence. The server must be
-/// store-backed when the sequence contains [`Scenario::WriteTxn`] ops.
-pub fn drive(
-    server: &Server,
-    cfg: &GenConfig,
-    dcfg: &DriveConfig,
-    only: Option<Scenario>,
-) -> DriveReport {
-    let ops = op_sequence(cfg, only);
-    let stats: Mutex<Vec<ScenarioStats>> = Mutex::new(
-        ALL.into_iter()
-            .map(|scenario| ScenarioStats {
-                scenario,
-                ops: 0,
-                rejected: 0,
-                errors: 0,
-                latency: Histogram::new(),
-            })
-            .collect(),
-    );
-    let commits_submitted = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let start = Instant::now();
-    let mut wall_ms = 1;
-
-    let timeline = std::thread::scope(|scope| {
-        // Waiter pool: one channel per waiter, round-robin dispatch, so
-        // no receiver is ever shared (and no blocking recv happens
-        // under any lock). Sized to the server's in-flight capacity.
-        let pool = (2 * (dcfg.workers + dcfg.queue_cap) + 4).min(64);
-        let mut senders = Vec::with_capacity(pool);
-        let mut waiters = Vec::with_capacity(pool);
-        for _ in 0..pool {
-            let (tx, rx) = mpsc::channel::<WaitItem>();
-            senders.push(tx);
-            let stats = &stats;
-            waiters.push(scope.spawn(move || {
-                while let Ok(item) = rx.recv() {
-                    let outcome = item.handle.wait();
-                    let latency = item.submitted.elapsed().as_micros() as u64;
-                    let mut st = stats.lock().expect("stats lock");
-                    let slot = &mut st[scenario_slot(item.scenario)];
-                    match outcome.error {
-                        None => slot.latency.record(latency),
-                        Some(_) if item.cancel_expected => slot.latency.record(latency),
-                        Some(_) => slot.errors += 1,
-                    }
-                }
-            }));
-        }
-
-        // Timeline sampler: periodic snapshots of server metrics plus
-        // the write-lag gauge maintained by the submit loop.
-        let sampler = {
-            let stop = &stop;
-            let commits = &commits_submitted;
-            let gen0 = server.generation().unwrap_or(0);
-            let every = Duration::from_millis(dcfg.sample_every_ms.max(10));
-            scope.spawn(move || {
-                let mut rows = Vec::new();
-                while !stop.load(Ordering::Acquire) {
-                    std::thread::sleep(every);
-                    let m = server.metrics();
-                    let committed = server.generation().unwrap_or(0).saturating_sub(gen0);
-                    rows.push(TimelineRow {
-                        t_ms: start.elapsed().as_millis() as u64,
-                        queue_depth: m.queue_depth,
-                        admitted: m.counters.admitted,
-                        rejected: m.counters.rejected,
-                        completed: m.counters.completed,
-                        fuel_spent: m.counters.fuel_spent,
-                        fuel_estimated: m.counters.fuel_estimated,
-                        generation_lag: commits.load(Ordering::Acquire).saturating_sub(committed),
-                    });
-                    if rows.len() >= 2000 {
-                        break; // bounded artifact, however long the run
-                    }
-                }
-                rows
-            })
-        };
-
-        let quota = bench_quota(dcfg);
-        let mut sessions: Vec<ssd_serve::server::SessionHandle> = (0..dcfg.sessions.max(1))
-            .map(|_| server.open_session(quota.clone()))
-            .collect();
-        let mut retired = Vec::new();
-
-        let mut next_waiter = 0usize;
-        for (n, (scenario, i)) in ops.iter().enumerate() {
-            if let Some(due_us) = (n as u64 * 1_000_000).checked_div(dcfg.rate) {
-                let due = Duration::from_micros(due_us);
-                let now = start.elapsed();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-            }
-            if dcfg.churn_every > 0 && n > 0 && (n as u64).is_multiple_of(dcfg.churn_every) {
-                // Retire the oldest session; keep the handle alive so
-                // its in-flight jobs drain normally, close after the run.
-                let old = sessions.remove(0);
-                retired.push(old);
-                sessions.push(server.open_session(quota.clone()));
-            }
-            let sess = &sessions[n % sessions.len()];
-            let text = scenario.text(cfg, *i);
-            if *scenario == Scenario::WriteTxn {
-                commits_submitted.fetch_add(1, Ordering::Release);
-            }
-            {
-                let mut st = stats.lock().expect("stats lock");
-                st[scenario_slot(*scenario)].ops += 1;
-            }
-            match sess.submit(scenario.kind(), &text) {
-                Ok(handle) => {
-                    let cancel_expected = *scenario == Scenario::Cancel;
-                    if cancel_expected {
-                        // Mid-flight cancellation is the scenario;
-                        // losing the race to a fast completion is fine.
-                        let _ = sess.cancel(handle.job);
-                    }
-                    senders[next_waiter % pool]
-                        .send(WaitItem {
-                            scenario: *scenario,
-                            submitted: Instant::now(),
-                            handle,
-                            cancel_expected,
-                        })
-                        .expect("waiter alive");
-                    next_waiter += 1;
-                }
-                Err(SubmitError::Rejected(_)) => {
-                    let mut st = stats.lock().expect("stats lock");
-                    st[scenario_slot(*scenario)].rejected += 1;
-                }
-                Err(SubmitError::Invalid(_)) => {
-                    let mut st = stats.lock().expect("stats lock");
-                    st[scenario_slot(*scenario)].errors += 1;
-                }
-            }
-        }
-
-        // Drain: waiters exit once their channels close and every
-        // pending wait() has returned.
-        drop(senders);
-        for w in waiters {
-            let _ = w.join();
-        }
-        wall_ms = (start.elapsed().as_millis() as u64).max(1);
-        stop.store(true, Ordering::Release);
-        let timeline = sampler.join().unwrap_or_default();
-        for s in sessions.into_iter().chain(retired) {
-            s.close();
-        }
-        timeline
-    });
-
-    let mut scenarios = stats.into_inner().expect("stats lock");
-    scenarios.retain(|s| s.ops > 0);
-    DriveReport {
-        total_ops: ops.len() as u64,
-        scenarios,
-        timeline,
-        wall_ms,
-        metrics: server.metrics(),
     }
 }

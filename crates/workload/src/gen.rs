@@ -21,7 +21,7 @@ use ssd_graph::{Graph, Label};
 
 /// Shared genre-table size. Fixed so the node-id layout is independent
 /// of scale; small graphs simply use few of them.
-pub const GENRES: u64 = 64;
+const GENRES: u64 = 64;
 
 const GENRE_BASE: [&str; 16] = [
     "Drama",
@@ -112,12 +112,12 @@ impl GenConfig {
 
     /// The node id of movie `i`'s `Entry` node (see module docs: ids
     /// are pure arithmetic over the config).
-    pub fn entry_id(&self, i: u64) -> u64 {
+    fn entry_id(&self, i: u64) -> u64 {
         2 + 3 * GENRES + i * self.nodes_per_movie()
     }
 
-    /// The exact title of movie `i` — the σ-label lookup scenario uses
-    /// this to build point queries that are guaranteed to hit.
+    /// The exact title of movie `i`, regenerated without the stream, so
+    /// point queries can be built that are guaranteed to hit.
     pub fn title_of(&self, i: u64) -> String {
         let mut rng = movie_rng(self.seed, i);
         payload_string(&mut rng, self.payload)
@@ -404,7 +404,7 @@ pub fn build_graph(cfg: &GenConfig) -> Graph {
 
 /// Apply a stream of ops to a graph whose next allocated node id is the
 /// first `Node { id }` in the stream.
-pub fn apply_ops(g: &mut Graph, ops: impl Iterator<Item = GenOp>) {
+fn apply_ops(g: &mut Graph, ops: impl Iterator<Item = GenOp>) {
     for op in ops {
         match op {
             GenOp::Node { id } => {
@@ -443,7 +443,7 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Fold one op into a running FNV-1a hash (stable byte encoding).
-pub fn hash_op(h: u64, op: &GenOp) -> u64 {
+fn hash_op(h: u64, op: &GenOp) -> u64 {
     match op {
         GenOp::Node { id } => fnv1a(fnv1a(h, b"N"), &id.to_le_bytes()),
         GenOp::SymEdge { from, name, to } => {
@@ -463,7 +463,7 @@ pub fn hash_op(h: u64, op: &GenOp) -> u64 {
 }
 
 /// Hash the whole stream without materializing it: the byte-identity
-/// witness `ssd bench` records (same config ⇒ same fingerprint).
+/// witness (same config ⇒ same fingerprint).
 pub fn fingerprint(cfg: &GenConfig) -> u64 {
     Generator::new(cfg.clone()).fold(FNV_OFFSET, |h, op| hash_op(h, &op))
 }

@@ -1,7 +1,6 @@
-//! A minimal JSON reader for the baseline checker — just enough to
-//! navigate the BENCH artifacts this workspace emits (which are all
-//! hand-rendered by the report binaries). No serializer dependency, no
-//! writer: writing stays with the report renderers.
+//! A minimal JSON reader — just enough for the repo benchmark to check
+//! `BENCHMARK.json` against what it reports. No serializer dependency,
+//! no writer.
 
 /// A parsed JSON value. Numbers keep their source text so integer
 /// comparisons are exact.
@@ -60,18 +59,6 @@ impl Json {
         match self {
             Json::Arr(items) => items,
             _ => &[],
-        }
-    }
-
-    /// A short, single-line rendering for diagnostics.
-    pub fn render_short(&self) -> String {
-        match self {
-            Json::Null => "null".to_string(),
-            Json::Bool(b) => b.to_string(),
-            Json::Num(n) => n.clone(),
-            Json::Str(s) => format!("\"{s}\""),
-            Json::Arr(items) => format!("[{} items]", items.len()),
-            Json::Obj(fields) => format!("{{{} fields}}", fields.len()),
         }
     }
 }

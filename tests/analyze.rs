@@ -166,21 +166,12 @@ fn all_static_codes_are_covered_by_the_cases() {
     // dictionary encoder, not the query/datalog analyzers; tests/index.rs
     // exercises both.
     let index_band = [Code::IndexFallback, Code::DictionaryOverflow];
-    // The SSD06x workload band (scenario failure, perf regression,
-    // baseline mismatch) is emitted by the bench baseline checker, not
-    // the analyzers; tests/workload.rs exercises all three.
-    let workload_band = [
-        Code::WorkloadScenarioFailed,
-        Code::PerfRegression,
-        Code::BaselineMismatch,
-    ];
     let covered: Vec<Code> = QUERY_CASES
         .iter()
         .chain(DATALOG_CASES)
         .map(|(c, _)| *c)
         .chain(cost_band)
         .chain(index_band)
-        .chain(workload_band)
         .collect();
     // SSD9xx source lints are exercised by tests/lint.rs, not by the
     // query/datalog analyzers.

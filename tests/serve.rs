@@ -845,6 +845,27 @@ fn stats_text_has_global_and_session_sections() {
     server.shutdown();
 }
 
+#[test]
+fn admission_rejection_spends_no_engine_fuel() {
+    // The wildcard step keeps this shape on the interpreter, whose root
+    // scan is a fuel lower bound above a one-unit job ceiling: every
+    // submit is refused with SSD030 before any engine work starts.
+    let server = Server::start(movies(), ServeConfig::default());
+    let session = server.open_session(quota(None, 1, 64));
+    for _ in 0..64 {
+        let Err(SubmitError::Rejected(d)) =
+            session.submit(JobKind::Query, "select T from db.Entry.%.Title T")
+        else {
+            panic!("expected an admission rejection");
+        };
+        assert_eq!(d.code.as_str(), "SSD030", "{}", d.headline());
+    }
+    session.close();
+    let m = server.shutdown();
+    assert_eq!(m.counters.rejected, 64);
+    assert_eq!(m.counters.fuel_spent, 0, "rejection must cost no fuel");
+}
+
 // ---------------------------------------------------------------------------
 // Durable mutations: JobKind::Commit through the store
 // ---------------------------------------------------------------------------

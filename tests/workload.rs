@@ -1,21 +1,12 @@
-//! Tests for the `ssd-workload` harness (SSD06x band):
-//!
-//! * the seeded generator is a pure function of its config — the same
-//!   seed yields a byte-identical op stream however it is consumed, and
-//!   the fingerprint witnesses exactly that stream;
-//! * deterministic replay against the pure scheduler yields an
-//!   identical admission decision trace for a fixed seed;
-//! * the regression checker raises SSD060 on scenario errors, SSD061 on
-//!   regressions beyond tolerance, and SSD062 (warning) when the
-//!   baseline is not comparable;
-//! * a small end-to-end `run_bench` against a real server completes
-//!   every scenario class without unexpected errors and reproduces both
-//!   determinism witnesses on a second run.
+//! Tests for the `ssd-workload` graph generator the repo benchmark
+//! loads: the seeded stream is a pure function of its config — the same
+//! seed yields a byte-identical op stream however it is consumed, and
+//! the fingerprint witnesses exactly that stream — and the stream is
+//! well formed (ids allocated before use, edge count on the scale
+//! target, `References` chains that close into cycles).
 
 use proptest::prelude::*;
 use ssd_workload::gen::{self, GenConfig, GenOp, Generator};
-use ssd_workload::scenario::ALL;
-use ssd_workload::{check_against_baseline, replay, DriveConfig, Scenario};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -88,135 +79,4 @@ proptest! {
         // cycle_density defaults > 0: the References chains must bend back.
         prop_assert!(backward > 0);
     }
-
-    /// Replaying the same config twice yields the identical scheduler
-    /// decision trace — counts and trace fingerprint both.
-    #[test]
-    fn replay_is_deterministic(scale in 500u64..4_000, seed in 0u64..1_000) {
-        let cfg = GenConfig::new(scale, seed);
-        let dcfg = DriveConfig::default();
-        let a = replay(&cfg, &dcfg, None);
-        let b = replay(&cfg, &dcfg, None);
-        prop_assert_eq!(&a, &b);
-        prop_assert!(a.trace_len > 0);
-        // Every op is dispatched (directly or after queueing), rejected,
-        // or evicted from the queue by a cancel.
-        let total: u64 = ALL.iter().map(|s| s.ops_at(scale)).sum();
-        prop_assert!(a.dispatched + a.rejected <= total);
-        prop_assert!(a.dispatched + a.rejected + a.cancelled >= total);
-    }
-}
-
-/// A minimal but envelope-complete report for checker tests.
-fn report(scale: u64, errors: u64, p99: u64, thr: u64) -> String {
-    format!(
-        r#"{{"experiment": "E21", "schema_version": 1, "scale": {scale},
-            "seed": 42, "scenario": "mixed",
-            "scenarios": [{{"name": "rpe3", "ops": 32, "errors": {errors},
-                            "p99_us": {p99}, "throughput_ops_s": {thr}}}]}}"#
-    )
-}
-
-#[test]
-fn checker_passes_identical_reports() {
-    let r = report(10_000, 0, 1_500, 100);
-    assert!(check_against_baseline(&r, &r).is_empty());
-}
-
-#[test]
-fn checker_flags_scenario_errors_as_ssd060() {
-    // Fresh-run op failures are SSD060 errors even against a clean baseline.
-    let fresh = report(10_000, 3, 1_500, 100);
-    let base = report(10_000, 0, 1_500, 100);
-    let out = check_against_baseline(&fresh, &base);
-    assert_eq!(out.len(), 1);
-    assert_eq!(out[0].code.as_str(), "SSD060");
-    assert!(out[0].is_error());
-}
-
-#[test]
-fn checker_flags_regressions_as_ssd061() {
-    // p99 blown past 3× (and above the 2 ms jitter floor), throughput
-    // collapsed below a third: two SSD061s.
-    let fresh = report(10_000, 0, 9_000, 10);
-    let base = report(10_000, 0, 1_000, 100);
-    let out = check_against_baseline(&fresh, &base);
-    assert_eq!(out.len(), 2);
-    assert!(out
-        .iter()
-        .all(|d| d.code.as_str() == "SSD061" && d.is_error()));
-}
-
-#[test]
-fn checker_tolerates_noise_within_bounds() {
-    // 2.5× worse p99 and half the throughput: inside the 3× tolerance.
-    let fresh = report(10_000, 0, 2_500, 50);
-    let base = report(10_000, 0, 1_000, 100);
-    assert!(check_against_baseline(&fresh, &base).is_empty());
-}
-
-#[test]
-fn checker_exempts_cancel_latency() {
-    // Cancel-op latency is the cancel-vs-completion race; an apparent
-    // blowup there must not fail the gate (errors still would).
-    let fresh = report(10_000, 0, 900_000, 1).replace("rpe3", "cancel");
-    let base = report(10_000, 0, 100, 1_000).replace("rpe3", "cancel");
-    assert!(check_against_baseline(&fresh, &base).is_empty());
-}
-
-#[test]
-fn checker_warns_on_incomparable_baselines_as_ssd062() {
-    let fresh = report(10_000, 0, 1_500, 100);
-    // Garbage baseline: warn, don't fail.
-    let out = check_against_baseline(&fresh, "not json");
-    assert_eq!(out.len(), 1);
-    assert_eq!(out[0].code.as_str(), "SSD062");
-    assert!(!out[0].is_error());
-    // Envelope mismatch (different scale): warn and skip comparison,
-    // even though the p99s would otherwise scream regression.
-    let base = report(1_000, 0, 100, 100_000);
-    let out = check_against_baseline(&fresh, &base);
-    assert_eq!(out.len(), 1);
-    assert_eq!(out[0].code.as_str(), "SSD062");
-}
-
-#[test]
-fn bench_end_to_end_reproduces_both_witnesses() {
-    // One real run per scenario mix is dear; keep it small and make it
-    // count: every class present, zero unexpected errors, and a second
-    // run reproducing the graph and trace fingerprints exactly.
-    let cfg = GenConfig::new(1_500, 42);
-    let dcfg = DriveConfig::default();
-    let (a, profile) = ssd_workload::run_bench(&cfg, &dcfg, None, false).expect("bench run");
-    assert!(profile.is_none());
-    assert_eq!(a.drive.total_errors(), 0, "unexpected scenario errors");
-    assert_eq!(a.drive.scenarios.len(), ALL.len());
-    for s in &a.drive.scenarios {
-        assert_eq!(
-            s.ops,
-            s.scenario.ops_at(cfg.scale),
-            "{} submitted every op",
-            s.scenario.name()
-        );
-    }
-    let json = a.to_json();
-    assert!(check_against_baseline(&json, &json).is_empty());
-
-    let (b, _) = ssd_workload::run_bench(&cfg, &dcfg, None, false).expect("bench rerun");
-    assert_eq!(a.graph_fingerprint, b.graph_fingerprint);
-    assert_eq!(a.replay, b.replay);
-}
-
-#[test]
-fn single_scenario_runs_stay_single() {
-    // SigmaLookup has no cancels, so every op either dispatches
-    // (directly or after queueing) or is rejected — exactly once.
-    let cfg = GenConfig::new(1_000, 7);
-    let dcfg = DriveConfig::default();
-    let rep = replay(&cfg, &dcfg, Some(Scenario::SigmaLookup));
-    assert_eq!(
-        rep.dispatched + rep.rejected,
-        Scenario::SigmaLookup.ops_at(cfg.scale)
-    );
-    assert_eq!(rep.cancelled, 0);
 }
