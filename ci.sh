@@ -174,8 +174,6 @@ status=0
 ./target/release/ssd query examples/movies.ssd \
     'select T from db.Entry.Movie.Title T' --optimized >/dev/null 2>&1 || status=$?
 [ "$status" -eq 2 ] || { echo "ci: --optimized exited $status, want usage error 2" >&2; exit 1; }
-# The E17 overhead benchmark must compile and run (quick mode).
-cargo bench -q -p ssd-bench --bench e17_trace --offline -- --quick >/dev/null
 
 echo "== durable store recovery smoke run" >&2
 # Crash-safety, end to end through the real binary. Phase 1: commit one

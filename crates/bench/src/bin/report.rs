@@ -1,15 +1,15 @@
-//! Experiment report: regenerates the E1–E12 and E15–E20 measured
-//! series recorded in EXPERIMENTS.md.
+//! Experiment report: regenerates the E1–E13 measured series recorded
+//! in EXPERIMENTS.md.
 //!
 //! ```sh
 //! cargo run --release -p ssd-bench --bin report
 //! ```
 //!
-//! Criterion (`cargo bench`) provides rigorous timings; this binary
-//! produces the *shape* tables — counts, work measures, and coarse
-//! wall-clock ratios — that stand in for the tutorial's (non-existent)
-//! evaluation tables. It prints and writes nothing else: the served
-//! system's numbers come from `benchmark/` (BENCHMARK.json).
+//! This is the only runner of the E-series. It produces the *shape*
+//! tables — counts, work measures, and median wall-clock times and
+//! ratios — that stand in for the tutorial's (non-existent) evaluation
+//! tables. It prints and writes nothing else: the served system's
+//! numbers come from `benchmark/` (BENCHMARK.json).
 
 use semistructured::graph::bisim::graphs_bisimilar;
 use semistructured::graph::index::GraphIndex;
@@ -20,10 +20,30 @@ use semistructured::query::{browse, evaluate_select, optimizer, parse_query, res
 use semistructured::query::{Nfa, Rpe, Step};
 use semistructured::triples::datalog::{evaluate, evaluate_naive, parse_program};
 use semistructured::triples::TripleStore;
-use semistructured::{DataGuide, Database, EvalOptions, Pred, Value};
-use ssd_bench::{clusters, movies, web};
-use ssd_data::movies::figure1;
+use semistructured::{DataGuide, Database, EvalOptions, Graph, Pred, Value};
+use ssd_data::movies::{figure1, movie_database, MovieDbConfig};
+use ssd_data::webgraph::{clustered_graph, web_graph, WebGraphConfig};
 use std::time::Instant;
+
+/// The standard movie database of a given entry count.
+fn movies(entries: usize) -> Graph {
+    movie_database(&MovieDbConfig::sized(entries))
+}
+
+/// The standard web graph.
+fn web(pages: usize) -> Graph {
+    web_graph(&WebGraphConfig {
+        pages,
+        mean_links: 4,
+        skew: 0.7,
+        seed: 7,
+    })
+}
+
+/// Chain-of-clusters graph for the decomposition experiment.
+fn clusters(k: usize, size: usize) -> Graph {
+    clustered_graph(k, size, 3)
+}
 
 /// Median wall time over `n` runs, in microseconds.
 fn time_us<T>(n: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -43,7 +63,7 @@ fn header(title: &str) {
 }
 
 fn main() {
-    println!("semistructured — experiment report (E1–E12, E15–E20)");
+    println!("semistructured — experiment report (E1–E13)");
     println!("paper: Buneman, \"Semistructured Data\", PODS 1997 (tutorial; no tables — series defined in EXPERIMENTS.md)");
 
     e01();
@@ -58,12 +78,7 @@ fn main() {
     e10();
     e11();
     e12();
-    e15();
-    e16();
-    e17();
-    e18();
-    e19();
-    e20();
+    e13();
     println!("\nreport complete.");
 }
 
@@ -274,9 +289,9 @@ fn e07() {
         );
     }
     // Infinite unfolding, finite time.
-    let g = ssd_data::movies::movie_database(&ssd_data::movies::MovieDbConfig {
+    let g = movie_database(&MovieDbConfig {
         reference_prob: 0.8,
-        ..ssd_data::movies::MovieDbConfig::sized(300)
+        ..MovieDbConfig::sized(300)
     });
     let t = time_us(5, || gext(&g, g.root(), &Transducer::new()));
     println!("dense-cycles 300 entries: {:.1} µs (unfolding is infinite; output is a finite cyclic graph)", t);
@@ -472,396 +487,64 @@ fn e12() {
     );
 }
 
-fn e15() {
-    header("E15 — cost-based vs heuristic optimizer (µs, median of 5)");
-    use semistructured::DataStats;
-    // The E10 workloads (nothing to reorder: the cost-based pass must
-    // not lose) plus a join-reorder case where the expensive `Cast.%*`
-    // binding sits before the cheap `Title` binding.
-    let selective = parse_query(
-        r#"select {t: T} from db.Entry.Movie M, M.Year Y, M.Title T, M.Cast.%* X where Y < 1935"#,
-    )
-    .unwrap();
-    let unselective = parse_query(
-        r#"select {t: T} from db.Entry.Movie M, M.Year Y, M.Title T, M.Cast.%* X where Y < 2100"#,
-    )
-    .unwrap();
-    let path3 = parse_query("select T from db.Entry.Movie.Title T").unwrap();
-    // Independent bindings in a pessimal order: the cheap, high-
-    // cardinality `Entry` scan sits outermost, so the expensive
-    // `(!Movie)*` traversal is re-evaluated once per entry; cost-based
-    // reordering runs it once and loops the cheap scan instead.
-    let reorder =
-        parse_query(r#"select {e: E, a: A} from db.Entry E, db.Entry.Movie.(!Movie)*."Actor 1" A"#)
-            .unwrap();
+fn e13() {
+    use semistructured::graph::bisim::{bisimilarity_classes, naive_bisimilar};
+    use semistructured::graph::{json, literal};
+    use semistructured::Label;
+    use ssd_data::acedb::{acedb, AcedbConfig};
+    header("E13 — ablations of DESIGN.md §3's choices: first vs second (µs, median of 9)");
     println!(
-        "{:>8} {:>12} {:>14} {:>14} {:>10} {:>10} {:>10}",
-        "entries", "query", "heuristic", "cost-based", "speedup", "heur asgn", "cost asgn"
+        "{:>36} {:>12} {:>12} {:>14}",
+        "pair", "first µs", "second µs", "second/first"
     );
-    for &size in &[100usize, 300] {
+    let row = |pair: &str, first: f64, second: f64| {
+        let ratio = second / first.max(0.01);
+        println!("{pair:>36} {first:>12.1} {second:>12.1} {ratio:>13.2}x");
+    };
+    // Partition refinement vs the naive greatest-fixpoint oracle; small
+    // sizes only, the oracle is O(n² m).
+    for &size in &[5usize, 15] {
         let g = movies(size);
-        let schema = ssd_schema::extract_schema_default(&g);
-        let stats = DataStats::collect_with_schema(&g, &schema);
-        for (name, q) in [
-            ("selective", &selective),
-            ("unselect.", &unselective),
-            ("path3", &path3),
-            ("reorder", &reorder),
-        ] {
-            let (heur, _) = optimizer::optimize(q, Some(&schema));
-            let (cost, report) = optimizer::optimize_with_stats(q, Some(&schema), Some(&stats));
-            let (rh, sh) = evaluate_select(&g, &heur, &EvalOptions::default()).unwrap();
-            let (rc, sc) = evaluate_select(&g, &cost, &EvalOptions::default()).unwrap();
-            assert!(
-                graphs_bisimilar(&rh, &rc),
-                "cost-based reorder changed the result of {name}"
-            );
-            let t_h = time_us(5, || {
-                evaluate_select(&g, &heur, &EvalOptions::default()).unwrap()
-            });
-            let t_c = time_us(5, || {
-                evaluate_select(&g, &cost, &EvalOptions::default()).unwrap()
-            });
-            let moved = if report.reordered.is_empty() { "" } else { "*" };
-            println!(
-                "{size:>8} {name:>11}{moved} {t_h:>14.1} {t_c:>14.1} {:>9.2}x {:>10} {:>10}",
-                t_h / t_c.max(0.01),
-                sh.assignments_tried,
-                sc.assignments_tried
-            );
-        }
+        let refine = time_us(9, || bisimilarity_classes(&g));
+        let naive = time_us(9, || naive_bisimilar(&g, g.root(), &g, g.root()));
+        row(&format!("bisim refine/naive movies({size})"), refine, naive);
     }
-    println!("(* = cost model committed a binding reorder; envelopes in OptReport)");
-}
-
-/// `fuel=N` token out of a job's DONE summary.
-fn job_fuel(summary: &str) -> u64 {
-    summary
-        .split_whitespace()
-        .find_map(|t| t.strip_prefix("fuel="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Replay the scheduler's FIFO dispatch over measured per-job fuel:
-/// each job goes to the least-loaded of `workers`; the makespan is the
-/// heaviest worker's total. This is the partition-determined ideal the
-/// E11 work profile uses, grounded in fuel the jobs actually spent.
-fn simulated_makespan(fuels: &[u64], workers: usize) -> u64 {
-    let mut load = vec![0u64; workers.max(1)];
-    for &f in fuels {
-        let i = (0..load.len()).min_by_key(|&i| load[i]).expect("nonempty");
-        load[i] += f;
-    }
-    load.into_iter().max().unwrap_or(0)
-}
-
-fn e16() {
-    use ssd_serve::{JobKind, ServeConfig, Server, SessionQuota};
-    use std::sync::Arc;
-    header("E16 — ssd-serve: worker scaling, admission cost, tail latency");
-
-    const JOBS: usize = 32;
-    const JOIN: &str = r#"select {p: {t: T, d: D}} from db.Entry.Movie M, M.Title T, M.Director D
-                          where exists M.Cast"#;
-    let db = Arc::new(Database::new(movies(100)));
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let roomy = SessionQuota {
-        fuel: None,
-        memory: None,
-        max_concurrent: JOBS,
-        job_fuel: 1 << 40,
-        job_memory: 1 << 32,
-    };
-    let cfg = |workers| ServeConfig {
-        workers,
-        queue_cap: JOBS * 2,
-        ..ServeConfig::default()
-    };
-
-    // (a) Throughput scaling, 32 identical join jobs per run.
-    println!("host cores: {cores}; wall clock is core-bound — the simulated makespan");
-    println!("replays FIFO dispatch over the measured per-job fuel, a model of a k-core host");
-    println!(
-        "{:>8} {:>12} {:>10} {:>16} {:>10}",
-        "workers", "wall µs", "wall spd", "sim makespan", "sim spd"
-    );
-    let mut fuels: Vec<u64> = Vec::new();
-    let (mut wall1, mut mk1) = (0.0f64, 0u64);
-    for &w in &[1usize, 2, 4, 8] {
-        let server = Server::start(Arc::clone(&db), cfg(w));
-        let sess = server.open_session(roomy.clone());
-        let t = Instant::now();
-        let handles: Vec<_> = (0..JOBS)
-            .map(|_| sess.submit(JobKind::Query, JOIN).expect("admitted"))
-            .collect();
-        let mut run_fuels = Vec::with_capacity(JOBS);
-        for h in handles {
-            let o = h.wait();
-            assert!(o.error.is_none(), "{:?}", o.error);
-            run_fuels.push(job_fuel(o.summary.as_deref().unwrap_or("")));
-        }
-        let wall = t.elapsed().as_secs_f64() * 1e6;
-        sess.close();
-        server.shutdown();
-        if w == 1 {
-            fuels = run_fuels;
-        }
-        let mk = simulated_makespan(&fuels, w);
-        if w == 1 {
-            (wall1, mk1) = (wall, mk);
-        }
-        println!(
-            "{w:>8} {wall:>12.1} {:>9.2}x {mk:>16} {:>9.2}x",
-            wall1 / wall.max(0.01),
-            mk1 as f64 / mk.max(1) as f64
-        );
-    }
-
-    // (b) Admission rejection never reaches the engine. Only an
-    // interpreter shape has a fuel lower bound to reject on: its root scan.
-    const WILD: &str = "select T from db.Entry.%.Title T";
-    let server = Server::start(Arc::clone(&db), cfg(2));
-    let sess = server.open_session(SessionQuota {
-        job_fuel: 1,
-        ..roomy.clone()
-    });
-    let t = Instant::now();
-    let rejected = (0..64)
-        .filter(|_| sess.submit(JobKind::Query, WILD).is_err())
-        .count();
-    let per = t.elapsed().as_secs_f64() * 1e6 / 64.0;
-    sess.close();
-    let m = server.shutdown();
-    println!(
-        "admission: {rejected}/64 over-ceiling jobs rejected, {per:.1} µs each; \
-         engine fuel spent = {} (rejection is free)",
-        m.counters.fuel_spent
-    );
-
-    // (c) Tail latency under a mixed load, 2 workers.
-    let server = Server::start(Arc::clone(&db), cfg(2));
-    let sess = server.open_session(roomy.clone());
-    let path3 = "select T from db.Entry.Movie.Title T";
-    let handles: Vec<_> = (0..JOBS)
-        .map(|i| match i % 3 {
-            0 => sess.submit(JobKind::Query, JOIN),
-            1 => sess.submit(JobKind::Query, path3),
-            _ => sess.submit(JobKind::Rpe, "Entry.Movie.Title"),
-        })
-        .map(|r| r.expect("admitted"))
+    // All 125 three-label words against an RPE with overlapping alternatives.
+    let regular = movies(100);
+    let syms = regular.symbols();
+    let nfa = Nfa::compile(&Rpe::seq(vec![
+        Rpe::alt(vec![Rpe::symbol("Entry"), Rpe::symbol("Movie")]).star(),
+        Rpe::alt(vec![
+            Rpe::symbol("Title"),
+            Rpe::seq(vec![Rpe::symbol("Cast"), Rpe::symbol("Actors")]),
+        ]),
+    ]));
+    let dfa = nfa.to_dfa();
+    let alphabet = ["Entry", "Movie", "Title", "Cast", "Actors"].map(|s| Label::symbol(syms, s));
+    let words: Vec<Vec<Label>> = (0..125)
+        .map(|i| vec![i / 25, i / 5 % 5, i % 5])
+        .map(|w| w.into_iter().map(|j| alphabet[j].clone()).collect())
         .collect();
-    for h in handles {
-        let o = h.wait();
-        assert!(o.error.is_none(), "{:?}", o.error);
-    }
-    sess.close();
-    let m = server.shutdown();
-    let (p50, p99) = (m.latency.percentile(50), m.latency.percentile(99));
-    println!(
-        "mixed load ({JOBS} jobs, 2 workers): p50={p50} µs p99={p99} µs queue peak={} \
-         fuel est/spent={}/{}",
-        m.queue_peak, m.counters.fuel_estimated, m.counters.fuel_spent
-    );
-}
-
-fn e17() {
-    use semistructured::query::evaluate_select;
-    use semistructured::trace::{JsonlSink, SharedRing, Tracer, DEFAULT_RING_CAP};
-    use semistructured::{Budget, EvalOptions};
-    header("E17 — tracing overhead on the E3 select workload");
-
-    const JOIN: &str = r#"select {p: {t: T, d: D}} from db.Entry.Movie M, M.Title T, M.Director D
-                          where exists M.Cast"#;
-    // An active budget that never trips: tracing reads fuel/memory off
-    // the guard, so every variant pays the same guard cost and the
-    // comparison isolates the tracer (same setup as benches/e17_trace.rs).
-    let roomy = || {
-        Budget::unlimited()
-            .max_steps(u64::MAX / 2)
-            .max_memory_mb(1 << 20)
-            .max_depth(1 << 20)
-            .timeout(std::time::Duration::from_secs(3600))
-    };
-    let g = movies(1000);
-    let q = semistructured::query::parse_query(JOIN).unwrap();
-
-    let baseline = time_us(15, || {
-        let guard = roomy().guard();
-        evaluate_select(&g, &q, &EvalOptions::default().with_guard(&guard)).unwrap()
+    let t_nfa = time_us(9, || words.iter().filter(|w| nfa.accepts(w, syms)).count());
+    let t_dfa = time_us(9, || words.iter().filter(|w| dfa.accepts(w, syms)).count());
+    row("accept nfa/dfa 125 words", t_nfa, t_dfa);
+    // The ACeDB tree is acyclic, so JSON can carry it.
+    let tree = acedb(&AcedbConfig {
+        objects: 40,
+        max_depth: 6,
+        branching: 3,
+        seed: 4,
     });
-    let mut events = 0usize;
-    let ring = SharedRing::new(DEFAULT_RING_CAP);
-    let ring_tracer = Tracer::with_sink(Box::new(ring.clone()));
-    let ring_t = time_us(15, || {
-        let guard = roomy().guard();
-        let r = evaluate_select(
-            &g,
-            &q,
-            &EvalOptions::default()
-                .with_guard(&guard)
-                .with_tracer(&ring_tracer),
-        )
-        .unwrap();
-        ring_tracer.flush();
-        events = ring.take().len();
-        r
+    let t_lit = time_us(9, || {
+        literal::parse_graph(&literal::write_graph(&tree)).unwrap()
     });
-    let jsonl_tracer = Tracer::with_sink(Box::new(JsonlSink::new(std::io::sink())));
-    let jsonl = time_us(15, || {
-        let guard = roomy().guard();
-        let r = evaluate_select(
-            &g,
-            &q,
-            &EvalOptions::default()
-                .with_guard(&guard)
-                .with_tracer(&jsonl_tracer),
-        )
-        .unwrap();
-        jsonl_tracer.flush();
-        r
+    let t_json = time_us(9, || {
+        json::from_json(&json::graph_to_json(&tree).unwrap()).unwrap()
     });
-
-    let pct = |v: f64| (v / baseline.max(0.01) - 1.0) * 100.0;
-    println!("select join over movies(1000), median of 15 runs:");
-    println!("{:>10} {:>12} {:>10}", "variant", "median µs", "overhead");
-    println!("{:>10} {baseline:>12.1} {:>10}", "baseline", "—");
-    println!(
-        "{:>10} {ring_t:>12.1} {:>9.1}%  ({events} event(s))",
-        "ring",
-        pct(ring_t)
-    );
-    println!("{:>10} {jsonl:>12.1} {:>9.1}%", "jsonl", pct(jsonl));
-}
-
-fn e18() {
-    use semistructured::Budget;
-    use ssd_store::{Op, Store, Txn};
-    header("E18 — durable commit and recovery-replay throughput");
-
-    let dir = std::env::temp_dir().join(format!("ssd-bench-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let seed = Database::from_literal("{Seed: {Tag: \"bench\"}}").expect("seed");
-    Store::init(&dir, &seed).expect("init store");
-    let (store, _) = Store::open(&dir, &Budget::unlimited()).expect("open store");
-
-    // Each commit is one op frame + one COMMIT frame + one fsync — the
-    // dominant cost is the fsync, which is the honest number for a
-    // durability layer.
-    const TXNS: u64 = 200;
-    let t = Instant::now();
-    for i in 0..TXNS {
-        let mut txn = Txn::new();
-        txn.push(Op::Insert(format!("{{T{i}: {{N: {i}}}}}")));
-        store.commit(&txn).expect("commit");
-    }
-    let commit_total_us = t.elapsed().as_secs_f64() * 1e6;
-    let wal_bytes = store.wal_len();
-    let generation = store.generation();
-    drop(store);
-
-    // Recovery replays the whole log (scan + checksum + apply) on every
-    // open; the reopened store must land on the same generation.
-    let recover_us = time_us(9, || {
-        let (s, r) = Store::open(&dir, &Budget::unlimited()).expect("reopen");
-        assert_eq!(r.txns_replayed, TXNS);
-        s
-    });
-
-    let per_commit = commit_total_us / TXNS as f64;
-    let replay_per_txn = recover_us / TXNS as f64;
-    println!(
-        "{TXNS} single-op txns: {per_commit:.1} µs/commit ({:.0} commits/s), wal={wal_bytes} B",
-        1e6 / per_commit.max(0.01)
-    );
-    println!(
-        "recovery replay: {recover_us:.1} µs total, {replay_per_txn:.2} µs/txn, \
-         generation={generation}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn e19() {
-    header("E19 — static analysis: full-workspace lint pass");
-
-    // The lint pass runs in CI on every change, so its wall-clock is a
-    // budget worth tracking: ten passes (five intraprocedural, five on
-    // the interprocedural call graph with fixpoint effect summaries)
-    // over every source file in the workspace.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root");
-    let report = match ssd_lint::lint_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("lint pass skipped: {e}");
-            return;
-        }
-    };
-    let wall_us = time_us(5, || ssd_lint::lint_workspace(&root).expect("lint"));
-    let files = report.files_scanned;
-    let functions = report.functions_scanned;
-    let findings = report.findings.len();
-    let per_file = wall_us / files.max(1) as f64;
-    println!(
-        "full workspace lint (median of 5): {:.1} ms total, {per_file:.0} µs/file \
-         ({files} files, {functions} functions, {findings} findings)",
-        wall_us / 1e3
-    );
-}
-
-fn e20() {
-    header("E20 — batched columnar execution vs interpreter (µs, median of 9)");
-    use semistructured::query::{evaluate_batched, plan_access};
-    use semistructured::TripleIndex;
-
-    // Batchable stand-ins for the E3/E5/E10 workloads: the E3 join; the
-    // E5 three-step path and its σ-label analog (a selective lookup the
-    // POS permutation answers directly, E5's "σ-label index" column as a
-    // full select query); and the E10 selective filter without its
-    // (unbatchable) `%*` tail.
-    let cases: [(&str, &str); 4] = [
-        (
-            "E3-join",
-            r#"select {p: {t: T, d: D}} from db.Entry.Movie M, M.Title T, M.Director D
-               where exists M.Cast"#,
-        ),
-        ("E5-path3", "select T from db.Entry.Movie.Title T"),
-        (
-            "E5-sigma",
-            r#"select X from db.Entry.Movie.Title."Movie 7" X"#,
-        ),
-        (
-            "E10-filter",
-            r#"select {t: T} from db.Entry.Movie M, M.Year Y, M.Title T where Y < 1935"#,
-        ),
-    ];
-    println!(
-        "{:>8} {:>12} {:>14} {:>12} {:>10} {:>9}",
-        "entries", "query", "interpreter", "batched", "speedup", "results"
-    );
-    for &size in &[1usize, 30, 100, 300, 3000] {
-        let g = movies(size);
-        let index = TripleIndex::build(&g).expect("index build");
-        for (name, text) in &cases {
-            let q = parse_query(text).unwrap();
-            let plan = plan_access(&g, &index, &q).expect("plannable");
-            let t_interp = time_us(9, || {
-                evaluate_select(&g, &q, &EvalOptions::default()).unwrap()
-            });
-            let t_batch = time_us(9, || {
-                evaluate_batched(&g, &index, &q, &plan, &EvalOptions::default()).unwrap()
-            });
-            let (_, bstats) =
-                evaluate_batched(&g, &index, &q, &plan, &EvalOptions::default()).unwrap();
-            let speedup = t_interp / t_batch.max(0.001);
-            println!(
-                "{size:>8} {name:>12} {t_interp:>14.1} {t_batch:>12.1} {speedup:>9.1}x {:>9}",
-                bstats.results_constructed
-            );
-        }
+    row("round trip literal/json acedb", t_lit, t_json);
+    for (name, g) in [("movies(100)", &regular), ("acedb", &tree)] {
+        let guide = time_us(9, || DataGuide::build(g));
+        let oneidx = time_us(9, || ssd_schema::OneIndex::build(g));
+        row(&format!("dataguide/1-index {name}"), guide, oneidx);
     }
 }

@@ -139,9 +139,8 @@ pub fn analyze_datalog_cost(
 /// Static upper bounds on relation sizes: EDB relations from statistics
 /// (exact — the triple index and the triple store both hold the
 /// reachable fragment the collector counts), IDB relations from the
-/// classic `|D|^arity` domain bound. Shared by the cost analysis and the
-/// datalog body reorderer.
-pub(crate) struct RelBounds {
+/// classic `|D|^arity` domain bound.
+struct RelBounds {
     domain: Bound,
     arity: HashMap<String, usize>,
     idb: BTreeSet<String>,
@@ -150,7 +149,7 @@ pub(crate) struct RelBounds {
 }
 
 impl RelBounds {
-    pub(crate) fn new(program: &Program, ctx: &CostContext<'_>) -> RelBounds {
+    fn new(program: &Program, ctx: &CostContext<'_>) -> RelBounds {
         // Active domain: node ids and labels occurring in the EDB, plus
         // the program's own constants (range restriction confines every
         // derived datum to this set).
@@ -186,7 +185,7 @@ impl RelBounds {
     }
 
     /// Upper bound on the tuple count of `pred`.
-    pub(crate) fn hi(&self, pred: &str) -> Bound {
+    fn hi(&self, pred: &str) -> Bound {
         match pred {
             "edge" => self.edges.map_or(Bound::Unbounded, Bound::Finite),
             "node" => self.edb_nodes.map_or(Bound::Unbounded, Bound::Finite),

@@ -14,9 +14,8 @@
 //! * admission control — [`ssd_guard::Budget::admit`] rejects a query
 //!   whose *lower* bound already exceeds the budget (SSD030) before the
 //!   engine consumes any fuel;
-//! * the cost-based optimizer —
-//!   [`optimize_with_stats`](crate::optimizer::optimize_with_stats)
-//!   reorders bindings (and datalog body atoms) by estimated cardinality;
+//! * `ssd explain`, which prints each binding's estimated matches next to
+//!   its access path;
 //! * diagnostics — SSD031 (unbounded cost), SSD032 (cross-product join),
 //!   SSD033 (imprecise estimate), rendered by `ssd check --estimate`.
 //!
@@ -84,8 +83,7 @@ pub struct CostAnalysis {
     /// SSD03x findings (unbounded cost, cross products, widenings).
     pub diagnostics: Vec<Diagnostic>,
     /// For queries: the per-binding match-cardinality intervals, parallel
-    /// to `SelectQuery::bindings` (empty for datalog programs). The
-    /// optimizer orders bindings by these.
+    /// to `SelectQuery::bindings` (empty for datalog programs).
     pub per_binding: Vec<Interval>,
 }
 

@@ -473,7 +473,7 @@ use ssd_graph::ops;
 /// `workers` threads. The result is bisimilar to [`evaluate_select`]'s
 /// (tests verify it); worthwhile when the residual per-match work
 /// dominates.
-// lint: allow(guard) — parallelism experiment (E14); per-worker governance lands with ROADMAP item 4
+// lint: allow(guard) — parallelism experiment (E11); per-worker governance lands with ROADMAP item 4
 pub fn evaluate_select_parallel(
     g: &Graph,
     query: &SelectQuery,

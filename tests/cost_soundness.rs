@@ -323,7 +323,7 @@ proptest! {
     }
 }
 
-/// The `Database` leg of traced ≡ untraced, on E15's reorder query
+/// The `Database` leg of traced ≡ untraced, on the retired E15's reorder query
 /// (independent bindings in a pessimal order) and an interpreter shape
 /// whose selective `where` pushdown prunes early: the plan is a function
 /// of the query and the snapshot, so `query_with` and `query_traced` —
