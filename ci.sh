@@ -25,6 +25,11 @@ echo "== benchmark harness builds" >&2
 # benchmark/ is a package of its own that the driver builds from source.
 # Build it (only) so that API drift against what it calls fails here.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# Run the onion's datalog layers once, small: they evaluate on
+# `Database::triples()` through `datalog::evaluate_with`, which nothing
+# else outside tests and the report does. Output goes to the git-ignored
+# benchmark/out/.
+bash benchmark/run.sh --workload closure --trace 1 --scale 10000 --seconds 2 >/dev/null
 
 echo "== cargo test" >&2
 cargo test -q --offline

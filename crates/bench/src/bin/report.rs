@@ -19,7 +19,6 @@ use semistructured::query::rpe::eval::{eval_nfa, eval_nfa_with_stats};
 use semistructured::query::{browse, evaluate_select, optimizer, parse_query, restructure};
 use semistructured::query::{Nfa, Rpe, Step};
 use semistructured::triples::datalog::{evaluate, evaluate_naive, parse_program};
-use semistructured::triples::TripleStore;
 use semistructured::{DataGuide, Database, EvalOptions, Graph, Pred, Value};
 use ssd_data::movies::{figure1, movie_database, MovieDbConfig};
 use ssd_data::webgraph::{clustered_graph, web_graph, WebGraphConfig};
@@ -188,18 +187,21 @@ fn e05() {
     use semistructured::Label;
     println!(
         "{:>8} {:>16} {:>16} {:>16} {:>16}",
-        "entries", "σ-label rel", "σ-label index", "path3 joins", "path3 traverse"
+        "entries", "σ-label rel", "σ-label POS", "path3 joins", "path3 traverse"
     );
     for &size in &[100usize, 300] {
-        let g = movies(size);
-        let store = TripleStore::from_graph(&g);
-        let rel = Relation::edge_relation(&store);
+        let db = Database::new(movies(size));
+        let g = db.graph();
+        let rel = Relation::edge_relation(&db.triples());
         let movie = Label::symbol(g.symbols(), "Movie");
         let t_rel = time_us(9, || {
             rel.select_eq("label", &Datum::Label(movie.clone()))
                 .unwrap()
         });
-        let t_idx = time_us(9, || store.with_label(&movie).len());
+        let index = db.triple_index();
+        let t_idx = time_us(9, || {
+            index.and_then(|ix| ix.label_id(&movie).map(|p| ix.by_label(p).len()))
+        });
         let entry = Label::symbol(g.symbols(), "Entry");
         let title = Label::symbol(g.symbols(), "Title");
         let t_joins = time_us(5, || {
@@ -239,7 +241,7 @@ fn e05() {
             Rpe::symbol("Title"),
         ]);
         let nfa = Nfa::compile(&path);
-        let t_trav = time_us(9, || eval_nfa(&g, g.root(), &nfa));
+        let t_trav = time_us(9, || eval_nfa(g, g.root(), &nfa));
         println!("{size:>8} {t_rel:>16.1} {t_idx:>16.1} {t_joins:>16.1} {t_trav:>16.1}");
     }
 }
@@ -251,18 +253,18 @@ fn e06() {
         "pages", "|path|", "semi µs", "naive µs", "semi evals", "naive evals"
     );
     for &pages in &[30usize, 60, 120] {
-        let g = web(pages);
-        let store = TripleStore::from_graph(&g);
+        let db = Database::new(web(pages));
+        let (g, edges) = (db.graph(), db.triples());
         let program = parse_program(
             "path(X, Y) :- edge(X, _L, Y).\npath(X, Y) :- edge(X, _L, Z), path(Z, Y).",
             g.symbols(),
         )
         .unwrap();
-        let semi = evaluate(&program, &store).unwrap();
-        let naive = evaluate_naive(&program, &store).unwrap();
+        let semi = evaluate(&program, &edges).unwrap();
+        let naive = evaluate_naive(&program, &edges).unwrap();
         assert!(semi.tuples("path").eq(naive.tuples("path")));
-        let t_semi = time_us(3, || evaluate(&program, &store).unwrap());
-        let t_naive = time_us(3, || evaluate_naive(&program, &store).unwrap());
+        let t_semi = time_us(3, || evaluate(&program, &edges).unwrap());
+        let t_naive = time_us(3, || evaluate_naive(&program, &edges).unwrap());
         println!(
             "{pages:>8} {:>10} {t_semi:>12.1} {t_naive:>12.1} {:>12} {:>12}",
             semi.count("path"),

@@ -1300,17 +1300,17 @@ fn cmd_check(
     Ok(out)
 }
 
-/// `ssd check DATA datalog PROGRAM --explain`: the EDB the evaluator
-/// will run on and, per body literal, the access path it will use — the
-/// datalog counterpart of `ssd explain`'s per-binding `access=`.
+/// `ssd check DATA datalog PROGRAM --explain`: per body literal, the
+/// access path the evaluator will use — the datalog counterpart of
+/// `ssd explain`'s per-binding `access=`.
 fn explain_datalog(db: &Database, text: &str) -> Option<String> {
-    let (edb, paths) = db.datalog_access(text).ok()?;
+    let paths = db.datalog_access(text).ok()?;
     let (program, spans) =
         semistructured::triples::datalog::parse_program_spanned(text, db.graph().symbols()).ok()?;
     let src = |span: Option<semistructured::diag::Span>| {
         span.and_then(|s| text.get(s.start..s.end)).unwrap_or("?")
     };
-    let mut out = format!("access (edb={edb}):\n");
+    let mut out = "access:\n".to_owned();
     for (i, (rule, access)) in program.rules.iter().zip(&paths).enumerate() {
         out.push_str(&format!("  rule {i}: {}\n", src(spans.head(i))));
         for (j, (lit, path)) in rule.body.iter().zip(access).enumerate() {

@@ -39,9 +39,9 @@ pub use ssd_index::TripleIndex;
 pub use ssd_query::analyze::{CostAnalysis, CostContext};
 pub use ssd_query::{AccessPlan, EvalOptions, Rpe, SelectQuery};
 pub use ssd_schema::{DataGuide, DataStats, Pred, Schema};
-pub use ssd_triples::TripleStore;
 
 use ssd_graph::index::GraphIndex;
+use ssd_triples::datalog::{Edb, Key};
 use std::sync::OnceLock;
 
 /// A semistructured database: a rooted data graph plus lazily constructed
@@ -255,11 +255,10 @@ impl Database {
         self.guide.get_or_init(|| DataGuide::build(&self.graph))
     }
 
-    /// A freshly shredded triple store view — the relational strategy's
-    /// substrate (algebra, E5/E6). Queries and datalog run on
-    /// [`Database::triple_index`] instead.
-    pub fn triples(&self) -> TripleStore {
-        TripleStore::from_graph(&self.graph)
+    /// The edge relation datalog reads on this snapshot: its triple
+    /// index, in place (built on first use).
+    pub fn triples(&self) -> Triples<'_> {
+        Triples(self.triple_index())
     }
 
     /// Parse and evaluate a select-from-where query.
@@ -386,9 +385,7 @@ impl Database {
 
     /// The one datalog body behind [`Database::datalog`],
     /// [`Database::datalog_with`] and [`Database::datalog_traced`]. The
-    /// EDB is this snapshot's triple index, read in place; only when the
-    /// index could not be built (SSD051) is the graph shredded into a
-    /// [`TripleStore`] for the same evaluator to read instead.
+    /// EDB is [`Database::triples`].
     fn run_datalog(
         &self,
         program: &str,
@@ -403,11 +400,8 @@ impl Database {
             let _sp = trace::span(tracer, trace::Phase::Estimate, "estimate", Some(guard));
             self.estimate_datalog(program).ok()
         });
-        let eval = match self.triple_index() {
-            Some(index) => ssd_triples::datalog::evaluate_on(&p, &IndexEdb(index), guard, tracer),
-            None => ssd_triples::datalog::evaluate_traced(&p, &self.triples(), guard, tracer),
-        }
-        .map_err(|e| e.to_string())?;
+        let eval = ssd_triples::datalog::evaluate_traced(&p, &self.triples(), guard, tracer)
+            .map_err(|e| e.to_string())?;
         if let Some(t) = tracer {
             t.instant(
                 trace::Phase::Estimate,
@@ -418,23 +412,12 @@ impl Database {
         Ok(eval)
     }
 
-    /// How a datalog program will read this snapshot: which EDB the
-    /// evaluator runs on (`"index"`, or `"triples"` after SSD051) and,
-    /// per rule and body literal, the access path
-    /// ([`ssd_triples::datalog::access_paths`]) — the datalog counterpart
-    /// of [`Database::select_access`].
-    pub fn datalog_access(
-        &self,
-        program: &str,
-    ) -> Result<(&'static str, Vec<Vec<String>>), String> {
+    /// How a datalog program will read this snapshot: per rule and body
+    /// literal, the access path ([`ssd_triples::datalog::access_paths`])
+    /// — the datalog counterpart of [`Database::select_access`].
+    pub fn datalog_access(&self, program: &str) -> Result<Vec<Vec<String>>, String> {
         let p = ssd_triples::datalog::parse_program(program, self.graph.symbols())?;
-        let paths = ssd_triples::datalog::access_paths(&p).map_err(|e| e.to_string())?;
-        let edb = if self.triple_index().is_some() {
-            "index"
-        } else {
-            "triples"
-        };
-        Ok((edb, paths))
+        ssd_triples::datalog::access_paths(&p).map_err(|e| e.to_string())
     }
 
     /// Statically analyze a query against this database's extracted
@@ -697,39 +680,37 @@ impl AccessDecision {
     }
 }
 
-/// The datalog EDB of a snapshot: its triple index, read in place. Each
-/// bound-argument pattern of `edge` is one contiguous range of the
-/// permutation sorted for it.
-struct IndexEdb<'a>(&'a TripleIndex);
+/// The edge relation datalog reads on a [`Database`] snapshot: its triple
+/// index, read in place; see [`Database::triples`]. Each bound-argument
+/// pattern of `edge` is one contiguous range of the permutation sorted
+/// for it. When the index could not be built (SSD051: its dictionary
+/// overflowed) the relation reports more labels than any id space holds,
+/// so the evaluator refuses the snapshot with `DatalogError::Capacity` —
+/// as it would the overflowed labels themselves.
+pub struct Triples<'a>(Option<&'a TripleIndex>);
 
-impl ssd_triples::datalog::Edb for IndexEdb<'_> {
-    fn name(&self) -> &'static str {
-        "index"
-    }
-
+impl Edb for Triples<'_> {
     fn root(&self) -> u32 {
-        self.0.root()
+        self.0.map_or(0, TripleIndex::root)
     }
 
     fn max_node(&self) -> u32 {
         // Both runs are sorted on their first component.
         let last = |run: &ssd_index::SortedRun| run.as_slice().last().map_or(0, |k| k[0]);
         self.0
-            .root()
-            .max(last(self.0.spo()))
-            .max(last(self.0.osp()))
+            .map_or(0, |ix| ix.root().max(last(ix.spo())).max(last(ix.osp())))
     }
 
     fn label_count(&self) -> usize {
-        self.0.dict().len()
+        self.0.map_or(usize::MAX, |ix| ix.dict().len())
     }
 
     fn label_id(&self, label: &Label) -> Option<u32> {
-        self.0.label_id(label)
+        self.0?.label_id(label)
     }
 
     fn label(&self, id: u32) -> Option<&Label> {
-        self.0.dict().resolve(id)
+        self.0?.dict().resolve(id)
     }
 
     fn scan(
@@ -737,9 +718,9 @@ impl ssd_triples::datalog::Edb for IndexEdb<'_> {
         s: Option<u32>,
         p: Option<u32>,
         o: Option<u32>,
-        visit: &mut dyn FnMut([u32; 3]) -> bool,
+        visit: &mut dyn FnMut(Key) -> bool,
     ) {
-        let ix = self.0;
+        let Some(ix) = self.0 else { return };
         // (the matching range, where s, p, o sit in its keys)
         let (keys, [si, pi, oi]) = match (s, p, o) {
             (Some(s), Some(p), Some(o)) => {
@@ -764,10 +745,13 @@ impl ssd_triples::datalog::Edb for IndexEdb<'_> {
     }
 
     fn nodes(&self) -> Vec<u32> {
+        let Some(ix) = self.0 else {
+            return Vec::new();
+        };
         let firsts = |run: &ssd_index::SortedRun| run.iter().map(|k| k[0]).collect::<Vec<u32>>();
-        let mut out = firsts(self.0.spo());
-        out.extend(firsts(self.0.osp()));
-        out.push(self.0.root());
+        let mut out = firsts(ix.spo());
+        out.extend(firsts(ix.osp()));
+        out.push(ix.root());
         out.sort_unstable();
         out.dedup();
         out
@@ -874,6 +858,23 @@ mod tests {
             )
             .unwrap();
         assert_eq!(eval.count("reach"), db.stats().nodes);
+    }
+
+    /// A snapshot whose triple index could not be built (SSD051): datalog
+    /// is refused for capacity, selects still run on the interpreter.
+    #[test]
+    fn datalog_refuses_a_snapshot_without_a_triple_index() {
+        let db = db();
+        db.triple_index.set(None).unwrap();
+        let err = db.datalog("reach(X) :- root(X).").unwrap_err();
+        assert!(err.starts_with("snapshot too large for datalog"), "{err}");
+        let p = ssd_triples::datalog::parse_program("n(X) :- node(X).", db.graph.symbols());
+        assert!(matches!(
+            ssd_triples::datalog::evaluate(&p.unwrap(), &db.triples()),
+            Err(ssd_triples::datalog::DatalogError::Capacity(_))
+        ));
+        let r = db.query("select T from db.Entry.Movie.Title T").unwrap();
+        assert!(r.graph().out_degree(r.graph().root()) > 0);
     }
 
     #[test]

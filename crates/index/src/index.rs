@@ -22,7 +22,7 @@
 use crate::dict::Dictionary;
 use crate::run::{Key, SortedRun};
 use ssd_diag::Diagnostic;
-use ssd_graph::{Graph, Label, NodeId};
+use ssd_graph::{Graph, Label};
 
 /// Dictionary-encoded SPO/POS/OSP sorted-run permutations of one graph's
 /// reachable triples.
@@ -52,38 +52,16 @@ impl TripleIndex {
                 keys.push([s, dict.intern(&e.label)?, e.to.index() as u32]);
             }
         }
-        Ok(TripleIndex::from_spo_keys(
-            dict,
-            keys,
-            g.root().index() as u32,
-        ))
-    }
-
-    /// Build from an already-shredded triple sequence (the
-    /// `ssd-triples` store view).
-    pub fn from_triples<'a, I>(triples: I, root: NodeId) -> Result<TripleIndex, Diagnostic>
-    where
-        I: IntoIterator<Item = (NodeId, &'a Label, NodeId)>,
-    {
-        let mut dict = Dictionary::new();
-        let mut keys: Vec<Key> = Vec::new();
-        for (src, label, dst) in triples {
-            keys.push([src.index() as u32, dict.intern(label)?, dst.index() as u32]);
-        }
-        Ok(TripleIndex::from_spo_keys(dict, keys, root.index() as u32))
-    }
-
-    fn from_spo_keys(dict: Dictionary, keys: Vec<Key>, root: u32) -> TripleIndex {
         let spo = SortedRun::from_unsorted(keys);
         let pos = SortedRun::from_unsorted(spo.iter().map(|&[s, p, o]| [p, o, s]).collect());
         let osp = SortedRun::from_unsorted(spo.iter().map(|&[s, p, o]| [o, s, p]).collect());
-        TripleIndex {
+        Ok(TripleIndex {
             dict,
             spo,
             pos,
             osp,
-            root,
-        }
+            root: g.root().index() as u32,
+        })
     }
 
     /// Number of distinct indexed triples.
@@ -316,25 +294,6 @@ mod tests {
         for &t in &frontier {
             assert_eq!(idx.edges_into(t).len(), 1);
         }
-    }
-
-    #[test]
-    fn from_triples_matches_build() {
-        let g = movie_graph();
-        let idx = TripleIndex::build(&g).unwrap();
-        let mut triples: Vec<(NodeId, Label, NodeId)> = Vec::new();
-        for &n in &g.reachable() {
-            for e in g.edges(n) {
-                triples.push((n, e.label.clone(), e.to));
-            }
-        }
-        let idx2 = TripleIndex::from_triples(triples.iter().map(|(s, l, d)| (*s, l, *d)), g.root())
-            .unwrap();
-        let mut a = idx.decoded();
-        let mut b = idx2.decoded();
-        a.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
-        b.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
-        assert_eq!(a.len(), b.len());
     }
 
     #[test]

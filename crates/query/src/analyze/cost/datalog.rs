@@ -137,9 +137,8 @@ pub fn analyze_datalog_cost(
 }
 
 /// Static upper bounds on relation sizes: EDB relations from statistics
-/// (exact — the triple index and the triple store both hold the
-/// reachable fragment the collector counts), IDB relations from the
-/// classic `|D|^arity` domain bound.
+/// (exact — the triple index holds the reachable fragment the collector
+/// counts), IDB relations from the classic `|D|^arity` domain bound.
 struct RelBounds {
     domain: Bound,
     arity: HashMap<String, usize>,
@@ -249,10 +248,75 @@ fn arity_map(program: &Program) -> HashMap<String, usize> {
 mod tests {
     use super::*;
     use ssd_graph::literal::parse_graph;
+    use ssd_graph::{Graph, Label};
     use ssd_guard::Budget;
     use ssd_schema::DataStats;
-    use ssd_triples::datalog::{evaluate_with, parse_program};
-    use ssd_triples::TripleStore;
+    use ssd_triples::datalog::{evaluate_with, parse_program, Edb, Key};
+
+    /// The run's EDB: `g`'s reachable edges in a `Vec`, every lookup a
+    /// filter over all of them. (The triple index's EDB lives in the
+    /// facade, above this crate.)
+    struct Edges(u32, Vec<Label>, Vec<Key>);
+
+    impl Edges {
+        fn new(g: &Graph) -> Edges {
+            let mut edb = Edges(g.root().index() as u32, Vec::new(), Vec::new());
+            for n in g.reachable() {
+                for e in g.edges(n) {
+                    let p = edb.label_id(&e.label).unwrap_or_else(|| {
+                        edb.1.push(e.label.clone());
+                        edb.1.len() as u32 - 1
+                    });
+                    edb.2.push([n.index() as u32, p, e.to.index() as u32]);
+                }
+            }
+            edb
+        }
+    }
+
+    impl Edb for Edges {
+        fn root(&self) -> u32 {
+            self.0
+        }
+        fn max_node(&self) -> u32 {
+            self.nodes().last().copied().unwrap_or(self.0)
+        }
+        fn label_count(&self) -> usize {
+            self.1.len()
+        }
+        fn label_id(&self, label: &Label) -> Option<u32> {
+            self.1.iter().position(|l| l == label).map(|i| i as u32)
+        }
+        fn label(&self, id: u32) -> Option<&Label> {
+            self.1.get(id as usize)
+        }
+        fn scan(
+            &self,
+            s: Option<u32>,
+            p: Option<u32>,
+            o: Option<u32>,
+            v: &mut dyn FnMut(Key) -> bool,
+        ) {
+            let hit = |k: &&Key| {
+                [s, p, o]
+                    .iter()
+                    .zip(*k)
+                    .all(|(w, x)| w.is_none_or(|w| w == *x))
+            };
+            for &k in self.2.iter().filter(hit) {
+                if !v(k) {
+                    return;
+                }
+            }
+        }
+        fn nodes(&self) -> Vec<u32> {
+            let mut out: Vec<u32> = self.2.iter().flat_map(|k| [k[0], k[2]]).collect();
+            out.push(self.0);
+            out.sort_unstable();
+            out.dedup();
+            out
+        }
+    }
 
     fn tc_src() -> &'static str {
         "path(X, Y) :- edge(X, _L, Y).\n\
@@ -266,9 +330,8 @@ mod tests {
         let p = parse_program(tc_src(), g.symbols()).unwrap();
         let a = analyze_datalog_cost(&p, None, None, &CostContext::with_stats(&stats));
         assert!(a.envelope.fuel.is_bounded(), "{:?}", a.envelope);
-        let store = TripleStore::from_graph(&g);
         let guard = Budget::unlimited().max_steps(u64::MAX / 4).guard();
-        evaluate_with(&p, &store, &guard).unwrap();
+        evaluate_with(&p, &Edges::new(&g), &guard).unwrap();
         let used = guard.steps_used();
         let mem = guard.memory_used();
         assert!(

@@ -8,7 +8,7 @@
 //! graph queries can be phrased as relational plans and compared against
 //! native traversal (experiment E5).
 
-use crate::store::TripleStore;
+use crate::datalog::Edb;
 use ssd_graph::{Label, NodeId, Value};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -110,16 +110,17 @@ impl Relation {
         Ok(rel)
     }
 
-    /// The edge relation `E(src, label, dst)` of a triple store.
-    pub fn edge_relation(store: &TripleStore) -> Relation {
+    /// The edge relation `E(src, label, dst)` of an EDB (a snapshot's
+    /// triple index), decoded.
+    pub fn edge_relation(edb: &dyn Edb) -> Relation {
+        let node = |n: u32| Datum::Node(NodeId::from_index(n as usize));
         let mut rows = BTreeSet::new();
-        for t in store.iter() {
-            rows.insert(vec![
-                Datum::Node(t.src),
-                Datum::Label(t.label.clone()),
-                Datum::Node(t.dst),
-            ]);
-        }
+        edb.scan(None, None, None, &mut |[s, p, o]| {
+            if let Some(l) = edb.label(p) {
+                rows.insert(vec![node(s), Datum::Label(l.clone()), node(o)]);
+            }
+            true
+        });
         Relation {
             columns: vec!["src".into(), "label".into(), "dst".into()],
             rows,
@@ -351,6 +352,7 @@ impl<'a> RowView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datalog::edb::walked::Walked;
     use ssd_graph::literal::parse_graph;
 
     fn node(i: usize) -> Datum {
@@ -364,10 +366,16 @@ mod tests {
     #[test]
     fn edge_relation_covers_store() {
         let g = parse_graph(r#"{a: {b: 1}}"#).unwrap();
-        let s = TripleStore::from_graph(&g);
-        let e = Relation::edge_relation(&s);
-        assert_eq!(e.len(), s.len());
+        let e = Relation::edge_relation(&Walked::new(&g));
+        assert_eq!(e.len(), g.edge_count());
         assert_eq!(e.columns(), &["src", "label", "dst"]);
+        let a = &g.edges(g.root())[0];
+        let root_a = [
+            Datum::Node(g.root()),
+            Datum::Label(a.label.clone()),
+            Datum::Node(a.to),
+        ];
+        assert!(e.contains(&root_a));
     }
 
     #[test]
@@ -410,8 +418,7 @@ mod tests {
     fn rename_then_join() {
         // E ⋈ ρ(E) computes paths of length two.
         let g = parse_graph("{a: {b: {c: {}}}}").unwrap();
-        let s = TripleStore::from_graph(&g);
-        let e = Relation::edge_relation(&s);
+        let e = Relation::edge_relation(&Walked::new(&g));
         let e2 = e
             .rename("src", "mid")
             .unwrap()

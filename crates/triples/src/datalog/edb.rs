@@ -6,15 +6,13 @@
 //! evaluator therefore never materializes the EDB: it asks an [`Edb`] for
 //! the triples matching whichever of `src`, `label`, `dst` are already
 //! resolved, as encoded `[u32; 3]` keys (node index, label id, node
-//! index). Two implementations exist: the columnar triple index of a
-//! `Database` snapshot (a wrapper in the facade crate, one sorted
-//! permutation per bound-argument pattern) and [`StoreEdb`] over a
-//! [`TripleStore`]'s hash indexes. Both offer *exactly* the matching
-//! triples, so a program ticks the same fuel on either.
+//! index). The relation is a snapshot's triple index, read in place by
+//! the facade's `semistructured::Triples`: each bound-argument pattern of
+//! `edge` is one contiguous range of the permutation sorted for it, so
+//! the evaluator is offered exactly the matching triples and ticks fuel
+//! for those alone.
 
-use crate::store::TripleStore;
-use ssd_graph::{Label, NodeId};
-use std::collections::HashMap;
+use ssd_graph::Label;
 
 /// One encoded triple `[src, label, dst]`: node indexes and label ids.
 pub type Key = [u32; 3];
@@ -26,9 +24,6 @@ pub type Key = [u32; 3];
 /// one `u32` tuple (it checks [`Edb::max_node`] and
 /// [`Edb::label_count`] up front and refuses larger snapshots).
 pub trait Edb {
-    /// `"index"` or `"triples"` — the `edb` field of the datalog span.
-    fn name(&self) -> &'static str;
-
     /// Node index of the graph root.
     fn root(&self) -> u32;
 
@@ -59,110 +54,90 @@ pub trait Edb {
     fn nodes(&self) -> Vec<u32>;
 }
 
-/// [`Edb`] over a [`TripleStore`]: labels are numbered in first-arrival
-/// order and each lookup goes to the most selective of the store's hash
-/// indexes (`by_src_label`, `by_src`, `by_label`, `by_dst`), filtered on
-/// whatever that index does not cover.
-pub struct StoreEdb<'s> {
-    store: &'s TripleStore,
-    labels: Vec<&'s Label>,
-    ids: HashMap<&'s Label, u32>,
-    /// Encoded triples, parallel to the store's positions.
-    keys: Vec<Key>,
-    max_node: u32,
-}
+/// The reference EDB this crate's unit tests evaluate on: the reachable
+/// edges of a direct graph walk in a `Vec`, labels numbered in
+/// first-arrival order, every lookup a filter over the whole `Vec`.
+#[cfg(test)]
+pub(crate) mod walked {
+    use super::{Edb, Key};
+    use ssd_graph::{Graph, Label};
 
-impl<'s> StoreEdb<'s> {
-    pub fn new(store: &'s TripleStore) -> StoreEdb<'s> {
-        let mut labels: Vec<&Label> = Vec::new();
-        let mut ids: HashMap<&Label, u32> = HashMap::new();
-        let mut keys = Vec::with_capacity(store.len());
-        let mut max_node = store.root().index() as u32;
-        for t in store.iter() {
-            let p = *ids.entry(&t.label).or_insert_with(|| {
-                labels.push(&t.label);
-                (labels.len() - 1) as u32
-            });
-            let (s, o) = (t.src.index() as u32, t.dst.index() as u32);
-            max_node = max_node.max(s).max(o);
-            keys.push([s, p, o]);
-        }
-        StoreEdb {
-            store,
-            labels,
-            ids,
-            keys,
-            max_node,
-        }
-    }
-}
-
-impl Edb for StoreEdb<'_> {
-    fn name(&self) -> &'static str {
-        "triples"
+    pub(crate) struct Walked {
+        root: u32,
+        labels: Vec<Label>,
+        keys: Vec<Key>,
     }
 
-    fn root(&self) -> u32 {
-        self.store.root().index() as u32
-    }
-
-    fn max_node(&self) -> u32 {
-        self.max_node
-    }
-
-    fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
-    fn label_id(&self, label: &Label) -> Option<u32> {
-        self.ids.get(label).copied()
-    }
-
-    fn label(&self, id: u32) -> Option<&Label> {
-        self.labels.get(id as usize).copied()
-    }
-
-    fn scan(
-        &self,
-        s: Option<u32>,
-        p: Option<u32>,
-        o: Option<u32>,
-        visit: &mut dyn FnMut(Key) -> bool,
-    ) {
-        let node = |n: u32| NodeId::from_index(n as usize);
-        let label = p.and_then(|p| self.label(p));
-        if p.is_some() && label.is_none() {
-            return;
-        }
-        let matches = |k: &Key| {
-            s.is_none_or(|s| k[0] == s)
-                && p.is_none_or(|p| k[1] == p)
-                && o.is_none_or(|o| k[2] == o)
-        };
-        match self.store.positions(s.map(node), label, o.map(node)) {
-            Some(picks) => {
-                for &i in picks {
-                    let k = self.keys[i as usize];
-                    if matches(&k) && !visit(k) {
-                        return;
-                    }
+    impl Walked {
+        pub(crate) fn new(g: &Graph) -> Walked {
+            let mut edb = Walked {
+                root: g.root().index() as u32,
+                labels: Vec::new(),
+                keys: Vec::new(),
+            };
+            for n in g.reachable() {
+                for e in g.edges(n) {
+                    let p = edb.label_id(&e.label).unwrap_or_else(|| {
+                        edb.labels.push(e.label.clone());
+                        edb.labels.len() as u32 - 1
+                    });
+                    edb.keys.push([n.index() as u32, p, e.to.index() as u32]);
                 }
             }
-            None => {
-                for k in &self.keys {
-                    if !visit(*k) {
-                        return;
-                    }
+            edb
+        }
+    }
+
+    impl Edb for Walked {
+        fn root(&self) -> u32 {
+            self.root
+        }
+
+        fn max_node(&self) -> u32 {
+            self.nodes().last().copied().unwrap_or(self.root)
+        }
+
+        fn label_count(&self) -> usize {
+            self.labels.len()
+        }
+
+        fn label_id(&self, label: &Label) -> Option<u32> {
+            self.labels
+                .iter()
+                .position(|l| l == label)
+                .map(|i| i as u32)
+        }
+
+        fn label(&self, id: u32) -> Option<&Label> {
+            self.labels.get(id as usize)
+        }
+
+        fn scan(
+            &self,
+            s: Option<u32>,
+            p: Option<u32>,
+            o: Option<u32>,
+            visit: &mut dyn FnMut(Key) -> bool,
+        ) {
+            let hit = |k: &&Key| {
+                [s, p, o]
+                    .iter()
+                    .zip(*k)
+                    .all(|(want, v)| want.is_none_or(|w| w == *v))
+            };
+            for &k in self.keys.iter().filter(hit) {
+                if !visit(k) {
+                    return;
                 }
             }
         }
-    }
 
-    fn nodes(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self.keys.iter().flat_map(|k| [k[0], k[2]]).collect();
-        out.push(self.root());
-        out.sort_unstable();
-        out.dedup();
-        out
+        fn nodes(&self) -> Vec<u32> {
+            let mut out: Vec<u32> = self.keys.iter().flat_map(|k| [k[0], k[2]]).collect();
+            out.push(self.root);
+            out.sort_unstable();
+            out.dedup();
+            out
+        }
     }
 }

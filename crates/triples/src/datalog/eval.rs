@@ -3,11 +3,8 @@
 //!
 //! The EDB — `edge(Src, Label, Dst)`, `root(R)` and `node(N)` (every node
 //! occurring in a triple or as root) — is never copied: rule bodies read
-//! it through an [`Edb`], asking for the triples that match whatever
-//! arguments are already resolved. A `Database` snapshot passes its
-//! columnar triple index; [`evaluate`] and friends wrap a [`TripleStore`]
-//! in a [`StoreEdb`], which is what finally reads that store's hash
-//! indexes. One `run` / `eval_rule` serves both.
+//! it through an [`Edb`] — a snapshot's triple index — asking for the
+//! triples that match whatever arguments are already resolved.
 //!
 //! Everything inside the fixpoint is a `u32`: a node is its index, a
 //! label is its EDB id with the top bit set, and a constant the EDB does
@@ -24,10 +21,9 @@
 //! implicitly relies on being large.
 
 use super::ast::{is_builtin, Atom, Literal, Program, Rule, Term, EDB_PREDICATES};
-use super::edb::{Edb, StoreEdb};
+use super::edb::Edb;
 use super::rel::Relation;
 use crate::algebra::Datum;
-use crate::store::TripleStore;
 use ssd_graph::{Label, NodeId};
 use ssd_guard::{Exhausted, Guard};
 use ssd_trace::{Phase, Tracer};
@@ -157,21 +153,15 @@ impl Evaluation {
     }
 }
 
-/// Evaluate `program` over the EDB of `store`, semi-naively.
-pub fn evaluate(program: &Program, store: &TripleStore) -> Result<Evaluation, DatalogError> {
-    evaluate_with(program, store, &Guard::unlimited())
+/// Evaluate `program` over `edb`, semi-naively.
+pub fn evaluate(program: &Program, edb: &dyn Edb) -> Result<Evaluation, DatalogError> {
+    evaluate_with(program, edb, &Guard::unlimited())
 }
 
 /// Evaluate naively (for the E6 comparison).
 // lint: allow(guard) — naive reference evaluator, kept only as the semi-naive oracle; production paths go through `evaluate_with`
-pub fn evaluate_naive(program: &Program, store: &TripleStore) -> Result<Evaluation, DatalogError> {
-    run(
-        program,
-        &StoreEdb::new(store),
-        Mode::Naive,
-        &Guard::unlimited(),
-        None,
-    )
+pub fn evaluate_naive(program: &Program, edb: &dyn Edb) -> Result<Evaluation, DatalogError> {
+    run(program, edb, Mode::Naive, &Guard::unlimited(), None)
 }
 
 /// Evaluate semi-naively under a resource [`Guard`]. Fuel is ticked per
@@ -182,28 +172,17 @@ pub fn evaluate_naive(program: &Program, store: &TripleStore) -> Result<Evaluati
 /// [`DatalogError::Exhausted`].
 pub fn evaluate_with(
     program: &Program,
-    store: &TripleStore,
+    edb: &dyn Edb,
     guard: &Guard,
 ) -> Result<Evaluation, DatalogError> {
-    evaluate_on(program, &StoreEdb::new(store), guard, None)
+    evaluate_traced(program, edb, guard, None)
 }
 
-/// As [`evaluate_with`], with structured tracing; see [`evaluate_on`].
+/// As [`evaluate_with`], with structured tracing: one [`Phase::Datalog`]
+/// span for the whole fixpoint, a child span per round (stratum, round
+/// number, delta size, rule evaluations, guard fuel/memory deltas), and a
+/// [`Phase::Guard`] instant when the guard stops evaluation.
 pub fn evaluate_traced(
-    program: &Program,
-    store: &TripleStore,
-    guard: &Guard,
-    tracer: Option<&Tracer>,
-) -> Result<Evaluation, DatalogError> {
-    evaluate_on(program, &StoreEdb::new(store), guard, tracer)
-}
-
-/// Evaluate semi-naively over any [`Edb`] — what a `Database` snapshot
-/// calls with its triple index. Tracing: one [`Phase::Datalog`] span for
-/// the whole fixpoint (naming the EDB), a child span per round (stratum,
-/// round number, delta size, rule evaluations, guard fuel/memory deltas),
-/// and a [`Phase::Guard`] instant when the guard stops evaluation.
-pub fn evaluate_on(
     program: &Program,
     edb: &dyn Edb,
     guard: &Guard,
@@ -602,7 +581,6 @@ fn run(
     tracer: Option<&Tracer>,
 ) -> Result<Evaluation, DatalogError> {
     let mut dsp = ssd_trace::span(tracer, Phase::Datalog, "datalog", Some(guard));
-    dsp.field("edb", edb.name());
     let exh = DatalogError::Exhausted;
     let strata = admit(program)?;
     let mut terms = Terms::new(edb, program)?;
@@ -981,6 +959,7 @@ fn unify(args: &[Arg], tuple: &[u32], slots: &mut [u32]) -> bool {
 mod tests {
     use super::*;
     use crate::datalog::ast::parse_program;
+    use crate::datalog::edb::walked::Walked;
     use ssd_graph::literal::parse_graph;
     use ssd_graph::Graph;
 
@@ -1008,8 +987,8 @@ mod tests {
     #[test]
     fn transitive_closure_on_chain() {
         let g = chain(5);
-        let store = TripleStore::from_graph(&g);
-        let eval = evaluate(&tc_program(&g), &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&tc_program(&g), &edb).unwrap();
         // n*(n+1)/2 pairs for a 5-edge chain: 15.
         assert_eq!(eval.count("path"), 15);
     }
@@ -1017,10 +996,10 @@ mod tests {
     #[test]
     fn naive_and_semi_naive_agree() {
         let g = parse_graph("{a: @x = {f: {g: @x}}, b: {f: {h: 1}}}").unwrap();
-        let store = TripleStore::from_graph(&g);
+        let edb = Walked::new(&g);
         let p = tc_program(&g);
-        let semi = evaluate(&p, &store).unwrap();
-        let naive = evaluate_naive(&p, &store).unwrap();
+        let semi = evaluate(&p, &edb).unwrap();
+        let naive = evaluate_naive(&p, &edb).unwrap();
         assert!(semi.tuples("path").eq(naive.tuples("path")));
         assert!(semi.count("path") > 0);
     }
@@ -1028,10 +1007,10 @@ mod tests {
     #[test]
     fn semi_naive_does_less_work_on_long_chains() {
         let g = chain(30);
-        let store = TripleStore::from_graph(&g);
+        let edb = Walked::new(&g);
         let p = tc_program(&g);
-        let semi = evaluate(&p, &store).unwrap();
-        let naive = evaluate_naive(&p, &store).unwrap();
+        let semi = evaluate(&p, &edb).unwrap();
+        let naive = evaluate_naive(&p, &edb).unwrap();
         assert_eq!(semi.count("path"), naive.count("path"));
         // Work measure: naive re-derives everything each round.
         // Count derived-tuple work via rule_evaluations * average relation
@@ -1043,8 +1022,8 @@ mod tests {
     #[test]
     fn cycle_reachability_terminates() {
         let g = parse_graph("@x = {next: @x}").unwrap();
-        let store = TripleStore::from_graph(&g);
-        let eval = evaluate(&tc_program(&g), &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&tc_program(&g), &edb).unwrap();
         assert_eq!(eval.count("path"), 1); // (root, root)
     }
 
@@ -1052,8 +1031,8 @@ mod tests {
     fn label_constants_filter_edges() {
         let g = parse_graph("{a: {x: 1}, b: {x: 2}}").unwrap();
         let p = parse_program("hit(Y) :- edge(_X, a, Y).", g.symbols()).unwrap();
-        let store = TripleStore::from_graph(&g);
-        let eval = evaluate(&p, &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&p, &edb).unwrap();
         assert_eq!(eval.count("hit"), 1);
     }
 
@@ -1068,13 +1047,13 @@ mod tests {
             g.symbols(),
         )
         .unwrap();
-        let store = TripleStore::from_graph(&g);
-        let eval = evaluate(&p, &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&p, &edb).unwrap();
         // Reachable via a-edges: root, its a-child, grandchild = 3 nodes.
         assert_eq!(eval.count("reach"), 3);
         assert_eq!(
             eval.count("unreached") + eval.count("reach"),
-            StoreEdb::new(&store).nodes().len()
+            edb.nodes().len()
         );
         assert!(eval.count("unreached") > 0);
     }
@@ -1088,9 +1067,9 @@ mod tests {
             g.symbols(),
         )
         .unwrap();
-        let store = TripleStore::from_graph(&g);
+        let edb = Walked::new(&g);
         assert!(matches!(
-            evaluate(&p, &store),
+            evaluate(&p, &edb),
             Err(DatalogError::NotStratifiable(_))
         ));
     }
@@ -1099,17 +1078,17 @@ mod tests {
     fn unsafe_program_rejected() {
         let g = Graph::new();
         let p = parse_program("q(X, Y) :- node(X).", g.symbols()).unwrap();
-        let store = TripleStore::from_graph(&g);
-        assert!(matches!(evaluate(&p, &store), Err(DatalogError::Unsafe(_))));
+        let edb = Walked::new(&g);
+        assert!(matches!(evaluate(&p, &edb), Err(DatalogError::Unsafe(_))));
     }
 
     #[test]
     fn arity_mismatch_rejected() {
         let g = chain(1);
         let p = parse_program("q(X) :- edge(X, _Y).", g.symbols()).unwrap();
-        let store = TripleStore::from_graph(&g);
+        let edb = Walked::new(&g);
         assert!(matches!(
-            evaluate(&p, &store),
+            evaluate(&p, &edb),
             Err(DatalogError::ArityMismatch { .. })
         ));
     }
@@ -1118,8 +1097,8 @@ mod tests {
     fn defining_an_edb_predicate_is_rejected() {
         let g = chain(1);
         let p = parse_program("edge(X, a, Y) :- edge(Y, a, X).", g.symbols()).unwrap();
-        let store = TripleStore::from_graph(&g);
-        assert!(matches!(evaluate(&p, &store), Err(DatalogError::Unsafe(_))));
+        let edb = Walked::new(&g);
+        assert!(matches!(evaluate(&p, &edb), Err(DatalogError::Unsafe(_))));
     }
 
     #[test]
@@ -1138,8 +1117,8 @@ mod tests {
             g.symbols(),
         )
         .unwrap();
-        let store = TripleStore::from_graph(&g);
-        let eval = evaluate(&p, &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&p, &edb).unwrap();
         assert_eq!(eval.count("confused"), 0);
         assert_eq!(eval.count("absent"), 0);
         assert_eq!(eval.count("carried"), 2);
@@ -1175,8 +1154,8 @@ mod tests {
             g.symbols(),
         )
         .unwrap();
-        let store = TripleStore::from_graph(&g);
-        let eval = evaluate(&p, &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&p, &edb).unwrap();
         assert_eq!(eval.count("knows"), 3);
     }
 
@@ -1191,8 +1170,8 @@ mod tests {
             g.symbols(),
         )
         .unwrap();
-        let store = TripleStore::from_graph(&g);
-        let eval = evaluate(&p, &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&p, &edb).unwrap();
         // Generations: 1 root, 2 mid, 4 leaves → 1 + 4 + 16 = 21 pairs.
         assert_eq!(eval.count("sg"), 21);
     }
@@ -1201,8 +1180,8 @@ mod tests {
     fn idb_predicates_present_even_when_empty() {
         let g = Graph::new();
         let p = parse_program("q(X) :- edge(X, _L, _Y).", g.symbols()).unwrap();
-        let store = TripleStore::from_graph(&g);
-        let eval = evaluate(&p, &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&p, &edb).unwrap();
         assert_eq!(eval.count("q"), 0);
         assert!(eval.predicates().any(|p| p == "q"));
     }
@@ -1212,6 +1191,7 @@ mod tests {
 mod builtin_tests {
     use super::*;
     use crate::datalog::ast::parse_program;
+    use crate::datalog::edb::walked::Walked;
     use ssd_graph::literal::parse_graph;
 
     #[test]
@@ -1222,8 +1202,8 @@ mod builtin_tests {
             g.symbols(),
         )
         .unwrap();
-        let store = crate::store::TripleStore::from_graph(&g);
-        let eval = evaluate(&p, &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&p, &edb).unwrap();
         assert_eq!(eval.count("old"), 1);
     }
 
@@ -1236,8 +1216,8 @@ mod builtin_tests {
             g.symbols(),
         )
         .unwrap();
-        let store = crate::store::TripleStore::from_graph(&g);
-        let eval = evaluate(&p, &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&p, &edb).unwrap();
         assert_eq!(eval.count("pair"), 2); // (a,b) and (b,a)
     }
 
@@ -1245,8 +1225,8 @@ mod builtin_tests {
     fn ge_with_mixed_numeric_kinds() {
         let g = parse_graph("{x: 2, y: 2.5}").unwrap();
         let p = parse_program("big(V) :- edge(_N, V, _L), ge(V, 2.5).", g.symbols()).unwrap();
-        let store = crate::store::TripleStore::from_graph(&g);
-        let eval = evaluate(&p, &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&p, &edb).unwrap();
         assert_eq!(eval.count("big"), 1);
     }
 
@@ -1254,24 +1234,24 @@ mod builtin_tests {
     fn unbound_builtin_var_rejected() {
         let g = parse_graph("{}").unwrap();
         let p = parse_program("q(X) :- node(X), lt(Y, 5).", g.symbols()).unwrap();
-        let store = crate::store::TripleStore::from_graph(&g);
-        assert!(matches!(evaluate(&p, &store), Err(DatalogError::Unsafe(_))));
+        let edb = Walked::new(&g);
+        assert!(matches!(evaluate(&p, &edb), Err(DatalogError::Unsafe(_))));
     }
 
     #[test]
     fn builtin_head_rejected() {
         let g = parse_graph("{}").unwrap();
         let p = parse_program("lt(X, X) :- node(X).", g.symbols()).unwrap();
-        let store = crate::store::TripleStore::from_graph(&g);
-        assert!(matches!(evaluate(&p, &store), Err(DatalogError::Unsafe(_))));
+        let edb = Walked::new(&g);
+        assert!(matches!(evaluate(&p, &edb), Err(DatalogError::Unsafe(_))));
     }
 
     #[test]
     fn builtin_wrong_arity_rejected() {
         let g = parse_graph("{}").unwrap();
         let p = parse_program("q(X) :- node(X), lt(X).", g.symbols()).unwrap();
-        let store = crate::store::TripleStore::from_graph(&g);
-        assert!(matches!(evaluate(&p, &store), Err(DatalogError::Unsafe(_))));
+        let edb = Walked::new(&g);
+        assert!(matches!(evaluate(&p, &edb), Err(DatalogError::Unsafe(_))));
     }
 
     #[test]
@@ -1284,8 +1264,8 @@ mod builtin_tests {
             g.symbols(),
         )
         .unwrap();
-        let store = crate::store::TripleStore::from_graph(&g);
-        let eval = evaluate(&p, &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&p, &edb).unwrap();
         assert_eq!(eval.count("small"), 1);
     }
 
@@ -1300,8 +1280,8 @@ mod builtin_tests {
             g.symbols(),
         )
         .unwrap();
-        let store = crate::store::TripleStore::from_graph(&g);
-        let eval = evaluate(&p, &store).unwrap();
+        let edb = Walked::new(&g);
+        let eval = evaluate(&p, &edb).unwrap();
         assert_eq!(eval.count("r"), 3); // root, after 1, after 2 (not past 3)
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! * [`ast`] — rules, atoms, terms, plus a Prolog-ish text syntax.
 //! * [`edb`] — how rule bodies read `edge(Src, Label, Dst)`, `node(N)`
-//!   and `root(R)`: one access interface, answered by a snapshot's triple
-//!   index or by a [`crate::TripleStore`], never a per-query copy.
+//!   and `root(R)`: one access interface, answered in place by a
+//!   snapshot's triple index, never a per-query copy.
 //! * [`eval`] — stratified evaluation over encoded tuples, both naive
 //!   and semi-naive (the semi-naive/naive gap is experiment E6).
 
@@ -20,8 +20,8 @@ pub use ast::{
     is_builtin, parse_program, parse_program_spanned, Atom, Literal, Program, ProgramSpans, Rule,
     RuleSpans, Term, EDB_PREDICATES,
 };
-pub use edb::{Edb, Key, StoreEdb};
+pub use edb::{Edb, Key};
 pub use eval::{
-    access_paths, check_arities, evaluate, evaluate_naive, evaluate_on, evaluate_traced,
-    evaluate_with, stratify, DatalogError, Evaluation, FP_DATALOG_ROUND,
+    access_paths, check_arities, evaluate, evaluate_naive, evaluate_traced, evaluate_with,
+    stratify, DatalogError, Evaluation, FP_DATALOG_ROUND,
 };

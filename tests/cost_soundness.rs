@@ -13,10 +13,8 @@ use semistructured::query::analyze::{analyze_datalog_cost, analyze_query_cost, C
 use semistructured::query::lang::ast::{Binding, Construct, SelectQuery, Source};
 use semistructured::query::lang::{evaluate_select, EvalOptions, EvalStats};
 use semistructured::query::{evaluate_batched, Rpe, Step};
-use semistructured::triples::datalog::{evaluate_with, parse_program};
-use semistructured::{
-    AccessDecision, Bound, Budget, DataStats, Database, Graph, Guard, Label, TripleStore,
-};
+use semistructured::triples::datalog::parse_program;
+use semistructured::{AccessDecision, Bound, Budget, DataStats, Database, Graph, Guard, Label};
 use ssd_data::movies::{movie_database, MovieDbConfig};
 
 const LABELS: &[&str] = &["a", "b", "c", "Movie", "Title"];
@@ -276,28 +274,13 @@ proptest! {
         let p = parse_program(PROGRAMS[which], g.symbols()).unwrap();
         let stats = DataStats::collect(&g);
         let a = analyze_datalog_cost(&p, None, None, &CostContext::with_stats(&stats));
-        let store = TripleStore::from_graph(&g);
+        let db = Database::new(g);
         let guard = huge_active_guard();
-        let eval = evaluate_with(&p, &store, &guard).map_err(|e| {
+        let eval = db.datalog_with(PROGRAMS[which], &guard).map_err(|e| {
             TestCaseError::Fail(format!("evaluation failed: {e}"))
         })?;
         prop_assert!(eval.truncated.is_none(), "huge budget must not truncate");
         assert_brackets("datalog", &a.envelope, guard.steps_used(), guard.memory_used())?;
-        // The same program on the snapshot's triple index: one envelope,
-        // identical fuel and memory — both EDBs offer exactly the
-        // matching triples.
-        let db = Database::new(g);
-        prop_assert!(db.triple_index().is_some());
-        let on_index = huge_active_guard();
-        let indexed = db.datalog_with(PROGRAMS[which], &on_index).map_err(|e| {
-            TestCaseError::Fail(format!("indexed evaluation failed: {e}"))
-        })?;
-        prop_assert!(indexed.truncated.is_none());
-        prop_assert_eq!(on_index.steps_used(), guard.steps_used(), "fuel differs by EDB");
-        prop_assert_eq!(on_index.memory_used(), guard.memory_used(), "memory differs by EDB");
-        for pred in eval.predicates() {
-            prop_assert!(eval.tuples(pred).eq(indexed.tuples(pred)), "{} differs by EDB", pred);
-        }
     }
 
     #[test]

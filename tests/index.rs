@@ -13,20 +13,24 @@
 //! * on the E3/E5/E10 stand-ins it spends less guard fuel than the
 //!   interpreter, at least 4× less on a σ over a rare value label;
 //! * unbatchable shapes fall back (SSD050) without building an index;
-//! * datalog derives the same tuples whether its EDB is the triple index
-//!   or a shredded `TripleStore`, semi-naively or naively — also after
-//!   id-stable commits, with the index carried by `merge_delta` or
-//!   rebuilt.
+//! * datalog derives the same tuples, for the same guard fuel and
+//!   memory, whether its EDB is the triple index or a reference EDB built
+//!   by walking the graph, and naively — also after id-stable commits,
+//!   with the index carried by `merge_delta` or rebuilt;
+//! * the decoded SPO run is the reachable edge set of a direct graph
+//!   walk.
 
 use proptest::prelude::*;
+use semistructured::triples::datalog::{Edb, Key};
 use semistructured::{
-    AccessDecision, Budget, Database, EvalOptions, Graph, Label, TripleIndex, Value,
+    AccessDecision, Budget, Database, EvalOptions, Graph, Guard, Label, TripleIndex, Value,
 };
 use ssd_data::movies::{movie_database, MovieDbConfig};
 use ssd_graph::bisim::graphs_bisimilar;
 use ssd_graph::ops::extract_subgraph;
 use ssd_index::run::SortedRun;
-use ssd_index::{Dictionary, Key};
+use ssd_index::Dictionary;
+use std::collections::BTreeSet;
 
 fn movies(n: usize) -> Database {
     let entries: Vec<String> = (0..n)
@@ -133,20 +137,99 @@ const DATALOG_PROGRAMS: &[&str] = &[
      sg(X, Y) :- edge(P, _L1, X), edge(Q, _L2, Y), sg(P, Q).",
 ];
 
+/// The reference EDB the index is checked against: the reachable edges
+/// of a direct graph walk in a `Vec`, labels numbered in first-arrival
+/// order, every lookup a filter over the whole `Vec`. It shares no code
+/// with the index.
+struct WalkedEdb {
+    root: u32,
+    labels: Vec<Label>,
+    keys: Vec<Key>,
+}
+
+impl WalkedEdb {
+    fn new(g: &Graph) -> WalkedEdb {
+        let mut edb = WalkedEdb {
+            root: g.root().index() as u32,
+            labels: Vec::new(),
+            keys: Vec::new(),
+        };
+        for n in g.reachable() {
+            for e in g.edges(n) {
+                let p = edb.label_id(&e.label).unwrap_or_else(|| {
+                    edb.labels.push(e.label.clone());
+                    edb.labels.len() as u32 - 1
+                });
+                edb.keys.push([n.index() as u32, p, e.to.index() as u32]);
+            }
+        }
+        edb
+    }
+}
+
+impl Edb for WalkedEdb {
+    fn root(&self) -> u32 {
+        self.root
+    }
+    fn max_node(&self) -> u32 {
+        self.nodes().last().copied().unwrap_or(self.root)
+    }
+    fn label_count(&self) -> usize {
+        self.labels.len()
+    }
+    fn label_id(&self, label: &Label) -> Option<u32> {
+        self.labels
+            .iter()
+            .position(|l| l == label)
+            .map(|i| i as u32)
+    }
+    fn label(&self, id: u32) -> Option<&Label> {
+        self.labels.get(id as usize)
+    }
+    fn scan(
+        &self,
+        s: Option<u32>,
+        p: Option<u32>,
+        o: Option<u32>,
+        visit: &mut dyn FnMut(Key) -> bool,
+    ) {
+        let hit = |k: &&Key| {
+            [s, p, o]
+                .iter()
+                .zip(k.iter())
+                .all(|(want, v)| want.is_none_or(|w| w == *v))
+        };
+        for &k in self.keys.iter().filter(hit) {
+            if !visit(k) {
+                return;
+            }
+        }
+    }
+    fn nodes(&self) -> Vec<u32> {
+        let mut out: Vec<u32> = self.keys.iter().flat_map(|k| [k[0], k[2]]).collect();
+        out.push(self.root);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+}
+
 /// `program` derives the same tuples, predicate by predicate, on `db`'s
-/// triple index, on a shredded store (semi-naive) and naively.
+/// triple index (semi-naive), on the reference EDB (semi-naive) and
+/// naively on the index; the two semi-naive runs spend the same guard
+/// fuel and memory, since both EDBs offer exactly the matching triples.
 fn assert_datalog_agrees(db: &Database, program: &str) -> Result<(), TestCaseError> {
-    use semistructured::triples::datalog::{evaluate, evaluate_naive, parse_program};
+    use semistructured::triples::datalog::{evaluate_naive, evaluate_with, parse_program};
     prop_assert!(db.triple_index().is_some());
     let parsed = parse_program(program, db.graph().symbols()).unwrap();
-    let store = db.triples();
-    let indexed = db.datalog(program).unwrap();
-    let semi = evaluate(&parsed, &store).unwrap();
-    let naive = evaluate_naive(&parsed, &store).unwrap();
-    prop_assert!(indexed.predicates().eq(semi.predicates()));
+    let (on_index, on_walk) = (huge_active_guard(), huge_active_guard());
+    let indexed = db.datalog_with(program, &on_index).unwrap();
+    let walked = evaluate_with(&parsed, &WalkedEdb::new(db.graph()), &on_walk).unwrap();
+    let naive = evaluate_naive(&parsed, &db.triples()).unwrap();
+    prop_assert!(indexed.predicates().eq(walked.predicates()));
     prop_assert!(indexed.predicates().eq(naive.predicates()));
     for pred in indexed.predicates() {
-        let want: Vec<_> = naive.tuples(pred).collect();
+        let want: Vec<_> = walked.tuples(pred).collect();
         prop_assert_eq!(indexed.count(pred), want.len(), "{}: count", pred);
         prop_assert!(
             indexed.tuples(pred).eq(want.iter().cloned()),
@@ -154,12 +237,31 @@ fn assert_datalog_agrees(db: &Database, program: &str) -> Result<(), TestCaseErr
             pred
         );
         prop_assert!(
-            semi.tuples(pred).eq(want.iter().cloned()),
-            "{}: store EDB",
+            naive.tuples(pred).eq(want.iter().cloned()),
+            "{}: naive",
             pred
         );
     }
+    prop_assert_eq!(
+        on_index.steps_used(),
+        on_walk.steps_used(),
+        "fuel differs by EDB"
+    );
+    prop_assert_eq!(
+        on_index.memory_used(),
+        on_walk.memory_used(),
+        "memory differs by EDB"
+    );
     Ok(())
+}
+
+/// An active guard with limits no generated program can reach: every
+/// tick and allocation is counted, nothing trips.
+fn huge_active_guard() -> Guard {
+    Budget::unlimited()
+        .max_steps(u64::MAX / 4)
+        .max_memory_bytes(u64::MAX / 4)
+        .guard()
 }
 
 fn arb_label() -> impl Strategy<Value = Label> {
@@ -296,8 +398,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Datalog over the index, over the store, and naive agree on every
-    /// derived predicate of every program in the pool.
+    /// Datalog over the index, over the reference EDB, and naive agree on
+    /// every derived predicate of every program in the pool.
     #[test]
     fn datalog_agrees_across_edbs_and_modes(g in arb_datalog_graph()) {
         let db = Database::new(g);
@@ -330,28 +432,30 @@ proptest! {
     }
 }
 
-/// The index and the relational shredder describe the same edge
-/// relation: decoding the SPO run reproduces `TripleStore::spo_sorted`.
+/// The index is the §3 edge relation: the decoded SPO run is the
+/// reachable edge set of a direct graph walk, and nothing else.
 #[test]
 fn index_agrees_with_the_triple_shredder() {
     let db = movies(25);
     let index = TripleIndex::build(db.graph()).unwrap();
-    let store = semistructured::TripleStore::from_graph(db.graph());
-    let from_index: Vec<(usize, String, usize)> = {
-        let mut v: Vec<_> = index
-            .decoded()
-            .into_iter()
-            .map(|(s, l, o)| (s as usize, format!("{l:?}"), o as usize))
-            .collect();
-        v.sort();
-        v
-    };
-    let from_store: Vec<(usize, String, usize)> = store
-        .spo_sorted()
+    let g = db.graph();
+    let text = |l: &Label| format!("{l:?}");
+    let from_index: BTreeSet<(usize, String, usize)> = index
+        .decoded()
         .into_iter()
-        .map(|(s, l, o)| (s.index(), format!("{l:?}"), o.index()))
+        .map(|(s, l, o)| (s as usize, text(&l), o as usize))
         .collect();
-    assert_eq!(from_index, from_store);
+    let walked: BTreeSet<(usize, String, usize)> = g
+        .reachable()
+        .into_iter()
+        .flat_map(|n| {
+            g.edges(n)
+                .iter()
+                .map(move |e| (n.index(), text(&e.label), e.to.index()))
+        })
+        .collect();
+    assert_eq!(index.len(), from_index.len());
+    assert_eq!(from_index, walked);
 }
 
 /// SSD051: a dictionary with an artificially small id space reports the

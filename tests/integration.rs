@@ -1,6 +1,6 @@
 //! Cross-crate integration tests driving the whole stack through the
 //! `semistructured` facade: data generators → model → query language →
-//! triple store/datalog → schemas/DataGuides, with results cross-checked
+//! triple index/datalog → schemas/DataGuides, with results cross-checked
 //! between independent implementations.
 
 use semistructured::graph::bisim::graphs_bisimilar;
@@ -85,15 +85,15 @@ fn datalog_reach_equals_graph_reachability() {
 
 #[test]
 fn triple_store_algebra_agrees_with_traversal() {
-    // Count Movie edges: via label index, via relational algebra over the
-    // edge relation, via the query language.
+    // Count Movie edges: via the index's POS range, via relational
+    // algebra over the edge relation, via the query language.
     let db = Database::new(movie_database(&MovieDbConfig::sized(40)));
-    let store = db.triples();
+    let index = db.triple_index().unwrap();
     let movie = semistructured::Label::symbol(db.graph().symbols(), "Movie");
 
-    let via_index = store.with_label(&movie).len();
+    let via_index = index.by_label(index.label_id(&movie).unwrap()).len();
 
-    let rel = semistructured::triples::Relation::edge_relation(&store);
+    let rel = semistructured::triples::Relation::edge_relation(&db.triples());
     let via_algebra = rel
         .select_eq("label", &Datum::Label(movie.clone()))
         .unwrap()

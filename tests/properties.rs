@@ -15,7 +15,7 @@ use semistructured::query::decompose::{eval_decomposed_nfa, Partition};
 use semistructured::query::recursion::{gext, EdgeTemplate, Transducer};
 use semistructured::query::rpe::eval::eval_nfa;
 use semistructured::query::{Nfa, Rpe, Step};
-use semistructured::{Graph, Label, NodeId, Pred, Value};
+use semistructured::{Database, Graph, Label, NodeId, Pred, Value};
 use ssd_schema::DataGuide;
 
 // ---------- generators -----------------------------------------------------
@@ -265,18 +265,30 @@ proptest! {
 
     #[test]
     fn datalog_tc_equals_bfs_closure(g in arb_graph()) {
-        use semistructured::triples::datalog::{evaluate, evaluate_naive, parse_program};
-        use semistructured::triples::{paths, Datum, TripleStore};
-        let store = TripleStore::from_graph(&g);
-        let program = parse_program(
-            "path(X, Y) :- edge(X, _L, Y).\n\
-             path(X, Y) :- edge(X, _L, Z), path(Z, Y).",
-            g.symbols(),
-        ).unwrap();
-        let semi = evaluate(&program, &store).unwrap();
-        let naive = evaluate_naive(&program, &store).unwrap();
+        use semistructured::triples::datalog::{evaluate_naive, parse_program};
+        use semistructured::triples::Datum;
+        let program = "path(X, Y) :- edge(X, _L, Y).\n\
+                       path(X, Y) :- edge(X, _L, Z), path(Z, Y).";
+        let db = Database::new(g.clone());
+        let semi = db.datalog(program).unwrap();
+        let parsed = parse_program(program, g.symbols()).unwrap();
+        let naive = evaluate_naive(&parsed, &db.triples()).unwrap();
         prop_assert!(semi.tuples("path").eq(naive.tuples("path")));
-        let direct = paths::transitive_closure(&store);
+        // One BFS over `Graph::edges` per reachable node: (x, y) for every
+        // y a nonempty path from x reaches.
+        let mut direct = std::collections::BTreeSet::new();
+        for x in g.reachable() {
+            let mut queue = std::collections::VecDeque::from([x]);
+            let mut seen = std::collections::HashSet::new();
+            while let Some(n) = queue.pop_front() {
+                for e in g.edges(n) {
+                    if seen.insert(e.to) {
+                        direct.insert((x, e.to));
+                        queue.push_back(e.to);
+                    }
+                }
+            }
+        }
         let from_datalog: std::collections::BTreeSet<(NodeId, NodeId)> = semi
             .tuples("path")
             .map(|t| match (&t[0], &t[1]) {
@@ -476,8 +488,6 @@ proptest! {
         vals in proptest::collection::vec(-20i64..20, 1..10),
         threshold in -20i64..20,
     ) {
-        use semistructured::triples::datalog::{evaluate, parse_program};
-        use semistructured::triples::TripleStore;
         let mut g = Graph::new();
         for v in &vals {
             let mid = g.add_node();
@@ -485,12 +495,9 @@ proptest! {
             g.add_sym_edge(root, "n", mid);
             g.add_value_edge(mid, *v);
         }
-        let store = TripleStore::from_graph(&g);
-        let program = parse_program(
-            &format!("big(V) :- edge(_N, V, _L), gt(V, {threshold})."),
-            g.symbols(),
-        ).unwrap();
-        let eval = evaluate(&program, &store).unwrap();
+        let eval = Database::new(g)
+            .datalog(&format!("big(V) :- edge(_N, V, _L), gt(V, {threshold})."))
+            .unwrap();
         let expected: std::collections::BTreeSet<i64> =
             vals.iter().copied().filter(|v| *v > threshold).collect();
         prop_assert_eq!(eval.count("big"), expected.len());
