@@ -116,7 +116,9 @@ a_out=$(mktemp); b_out=$(mktemp); c_out=$(mktemp)
 # A's per-job ceiling keeps its first job from taking the whole session
 # balance as its grant: without it, the DATALOG pipelined behind is
 # refused (SSD200) unless the QUERY has already finished and refunded.
-printf 'HELLO fuel=1000000 job-fuel=100000\nQUERY select T from db.Entry.%%.Title T\nQUERYOPT select T from db.Entry.%%.Title T\nDATALOG %s\nSTATS\n' "$reach_prog" \
+# The unbound-variable QUERY and the two-binding RPE are refused at
+# submit (`ERR`), so only the first QUERY and the DATALOG get a job.
+printf 'HELLO fuel=1000000 job-fuel=100000\nQUERY select T from db.Entry.%%.Title T\nQUERY select X from db.Entry.Movie Y\nRPE Entry.Movie M, M.Title\nQUERYOPT select T from db.Entry.%%.Title T\nDATALOG %s\nSTATS\n' "$reach_prog" \
     | timeout 60 ./target/release/ssd client "$port" > "$a_out" &
 a_pid=$!
 printf 'HELLO job-fuel=1\nQUERY select T from db.Entry.%%.Title T\n' \
@@ -135,6 +137,7 @@ grep -q " DONE " "$a_out"              # job settled
 grep -q "admitted" "$a_out"            # STATS block present
 grep -q "ERR error\[SSD210\]" "$a_out" # the retired plan-choosing verb is unknown
 grep -qxF "$reach_cli" "$a_out"        # DATALOG over the wire = `ssd datalog`
+[ "$(grep -c '^OK job=' "$a_out")" -eq 2 ] # statically refused jobs are never scheduled
 grep -q "SSD030" "$b_out"              # over-ceiling job rejected statically
 grep -q "queued" "$c_out"              # concurrency cap 1 forces queueing
 grep -q " DONE " "$c_out"              # ...and the queue drains

@@ -19,7 +19,7 @@ use semistructured::query::rpe::eval::{eval_nfa, eval_nfa_with_stats};
 use semistructured::query::{browse, evaluate_select, optimizer, parse_query, restructure};
 use semistructured::query::{Nfa, Rpe, Step};
 use semistructured::triples::datalog::{evaluate, evaluate_naive, parse_program};
-use semistructured::{DataGuide, Database, EvalOptions, Graph, Pred, Value};
+use semistructured::{DataGuide, Database, EvalOptions, Graph, Guard, Pred, Value};
 use ssd_data::movies::{figure1, movie_database, MovieDbConfig};
 use ssd_data::webgraph::{clustered_graph, web_graph, WebGraphConfig};
 use std::time::Instant;
@@ -171,7 +171,8 @@ fn e04() {
         let g = movies(size);
         for (name, rpe) in &queries {
             let nfa = Nfa::compile(rpe);
-            let (matches, pairs) = eval_nfa_with_stats(&g, g.root(), &nfa);
+            let (matches, pairs) =
+                eval_nfa_with_stats(&g, g.root(), &nfa, &Guard::unlimited()).unwrap_or_default();
             let t = time_us(9, || eval_nfa(&g, g.root(), &nfa));
             println!(
                 "{size:>8} {name:>38} {:>10} {pairs:>10} {t:>12.1}",

@@ -41,7 +41,7 @@ pub use ssd_query::{AccessPlan, EvalOptions, Rpe, SelectQuery};
 pub use ssd_schema::{DataGuide, DataStats, Pred, Schema};
 
 use ssd_graph::index::GraphIndex;
-use ssd_triples::datalog::{Edb, Key};
+use ssd_triples::datalog::{Edb, Key, Program, ProgramSpans};
 use std::sync::OnceLock;
 
 /// A semistructured database: a rooted data graph plus lazily constructed
@@ -222,22 +222,32 @@ impl Database {
         }
     }
 
-    /// Evaluate a parsed query through whichever access path
-    /// [`Database::select_access`] picks. Fallbacks emit the SSD050 note
+    /// Evaluate a parsed, validated query through whichever access path
+    /// [`Database::select_access`] picks. The interpreter always runs
+    /// with condition pushdown and RPE simplification — the rewrites
+    /// that need no auxiliary structure. Fallbacks emit the SSD050 note
     /// as a `Phase::Index` trace instant when a tracer is attached.
     fn evaluate(
         &self,
         query: &SelectQuery,
-        opts: &EvalOptions<'_>,
-    ) -> Result<(Graph, ssd_query::EvalStats), String> {
-        match self.plan_select(query) {
+        guard: &Guard,
+        tracer: Option<&trace::Tracer>,
+    ) -> Result<QueryResult, String> {
+        let opts = EvalOptions {
+            pushdown: true,
+            simplify_rpe: true,
+            guide: None,
+            guard: Some(guard),
+            tracer,
+        };
+        let (graph, stats) = match self.plan_select(query) {
             Ok((index, plan)) => {
-                ssd_query::evaluate_batched(&self.graph, index, query, &plan, opts)
+                ssd_query::evaluate_batched(&self.graph, index, query, &plan, &opts)
             }
             Err(reason) => {
                 let note = ssd_query::batch::fallback_note(&reason);
                 trace::instant(
-                    opts.tracer,
+                    tracer,
                     trace::Phase::Index,
                     "fallback",
                     vec![
@@ -245,9 +255,10 @@ impl Database {
                         ("reason", reason.as_str().into()),
                     ],
                 );
-                ssd_query::evaluate_select(&self.graph, query, opts)
+                ssd_query::evaluate_select(&self.graph, query, &opts)
             }
-        }
+        }?;
+        Ok(QueryResult { graph, stats })
     }
 
     /// The strong DataGuide (built on first use).
@@ -263,7 +274,7 @@ impl Database {
 
     /// Parse and evaluate a select-from-where query.
     pub fn query(&self, text: &str) -> Result<QueryResult, String> {
-        self.run_select(text, &Guard::unlimited(), None)
+        self.query_with(text, &Guard::unlimited())
     }
 
     /// Parse and evaluate under a resource [`Guard`] (budget-governed:
@@ -271,7 +282,16 @@ impl Database {
     /// In partial mode exhaustion yields a truncated-but-well-formed
     /// result with `stats().truncated` set; otherwise an SSD1xx headline.
     pub fn query_with(&self, text: &str, guard: &Guard) -> Result<QueryResult, String> {
-        self.run_select(text, guard, None)
+        let q = ssd_query::parse_query(text).map_err(|e| e.to_string())?;
+        self.select_with(&q, guard)
+    }
+
+    /// [`Database::query_with`] for a query already parsed and validated
+    /// (by [`ssd_query::parse_query`] or an equivalent check) — what a
+    /// server that parsed the query at admission runs. The plan is a
+    /// function of the query and this snapshot alone.
+    pub fn select_with(&self, query: &SelectQuery, guard: &Guard) -> Result<QueryResult, String> {
+        self.evaluate(query, guard, None)
     }
 
     /// As [`Database::query_with`], with full structured tracing: spans
@@ -293,46 +313,28 @@ impl Database {
         tracer: Option<&trace::Tracer>,
     ) -> Result<QueryResult, String> {
         let metered = Budget::metered().guard();
-        self.run_select(text, guard.unwrap_or(&metered), tracer)
-    }
-
-    /// The one select body behind [`Database::query`],
-    /// [`Database::query_with`] and [`Database::query_traced`]. The plan
-    /// is a function of the query and this snapshot alone: shape picks
-    /// the engine ([`Database::select_access`]), and the interpreter
-    /// always runs with condition pushdown and RPE simplification — the
-    /// rewrites that need no auxiliary structure. Estimation runs only
-    /// for the tracer's `cost.actual` instant.
-    fn run_select(
-        &self,
-        text: &str,
-        guard: &Guard,
-        tracer: Option<&trace::Tracer>,
-    ) -> Result<QueryResult, String> {
+        let guard = guard.unwrap_or(&metered);
         let q = {
             let _sp = trace::span(tracer, trace::Phase::Parse, "parse", Some(guard));
             ssd_query::parse_query(text).map_err(|e| e.to_string())?
         };
-        let estimate = tracer.and_then(|_| {
+        let estimate = tracer.map(|_| {
             let _sp = trace::span(tracer, trace::Phase::Estimate, "estimate", Some(guard));
-            self.estimate_query(text).ok()
+            self.select_cost(&q, None)
         });
-        let opts = EvalOptions {
-            pushdown: true,
-            simplify_rpe: true,
-            guide: None,
-            guard: Some(guard),
-            tracer,
-        };
-        let (graph, stats) = self.evaluate(&q, &opts)?;
+        let result = self.evaluate(&q, guard, tracer)?;
         if let Some(t) = tracer {
             t.instant(
                 trace::Phase::Estimate,
                 "cost.actual",
-                cost_actual_fields(estimate.as_ref(), guard, stats.results_constructed as u64),
+                cost_actual_fields(
+                    estimate.as_ref(),
+                    guard,
+                    result.stats.results_constructed as u64,
+                ),
             );
         }
-        Ok(QueryResult { graph, stats })
+        Ok(result)
     }
 
     /// Evaluate a regular path expression from the root.
@@ -357,7 +359,7 @@ impl Database {
 
     /// Run a graph-datalog program over the edge relation.
     pub fn datalog(&self, program: &str) -> Result<ssd_triples::datalog::Evaluation, String> {
-        self.run_datalog(program, &Guard::unlimited(), None)
+        self.datalog_with(program, &Guard::unlimited())
     }
 
     /// Run a graph-datalog program under a resource [`Guard`].
@@ -366,7 +368,20 @@ impl Database {
         program: &str,
         guard: &Guard,
     ) -> Result<ssd_triples::datalog::Evaluation, String> {
-        self.run_datalog(program, guard, None)
+        let p = ssd_triples::datalog::parse_program(program, self.graph.symbols())?;
+        self.program_with(&p, guard)
+    }
+
+    /// [`Database::datalog_with`] for a program already parsed against
+    /// this database's symbol table (which every generation of a store
+    /// shares). The EDB is [`Database::triples`].
+    pub fn program_with(
+        &self,
+        program: &Program,
+        guard: &Guard,
+    ) -> Result<ssd_triples::datalog::Evaluation, String> {
+        ssd_triples::datalog::evaluate_with(program, &self.triples(), guard)
+            .map_err(|e| e.to_string())
     }
 
     /// As [`Database::datalog_with`], with structured tracing: parse and
@@ -380,25 +395,14 @@ impl Database {
         tracer: Option<&trace::Tracer>,
     ) -> Result<ssd_triples::datalog::Evaluation, String> {
         let metered = Budget::metered().guard();
-        self.run_datalog(program, guard.unwrap_or(&metered), tracer)
-    }
-
-    /// The one datalog body behind [`Database::datalog`],
-    /// [`Database::datalog_with`] and [`Database::datalog_traced`]. The
-    /// EDB is [`Database::triples`].
-    fn run_datalog(
-        &self,
-        program: &str,
-        guard: &Guard,
-        tracer: Option<&trace::Tracer>,
-    ) -> Result<ssd_triples::datalog::Evaluation, String> {
+        let guard = guard.unwrap_or(&metered);
         let p = {
             let _sp = trace::span(tracer, trace::Phase::Parse, "parse", Some(guard));
             ssd_triples::datalog::parse_program(program, self.graph.symbols())?
         };
-        let estimate = tracer.and_then(|_| {
+        let estimate = tracer.map(|_| {
             let _sp = trace::span(tracer, trace::Phase::Estimate, "estimate", Some(guard));
-            self.estimate_datalog(program).ok()
+            self.program_cost(&p, None)
         });
         let eval = ssd_triples::datalog::evaluate_traced(&p, &self.triples(), guard, tracer)
             .map_err(|e| e.to_string())?;
@@ -450,51 +454,38 @@ impl Database {
     /// plus the SSD03x diagnostics. Pass the envelope to
     /// [`Budget::admit`] for admission control.
     pub fn estimate_query(&self, text: &str) -> Result<CostAnalysis, String> {
-        let (stats, schema) = self.data_stats();
-        Self::estimate_query_with(text, &stats, &schema)
-    }
-
-    /// [`Database::estimate_query`] over already collected
-    /// [`Database::data_stats`] — what a caller that keeps the statistics
-    /// (`ssd-serve`'s admission) uses instead of re-collecting per query.
-    pub fn estimate_query_with(
-        text: &str,
-        stats: &DataStats,
-        schema: &Schema,
-    ) -> Result<CostAnalysis, String> {
         let (q, spans) = ssd_query::lang::parse_query_spanned(text).map_err(|e| e.to_string())?;
-        let ctx = CostContext {
-            stats: Some(stats),
-            schema: Some(schema),
-        };
-        Ok(ssd_query::analyze::analyze_query_cost(
-            &q,
-            Some(&spans),
-            &ctx,
-        ))
+        Ok(self.select_cost(&q, Some(&spans)))
     }
 
     /// Statically estimate a graph-datalog program's cost envelope.
     pub fn estimate_datalog(&self, program: &str) -> Result<CostAnalysis, String> {
-        self.estimate_datalog_with(program, &DataStats::collect(&self.graph))
-    }
-
-    /// [`Database::estimate_datalog`] over already collected
-    /// [`DataStats::collect`] statistics (the program is parsed against
-    /// this database's symbols).
-    pub fn estimate_datalog_with(
-        &self,
-        program: &str,
-        stats: &DataStats,
-    ) -> Result<CostAnalysis, String> {
         let (p, spans) =
             ssd_triples::datalog::parse_program_spanned(program, self.graph.symbols())?;
-        Ok(ssd_query::analyze::analyze_datalog_cost(
-            &p,
-            Some(&spans),
-            None,
-            &CostContext::with_stats(stats),
-        ))
+        Ok(self.program_cost(&p, Some(&spans)))
+    }
+
+    /// The cost analysis behind [`Database::estimate_query`], over
+    /// statistics collected from this snapshot now. Spans only position
+    /// the diagnostics.
+    fn select_cost(
+        &self,
+        q: &SelectQuery,
+        spans: Option<&ssd_query::lang::QuerySpans>,
+    ) -> CostAnalysis {
+        let (stats, schema) = self.data_stats();
+        let ctx = CostContext {
+            stats: Some(&stats),
+            schema: Some(&schema),
+        };
+        ssd_query::analyze::analyze_query_cost(q, spans, &ctx)
+    }
+
+    /// The cost analysis behind [`Database::estimate_datalog`]; see
+    /// [`Database::select_cost`].
+    fn program_cost(&self, p: &Program, spans: Option<&ProgramSpans>) -> CostAnalysis {
+        let stats = DataStats::collect(&self.graph);
+        ssd_query::analyze::analyze_datalog_cost(p, spans, None, &CostContext::with_stats(&stats))
     }
 
     /// Run a `rewrite` program (the surface syntax for structural

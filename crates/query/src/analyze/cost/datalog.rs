@@ -17,9 +17,7 @@ use ssd_diag::{Code, Diagnostic};
 use ssd_graph::Label;
 use ssd_guard::{Bound, Interval};
 use ssd_triples::datalog::eval::TUPLE_COST;
-use ssd_triples::datalog::{
-    check_arities, is_builtin, stratify, Program, ProgramSpans, Rule, Term,
-};
+use ssd_triples::datalog::{admit, is_builtin, Program, ProgramSpans, Rule, Term};
 use ssd_triples::Datum;
 use std::collections::{BTreeSet, HashMap};
 
@@ -35,12 +33,9 @@ pub fn analyze_datalog_cost(
     ctx: &CostContext<'_>,
 ) -> CostAnalysis {
     let mut out = CostAnalysis::default();
-    let Ok(strata) = stratify(program) else {
+    let Ok(strata) = admit(program) else {
         return out; // refused at run time: zero fuel, zero memory
     };
-    if program.check_safety().is_err() || check_arities(program).is_err() {
-        return out;
-    }
 
     let mut reasons: Vec<String> = Vec::new();
     let bounds = RelBounds::new(program, ctx);

@@ -66,20 +66,25 @@ pub fn parse_query(src: &str) -> Result<SelectQuery, QueryParseError> {
 /// when name resolution would fail, so it can report *all* problems with
 /// precise source locations instead of the first one.
 pub fn parse_query_spanned(src: &str) -> Result<(SelectQuery, QuerySpans), QueryParseError> {
-    let mut p = P {
-        src,
-        pos: 0,
-        last_end: 0,
-        spans: QuerySpans::default(),
-        pending_label_vars: Vec::new(),
-        depth: 0,
-    };
+    let mut p = P::new(src);
     let q = p.query()?;
     p.skip_ws();
     if p.pos != src.len() {
         return p.err("trailing input after query");
     }
     Ok((q, p.spans))
+}
+
+/// Parse one regular path expression — the `path` production a binding
+/// uses — as the whole of `src` (the wire's `RPE` verb).
+pub fn parse_rpe(src: &str) -> Result<Rpe, QueryParseError> {
+    let mut p = P::new(src);
+    let path = p.path_seq()?;
+    p.skip_ws();
+    if p.pos != src.len() {
+        return p.err("trailing input after path expression");
+    }
+    Ok(path)
 }
 
 struct P<'a> {
@@ -122,6 +127,17 @@ macro_rules! bounded {
 }
 
 impl<'a> P<'a> {
+    fn new(src: &'a str) -> P<'a> {
+        P {
+            src,
+            pos: 0,
+            last_end: 0,
+            spans: QuerySpans::default(),
+            pending_label_vars: Vec::new(),
+            depth: 0,
+        }
+    }
+
     fn err<T>(&self, message: impl Into<String>) -> Result<T, QueryParseError> {
         Err(QueryParseError {
             at: self.pos,
@@ -693,6 +709,21 @@ impl<'a> P<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_rpe_is_the_binding_path_and_nothing_more() {
+        for path in [
+            "Entry.%.Title",
+            "Entry.(Movie|TV_Show).^L",
+            "a*.b+.c? -- note",
+        ] {
+            let q = parse_query(&format!("select X from db.{path}\nX")).unwrap();
+            assert_eq!(parse_rpe(path).unwrap(), q.bindings[0].path, "{path}");
+        }
+        let e = parse_rpe("Entry.Movie M, M.Title").unwrap_err();
+        assert_eq!(e.message, "trailing input after path expression");
+        assert!(parse_rpe("").is_err());
+    }
 
     #[test]
     fn parse_basic_select() {

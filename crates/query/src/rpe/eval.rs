@@ -113,10 +113,16 @@ pub fn eval_rpe_with_labels_guarded(
     }
 }
 
-/// Count of product states visited by an evaluation — the work measure
-/// used by the optimizer experiments (E4/E10).
-pub fn eval_nfa_with_stats(g: &Graph, start: NodeId, nfa: &Nfa) -> (Vec<NodeId>, usize) {
-    product_bfs(g, start, nfa, &Guard::unlimited()).unwrap_or_default()
+/// The matches and the count of product states visited by an evaluation
+/// under a resource [`Guard`] — the work measure used by the optimizer
+/// experiments (E4/E10).
+pub fn eval_nfa_with_stats(
+    g: &Graph,
+    start: NodeId,
+    nfa: &Nfa,
+    guard: &Guard,
+) -> Result<(Vec<NodeId>, usize), Exhausted> {
+    product_bfs(g, start, nfa, guard)
 }
 
 /// As [`eval_rpe_guarded`], with one [`Phase::Rpe`] span recorded per
@@ -150,16 +156,6 @@ pub fn eval_rpe_traced(
             Err(e)
         }
     }
-}
-
-/// As [`eval_nfa_with_stats`], under a resource [`Guard`].
-pub fn eval_nfa_with_stats_guarded(
-    g: &Graph,
-    start: NodeId,
-    nfa: &Nfa,
-    guard: &Guard,
-) -> Result<(Vec<NodeId>, usize), Exhausted> {
-    product_bfs(g, start, nfa, guard)
 }
 
 /// The one BFS over the product of data graph × automaton, shared by every
@@ -367,8 +363,8 @@ mod tests {
         let g = movie_db();
         let narrow = Nfa::compile(&Rpe::symbol("Entry"));
         let broad = Nfa::compile(&Rpe::step(Step::wildcard()).star());
-        let (_, w1) = eval_nfa_with_stats(&g, g.root(), &narrow);
-        let (_, w2) = eval_nfa_with_stats(&g, g.root(), &broad);
+        let (_, w1) = eval_nfa_with_stats(&g, g.root(), &narrow, &Guard::unlimited()).unwrap();
+        let (_, w2) = eval_nfa_with_stats(&g, g.root(), &broad, &Guard::unlimited()).unwrap();
         assert!(w2 > w1, "wildcard-star should visit more product states");
     }
 

@@ -134,18 +134,6 @@ impl DataStats {
     pub fn symbol_count(&self, s: SymbolId) -> u64 {
         self.symbol_counts.get(&s).copied().unwrap_or(0)
     }
-
-    /// Fraction of reachable edges carrying `label` (by displayed form),
-    /// in `[0, 1]` — the per-step selectivity the index access-path
-    /// planner feeds on when weighing a POS label scan against an SPO
-    /// frontier gallop.
-    pub fn label_selectivity(&self, label: &str) -> f64 {
-        if self.edges_reachable == 0 {
-            0.0
-        } else {
-            self.label_count(label) as f64 / self.edges_reachable as f64
-        }
-    }
 }
 
 impl std::fmt::Display for DataStats {

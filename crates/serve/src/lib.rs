@@ -11,10 +11,12 @@
 //!   [`Budget`](ssd_guard::Budget); jobs receive checked
 //!   `Budget::split` grants and refund what they do not spend.
 //! - **Admission before execution** ([`sched`]): each submitted job is
-//!   statically costed (ssd-cost) and admitted against the per-job
-//!   ceiling and the session balance *before* a single engine step
-//!   runs; over-budget work is rejected (SSD030/SSD200) for free,
-//!   surplus admitted work waits in a bounded queue (SSD201/SSD202).
+//!   parsed and checked once — what an engine refuses statically never
+//!   reaches the scheduler — then statically costed (ssd-cost) and
+//!   admitted against the per-job ceiling and the session balance
+//!   *before* a single engine step runs; over-budget work is rejected
+//!   (SSD030/SSD200) for free, surplus admitted work waits in a bounded
+//!   queue (SSD201/SSD202).
 //! - **Governed, isolated execution** ([`server`]): a fixed worker pool
 //!   runs jobs under PR 2 guards — deterministic fuel, byte-accounted
 //!   memory, cancellation tokens (`CANCEL <job>` works mid-fixpoint),
@@ -42,10 +44,8 @@
 /// - `state` — [`server`]'s scheduler state + ready queue (the one hot
 ///   mutex; its `Condvar` partner `work` wakes idle workers).
 /// - `workers` — the worker `JoinHandle`s, touched only at shutdown.
-/// - `tracer` — the optional [`ssd_trace::Tracer`], written after
-///   `state` is released.
 /// - `writer` — the per-connection TCP write half in [`net`].
-pub const LOCK_ORDER: &[&str] = &["state", "workers", "tracer", "writer"];
+pub const LOCK_ORDER: &[&str] = &["state", "workers", "writer"];
 
 pub mod clock;
 pub mod metrics;

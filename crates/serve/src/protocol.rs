@@ -14,7 +14,7 @@
 //! HELLO fuel=10000 memory=1048576 jobs=2 job-fuel=5000 job-memory=65536
 //! QUERY select T from db.Entry.%.Title T
 //! DATALOG reach(X) :- ...
-//! RPE Entry.%.Title        (desugars to `select X from db.<rpe> X`)
+//! RPE Entry.%.Title        (one path expression, run as `select X from db.<rpe> X`)
 //! INSERT {Movie: {Title: "Z"}}   (stage: union this literal at the root)
 //! DELETE Movie                   (stage: drop edges labeled `Movie`)
 //! COMMIT                         (submit the staged batch as one txn)

@@ -63,7 +63,7 @@ impl std::fmt::Display for JobId {
 pub enum JobKind {
     Query,
     Datalog,
-    /// A bare regular path expression; desugared to a `select` over it.
+    /// One regular path expression; run as the `select` over it.
     Rpe,
     /// A durable write: a staged INSERT/DELETE batch committed through
     /// the store. Write budgets flow through the same admission pipeline
@@ -71,13 +71,12 @@ pub enum JobKind {
     Commit,
 }
 
-/// A dispatch order: everything a worker needs to run one job.
+/// A dispatch order: the job, its session and its grant. What the job
+/// runs is the server's to keep; the scheduler schedules envelopes.
 #[derive(Debug)]
 pub struct Ticket {
     pub job: JobId,
     pub session: SessionId,
-    pub kind: JobKind,
-    pub text: String,
     /// The admitted per-job budget (grant split off the session balance,
     /// with the job's cancellation token attached).
     pub budget: Budget,
@@ -188,8 +187,6 @@ enum JobState {
 
 struct Job {
     session: SessionId,
-    kind: JobKind,
-    text: String,
     envelope: CostEnvelope,
     state: JobState,
     cancel: CancelToken,
@@ -284,13 +281,7 @@ impl Scheduler {
 
     /// Submit a job: estimate already done (the `envelope` argument), so
     /// this is pure admission — reject, queue, or dispatch.
-    pub fn submit(
-        &mut self,
-        session: SessionId,
-        kind: JobKind,
-        text: String,
-        envelope: CostEnvelope,
-    ) -> Decision {
+    pub fn submit(&mut self, session: SessionId, envelope: CostEnvelope) -> Decision {
         self.next_job += 1;
         let job = JobId(self.next_job);
         self.record_for(session, TraceEvent::Submitted { job, session });
@@ -376,8 +367,6 @@ impl Scheduler {
             job,
             Job {
                 session,
-                kind,
-                text,
                 envelope,
                 state: JobState::Queued,
                 cancel: CancelToken::new(),
@@ -429,8 +418,6 @@ impl Scheduler {
         Ticket {
             job,
             session: j.session,
-            kind: j.kind,
-            text: j.text.clone(),
             budget,
             grant_fuel,
             grant_memory,

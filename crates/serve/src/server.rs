@@ -23,25 +23,42 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex, Once, OnceLock};
 use std::thread::JoinHandle;
 
-use semistructured::{DataStats, Database, Schema};
+use semistructured::query::analyze::{analyze_datalog_cost, analyze_query_cost};
+use semistructured::query::lang::{self, Binding, Construct, QueryParseError, Source};
+use semistructured::triples::datalog::{self, Program};
+use semistructured::{CostContext, DataStats, Database, Schema, SelectQuery};
 use ssd_diag::{Code, Diagnostic};
 use ssd_guard::{CostEnvelope, Exhausted, Guard, Interval};
 use ssd_store::{Store, Txn};
 
-use ssd_trace::{Phase, Tracer};
-
-use crate::clock::{Clock, MonotonicClock};
+use crate::clock::MonotonicClock;
 use crate::metrics::{Counters, Metrics};
 use crate::quota::SessionQuota;
 use crate::sched::{
     Decision, Dequeued, FinishKind, JobId, JobKind, Scheduler, SessionId, Ticket, TraceEvent,
 };
 
-/// Submitting a query containing this marker makes the worker panic
-/// mid-job. Test-only: it is how the suite proves panic isolation
+/// Submitting a job whose text contains this marker makes the worker
+/// panic mid-job. Test-only: it is how the suite proves panic isolation
 /// without a fault-injection build flag.
 #[doc(hidden)]
 pub const PANIC_PROBE: &str = "__ssd_panic_probe__";
+
+/// A job as admission checked it: parsed once, refused there if any
+/// engine would refuse it statically, and run by the worker as is.
+enum Work {
+    /// A `QUERY`, or an `RPE` as the select over its path.
+    Select(SelectQuery),
+    /// A `DATALOG` program, parsed against the symbols of the snapshot
+    /// the server started on. It runs on whichever generation the worker
+    /// pins: every generation shares that one append-only symbol table
+    /// (a `Graph` clone shares it), so its labels resolve alike in all.
+    Datalog(Program),
+    /// A `COMMIT`'s staged operations, each validated.
+    Commit(Txn),
+    /// A job carrying [`PANIC_PROBE`].
+    PanicProbe,
+}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -85,7 +102,10 @@ pub enum JobEvent {
 pub enum SubmitError {
     /// Admission control said no (SSD030/SSD2xx); zero engine fuel spent.
     Rejected(Diagnostic),
-    /// The text does not parse / estimate; nothing was scheduled.
+    /// The text does not parse, or its engine refuses it statically (an
+    /// unbound variable, an unsafe, arity-inconsistent or unstratifiable
+    /// program, an invalid COMMIT literal). Nothing was scheduled and
+    /// nothing was counted.
     Invalid(String),
 }
 
@@ -148,9 +168,11 @@ impl JobHandle {
 
 struct State {
     sched: Scheduler,
-    ready: VecDeque<(Ticket, SyncSender<JobEvent>)>,
-    /// Event senders of *queued* jobs, claimed at dispatch or rejection.
-    senders: HashMap<JobId, SyncSender<JobEvent>>,
+    /// Dispatched jobs awaiting a worker, with their work and event sender.
+    ready: VecDeque<(Ticket, Work, SyncSender<JobEvent>)>,
+    /// Work and event senders of *queued* jobs, claimed at dispatch or
+    /// rejection.
+    senders: HashMap<JobId, (Work, SyncSender<JobEvent>)>,
     /// Set once shutdown has fully drained: workers exit.
     stop: bool,
 }
@@ -171,24 +193,6 @@ struct Inner {
     /// Estimator inputs, computed once per server, not per submit.
     query_stats: OnceLock<(DataStats, Schema)>,
     datalog_stats: OnceLock<DataStats>,
-    /// Structured-event tracer for the *scheduler lifecycle* (admission
-    /// decisions, queue waits, per-job spans). Per-job engine evaluation
-    /// is deliberately not routed through this tracer: workers run in
-    /// parallel and a shared tracer behind one mutex would serialize
-    /// them. `None` when the server was started untraced (zero cost).
-    tracer: Option<Mutex<Tracer>>,
-}
-
-impl Inner {
-    /// Run `f` under the tracer lock, if tracing is enabled. Never call
-    /// while holding the state lock (lock order: state, then tracer,
-    /// never interleaved).
-    fn with_tracer(&self, f: impl FnOnce(&Tracer)) {
-        if let Some(tracer) = &self.tracer {
-            let t = tracer.lock().unwrap_or_else(|e| e.into_inner());
-            f(&t);
-        }
-    }
 }
 
 /// The serving subsystem. See the module docs.
@@ -202,15 +206,7 @@ impl Server {
     /// Start `cfg.workers` workers over `db` with a wall clock. The
     /// server is read-only: mutation verbs are rejected with SSD403.
     pub fn start(db: Arc<Database>, cfg: ServeConfig) -> Server {
-        Server::start_with_clock(db, cfg, Arc::new(MonotonicClock::new()))
-    }
-
-    /// As [`Server::start`], additionally routing scheduler-lifecycle
-    /// events (admissions, queue waits, per-job spans) into `tracer` —
-    /// configure its sinks (ring / JSONL) before passing it in. The
-    /// tracer is flushed on [`Server::shutdown`].
-    pub fn start_traced(db: Arc<Database>, cfg: ServeConfig, tracer: Tracer) -> Server {
-        Server::start_full(db, None, cfg, Arc::new(MonotonicClock::new()), Some(tracer))
+        Server::start_full(db, None, cfg)
     }
 
     /// Start over a durable [`Store`]: reads pin snapshot generations,
@@ -218,21 +214,10 @@ impl Server {
     /// the estimator is the store's current snapshot at start time.
     pub fn start_with_store(store: Arc<Store>, cfg: ServeConfig) -> Server {
         let db = store.snapshot();
-        Server::start_full(db, Some(store), cfg, Arc::new(MonotonicClock::new()), None)
+        Server::start_full(db, Some(store), cfg)
     }
 
-    /// As [`Server::start`] with an injected clock (deterministic tests).
-    pub fn start_with_clock(db: Arc<Database>, cfg: ServeConfig, clock: Arc<dyn Clock>) -> Server {
-        Server::start_full(db, None, cfg, clock, None)
-    }
-
-    fn start_full(
-        db: Arc<Database>,
-        store: Option<Arc<Store>>,
-        cfg: ServeConfig,
-        clock: Arc<dyn Clock>,
-        tracer: Option<Tracer>,
-    ) -> Server {
+    fn start_full(db: Arc<Database>, store: Option<Arc<Store>>, cfg: ServeConfig) -> Server {
         let (notify, notices) = mpsc::channel::<(SyncSender<JobEvent>, String)>();
         // One notifier for the whole server: delivers the failure
         // notices that could not be sent without blocking. It exits when
@@ -247,7 +232,7 @@ impl Server {
             store,
             cfg: cfg.clone(),
             state: Mutex::new(State {
-                sched: Scheduler::new(cfg.workers, cfg.queue_cap, clock),
+                sched: Scheduler::new(cfg.workers, cfg.queue_cap, Arc::new(MonotonicClock::new())),
                 ready: VecDeque::new(),
                 senders: HashMap::new(),
                 stop: false,
@@ -256,7 +241,6 @@ impl Server {
             notify,
             query_stats: OnceLock::new(),
             datalog_stats: OnceLock::new(),
-            tracer: tracer.map(Mutex::new),
         });
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
@@ -318,7 +302,6 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
-        self.inner.with_tracer(|t| t.flush());
         self.metrics()
     }
 
@@ -388,42 +371,19 @@ pub struct SessionHandle {
 }
 
 impl SessionHandle {
-    /// Submit a job. `Rpe` texts are desugared to a select over the
-    /// path. Admission happens here: `Err(Rejected)` costs zero fuel.
+    /// Submit a job. Admission happens here: the text is parsed and
+    /// checked once ([`SubmitError::Invalid`] when it does not parse or an
+    /// engine would refuse it), costed, and scheduled;
+    /// `Err(Rejected)` costs zero fuel.
     pub fn submit(&self, kind: JobKind, text: &str) -> Result<JobHandle, SubmitError> {
-        let text = match kind {
-            JobKind::Rpe => format!("select X from db.{} X", text.trim()),
-            _ => text.to_string(),
-        };
-        let envelope = if text.contains(PANIC_PROBE) {
-            // The probe is not parseable; give it a token envelope.
-            CostEnvelope {
-                cardinality: Interval::exact(1),
-                fuel: Interval::exact(1),
-                memory: Interval::exact(0),
-            }
-        } else {
-            estimate(&self.inner, kind, &text).map_err(SubmitError::Invalid)?
-        };
+        let (work, envelope) = admit(&self.inner, kind, text).map_err(SubmitError::Invalid)?;
         let mut st = self.inner.state.lock().expect("state lock");
-        match st.sched.submit(self.id, kind, text, envelope) {
+        match st.sched.submit(self.id, envelope) {
             Decision::Dispatch(ticket) => {
                 let (tx, rx) = mpsc::sync_channel(self.inner.cfg.stream_buffer);
                 let job = ticket.job;
-                let grant_fuel = ticket.grant_fuel;
-                st.ready.push_back((ticket, tx));
+                st.ready.push_back((ticket, work, tx));
                 drop(st);
-                self.inner.with_tracer(|t| {
-                    t.instant(
-                        Phase::Serve,
-                        "admit",
-                        vec![
-                            ("job", job.0.into()),
-                            ("session", self.id.0.into()),
-                            ("grant_fuel", grant_fuel.into()),
-                        ],
-                    );
-                });
                 self.inner.work.notify_all();
                 Ok(JobHandle {
                     job,
@@ -431,41 +391,16 @@ impl SessionHandle {
                     rx,
                 })
             }
-            Decision::Queued { job, depth } => {
+            Decision::Queued { job, .. } => {
                 let (tx, rx) = mpsc::sync_channel(self.inner.cfg.stream_buffer);
-                st.senders.insert(job, tx);
-                drop(st);
-                self.inner.with_tracer(|t| {
-                    t.instant(
-                        Phase::Serve,
-                        "queue",
-                        vec![
-                            ("job", job.0.into()),
-                            ("session", self.id.0.into()),
-                            ("depth", depth.into()),
-                        ],
-                    );
-                });
+                st.senders.insert(job, (work, tx));
                 Ok(JobHandle {
                     job,
                     queued: true,
                     rx,
                 })
             }
-            Decision::Rejected(d) => {
-                drop(st);
-                self.inner.with_tracer(|t| {
-                    t.instant(
-                        Phase::Serve,
-                        "reject",
-                        vec![
-                            ("session", self.id.0.into()),
-                            ("code", d.code.to_string().into()),
-                        ],
-                    );
-                });
-                Err(SubmitError::Rejected(d))
-            }
+            Decision::Rejected(d) => Err(SubmitError::Rejected(d)),
         }
     }
 
@@ -477,7 +412,7 @@ impl SessionHandle {
         let mut st = self.inner.state.lock().expect("state lock");
         let was_running = st.sched.cancel(self.id, job)?;
         if !was_running {
-            if let Some(tx) = st.senders.remove(&job) {
+            if let Some((_, tx)) = st.senders.remove(&job) {
                 notify_failed(&self.inner, tx, Exhausted::Cancelled.headline());
             }
         }
@@ -502,7 +437,7 @@ impl SessionHandle {
         let mut st = self.inner.state.lock().expect("state lock");
         let dropped = st.sched.close_session(self.id);
         for job in dropped {
-            if let Some(tx) = st.senders.remove(&job) {
+            if let Some((_, tx)) = st.senders.remove(&job) {
                 notify_failed(&self.inner, tx, Exhausted::Cancelled.headline());
             }
         }
@@ -518,11 +453,53 @@ impl Drop for SessionHandle {
     }
 }
 
-/// Static cost estimation: `Database::estimate_*_with` over statistics
-/// collected once, from the snapshot the server started on, so a submit
-/// never re-extracts the schema. Commits do not refresh them.
-fn estimate(inner: &Inner, kind: JobKind, text: &str) -> Result<CostEnvelope, String> {
-    let analysis = match kind {
+/// Parse and check a job once, into the [`Work`] the worker runs and the
+/// envelope admission schedules. A job is refused here when any engine
+/// would refuse it statically. Statistics are collected once, from the
+/// snapshot the server started on, so a submit never re-extracts the
+/// schema; commits do not refresh them.
+fn admit(inner: &Inner, kind: JobKind, text: &str) -> Result<(Work, CostEnvelope), String> {
+    if text.contains(PANIC_PROBE) {
+        let envelope = CostEnvelope {
+            cardinality: Interval::exact(1),
+            fuel: Interval::exact(1),
+            memory: Interval::exact(0),
+        };
+        return Ok((Work::PanicProbe, envelope));
+    }
+    match kind {
+        JobKind::Query | JobKind::Rpe => {
+            let query = if kind == JobKind::Rpe {
+                lang::parse_rpe(text).map(select_over)
+            } else {
+                lang::parse_query_spanned(text).map(|(q, _)| q)
+            }
+            .map_err(|e| e.to_string())?;
+            query.validate().map_err(|message| {
+                QueryParseError {
+                    at: text.len(),
+                    message,
+                }
+                .to_string()
+            })?;
+            let (stats, schema) = inner.query_stats.get_or_init(|| inner.db.data_stats());
+            let ctx = CostContext {
+                stats: Some(stats),
+                schema: Some(schema),
+            };
+            let envelope = analyze_query_cost(&query, None, &ctx).envelope;
+            Ok((Work::Select(query), envelope))
+        }
+        JobKind::Datalog => {
+            let program = datalog::parse_program(text, inner.db.graph().symbols())?;
+            datalog::admit(&program).map_err(|e| e.to_string())?;
+            let stats = inner
+                .datalog_stats
+                .get_or_init(|| DataStats::collect(inner.db.graph()));
+            let ctx = CostContext::with_stats(stats);
+            let envelope = analyze_datalog_cost(&program, None, None, &ctx).envelope;
+            Ok((Work::Datalog(program), envelope))
+        }
         JobKind::Commit => {
             // Writes are costed from the transaction script itself: the
             // byte volume is known exactly up front, so the envelope is
@@ -541,24 +518,27 @@ fn estimate(inner: &Inner, kind: JobKind, text: &str) -> Result<CostEnvelope, St
                 }
             }
             let (fuel, memory) = commit_cost(&txn);
-            return Ok(CostEnvelope {
+            let envelope = CostEnvelope {
                 cardinality: Interval::exact(txn.len() as u64),
                 fuel: Interval::exact(fuel),
                 memory: Interval::exact(memory),
-            });
+            };
+            Ok((Work::Commit(txn), envelope))
         }
-        JobKind::Datalog => {
-            let stats = inner
-                .datalog_stats
-                .get_or_init(|| DataStats::collect(inner.db.graph()));
-            inner.db.estimate_datalog_with(text, stats)?
-        }
-        JobKind::Query | JobKind::Rpe => {
-            let (stats, schema) = inner.query_stats.get_or_init(|| inner.db.data_stats());
-            Database::estimate_query_with(text, stats, schema)?
-        }
-    };
-    Ok(analysis.envelope)
+    }
+}
+
+/// `select X from db.<path> X`: what an `RPE` job runs.
+fn select_over(path: semistructured::Rpe) -> SelectQuery {
+    SelectQuery {
+        construct: Construct::Var("X".to_string()),
+        bindings: vec![Binding {
+            source: Source::Db,
+            path,
+            var: "X".to_string(),
+        }],
+        condition: None,
+    }
 }
 
 /// The write cost model, shared by the estimator and the worker so the
@@ -619,7 +599,7 @@ fn install_quiet_hook() {
 fn worker_loop(inner: Arc<Inner>) {
     install_quiet_hook();
     loop {
-        let (ticket, tx) = {
+        let (ticket, work, tx) = {
             let mut st = inner.state.lock().expect("state lock");
             loop {
                 if let Some(item) = st.ready.pop_front() {
@@ -632,27 +612,13 @@ fn worker_loop(inner: Arc<Inner>) {
             }
         };
         let job = ticket.job;
-        // A detached span covers the whole run: opened here (this worker
-        // iteration), closed after the finish kind is known, stitched to
-        // the session by its fields.
-        let mut job_span = 0;
-        inner.with_tracer(|t| {
-            job_span = t.open_detached(
-                Phase::Serve,
-                "job",
-                0,
-                vec![
-                    ("job", ticket.job.0.into()),
-                    ("session", ticket.session.0.into()),
-                    ("kind", format!("{:?}", ticket.kind).into()),
-                ],
-            );
-        });
         // The guard outlives the catch_unwind below, so fuel spent up to
         // a panic is still read back and charged to the session.
         let guard = ticket.budget.guard();
         IN_JOB.with(|f| f.set(true));
-        let ran = catch_unwind(AssertUnwindSafe(|| run_job(&inner, &ticket, &guard, &tx)));
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            run_job(&inner, &ticket, &work, &guard, &tx)
+        }));
         IN_JOB.with(|f| f.set(false));
         let finish = match ran {
             Ok(finish) => finish,
@@ -667,20 +633,6 @@ fn worker_loop(inner: Arc<Inner>) {
                 FinishKind::Panicked
             }
         };
-        inner.with_tracer(|t| {
-            t.close_detached(
-                job_span,
-                Phase::Serve,
-                "job",
-                guard.steps_used(),
-                guard.memory_used(),
-                vec![
-                    ("job", ticket.job.0.into()),
-                    ("session", ticket.session.0.into()),
-                    ("finish", format!("{finish:?}").into()),
-                ],
-            );
-        });
         let mut st = inner.state.lock().expect("state lock");
         let mut pending: VecDeque<Dequeued> = st
             .sched
@@ -689,8 +641,8 @@ fn worker_loop(inner: Arc<Inner>) {
         while let Some(d) = pending.pop_front() {
             match d {
                 Dequeued::Dispatch(t) => {
-                    if let Some(tx) = st.senders.remove(&t.job) {
-                        st.ready.push_back((t, tx));
+                    if let Some((work, tx)) = st.senders.remove(&t.job) {
+                        st.ready.push_back((t, work, tx));
                     } else {
                         // Every queued job has a sender until dispatch
                         // or rejection claims it, so this is a bug —
@@ -702,7 +654,7 @@ fn worker_loop(inner: Arc<Inner>) {
                     }
                 }
                 Dequeued::LateReject { job, diag } => {
-                    if let Some(tx) = st.senders.remove(&job) {
+                    if let Some((_, tx)) = st.senders.remove(&job) {
                         notify_failed(&inner, tx, diag.headline());
                     }
                 }
@@ -714,13 +666,17 @@ fn worker_loop(inner: Arc<Inner>) {
     }
 }
 
-/// Evaluate one ticket and stream its result. The returned kind is what
-/// the scheduler records; evaluation *errors* still count as completed
-/// (the slot was used), only token-cancellation counts as cancelled.
-fn run_job(inner: &Inner, ticket: &Ticket, guard: &Guard, tx: &SyncSender<JobEvent>) -> FinishKind {
-    if ticket.text.contains(PANIC_PROBE) {
-        panic!("panic probe");
-    }
+/// Run one ticket's admitted work and stream its result. The returned
+/// kind is what the scheduler records; evaluation *errors* still count
+/// as completed (the slot was used), only token-cancellation counts as
+/// cancelled.
+fn run_job(
+    inner: &Inner,
+    ticket: &Ticket,
+    work: &Work,
+    guard: &Guard,
+    tx: &SyncSender<JobEvent>,
+) -> FinishKind {
     // Pin a snapshot generation for the whole job: commits that land
     // while this job streams cannot change what it reads, and the pin is
     // a single Arc clone — readers never block writers or vice versa.
@@ -736,9 +692,10 @@ fn run_job(inner: &Inner, ticket: &Ticket, guard: &Guard, tx: &SyncSender<JobEve
             .is_some_and(|t| t.is_cancelled())
     };
     let summary: String;
-    match ticket.kind {
-        JobKind::Query | JobKind::Rpe => {
-            match db.query_with(&ticket.text, guard) {
+    match work {
+        Work::PanicProbe => panic!("panic probe"),
+        Work::Select(query) => {
+            match db.select_with(query, guard) {
                 Err(e) => {
                     let _ = tx.send(JobEvent::Failed(e));
                     return if cancelled() {
@@ -778,21 +735,10 @@ fn run_job(inner: &Inner, ticket: &Ticket, guard: &Guard, tx: &SyncSender<JobEve
                 }
             }
         }
-        JobKind::Commit => {
-            let txn = match Txn::parse_script(&ticket.text) {
-                Ok(t) => t,
-                Err(e) => {
-                    let d = Diagnostic::new(
-                        Code::ProtocolError,
-                        format!("COMMIT script does not parse: {e}"),
-                    );
-                    let _ = tx.send(JobEvent::Failed(d.headline()));
-                    return FinishKind::Completed;
-                }
-            };
+        Work::Commit(txn) => {
             // Charge exactly what admission granted (the envelope is
             // exact), so session fuel accounting covers writes too.
-            let (fuel, memory) = commit_cost(&txn);
+            let (fuel, memory) = commit_cost(txn);
             if let Err(e) = guard
                 .tick_hard(fuel)
                 .and_then(|()| guard.alloc(memory).map(|_| ()))
@@ -812,14 +758,7 @@ fn run_job(inner: &Inner, ticket: &Ticket, guard: &Guard, tx: &SyncSender<JobEve
                 let _ = tx.send(JobEvent::Failed(d.headline()));
                 return FinishKind::Completed;
             };
-            let committed = if let Some(tracer) = &inner.tracer {
-                let t = tracer.lock().unwrap_or_else(|e| e.into_inner());
-                // lint: allow(lock) — commit spans must land in the job's tracer; commits already serialize on the WAL mutex, so the tracer lock adds no new contention edge
-                store.commit_traced(&txn, Some(&t))
-            } else {
-                store.commit(&txn)
-            };
-            match committed {
+            match store.commit(txn) {
                 Err(e) => {
                     let _ = tx.send(JobEvent::Failed(e.headline()));
                     return FinishKind::Completed;
@@ -836,7 +775,7 @@ fn run_job(inner: &Inner, ticket: &Ticket, guard: &Guard, tx: &SyncSender<JobEve
                 }
             }
         }
-        JobKind::Datalog => match db.datalog_with(&ticket.text, guard) {
+        Work::Datalog(program) => match db.program_with(program, guard) {
             Err(e) => {
                 let _ = tx.send(JobEvent::Failed(e));
                 return if cancelled() {

@@ -39,7 +39,6 @@ pub use crc32::crc32;
 use semistructured::{Database, Pred};
 use ssd_diag::{Code, Diagnostic};
 use ssd_guard::{fail_point_fires, Budget, FailPoint};
-use ssd_trace::{FieldValue, Phase, Tracer};
 use std::fs::{self, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -395,23 +394,12 @@ impl Store {
         dir.join(BASE_FILE).exists()
     }
 
-    /// Open the store, running recovery. See [`Store::open_traced`].
-    pub fn open(dir: &Path, budget: &Budget) -> Result<(Store, RecoveryReport), StoreError> {
-        Store::open_traced(dir, budget, None)
-    }
-
     /// Open the store in `dir`: parse the base image, scan and replay the
     /// WAL's committed prefix, truncate any torn/corrupt/uncommitted
     /// tail, and position the writer after the last commit. `budget`
     /// supplies fail points (site `wal.read` corrupts the log image as
-    /// read, for exercising SSD401). The recovery runs under a
-    /// [`Phase::Store`] span when `tracer` is given.
-    pub fn open_traced(
-        dir: &Path,
-        budget: &Budget,
-        tracer: Option<&Tracer>,
-    ) -> Result<(Store, RecoveryReport), StoreError> {
-        let _sp = ssd_trace::span(tracer, Phase::Store, "recover", None);
+    /// read, for exercising SSD401).
+    pub fn open(dir: &Path, budget: &Budget) -> Result<(Store, RecoveryReport), StoreError> {
         let base_text = match fs::read_to_string(dir.join(BASE_FILE)) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -510,18 +498,6 @@ impl Store {
                 generation
             ),
         ));
-        ssd_trace::instant(
-            tracer,
-            Phase::Store,
-            "recovered",
-            vec![
-                ("txns", FieldValue::U64(generation)),
-                ("frames", FieldValue::U64(scan.frames)),
-                ("truncated_bytes", FieldValue::U64(truncated)),
-                ("generation", FieldValue::U64(generation)),
-            ],
-        );
-
         let report = RecoveryReport {
             txns_replayed: generation,
             frames: scan.frames,
@@ -572,11 +548,6 @@ impl Store {
         lock(&self.wal).len
     }
 
-    /// Commit a transaction. See [`Store::commit_traced`].
-    pub fn commit(&self, txn: &Txn) -> Result<CommitInfo, StoreError> {
-        self.commit_traced(txn, None)
-    }
-
     /// Atomically apply and persist `txn`: build the next copy-on-write
     /// database image (validating every op *before* any byte is
     /// written), append op frames + a COMMIT frame to the WAL, fsync,
@@ -587,17 +558,12 @@ impl Store {
     /// poisons itself read-only — after a failed commit the in-memory
     /// generation still matches the durable prefix, and the only way to
     /// resume writing is to reopen (crash semantics, made explicit).
-    pub fn commit_traced(
-        &self,
-        txn: &Txn,
-        tracer: Option<&Tracer>,
-    ) -> Result<CommitInfo, StoreError> {
+    pub fn commit(&self, txn: &Txn) -> Result<CommitInfo, StoreError> {
         if txn.is_empty() {
             return Err(StoreError::Invalid(
                 "empty transaction: nothing to commit".to_string(),
             ));
         }
-        let _sp = ssd_trace::span(tracer, Phase::Store, "commit", None);
         let mut w = lock(&self.wal);
         if let Some(reason) = &w.read_only {
             return Err(StoreError::ReadOnly(reason.clone()));
@@ -648,32 +614,11 @@ impl Store {
         let mut db = db.with_generation(generation);
         if let Some(base_index) = snap.existing_index() {
             if let Ok(merged) = base_index.merge_delta(db.graph()) {
-                let triples = merged.len() as u64;
                 db = db.with_seeded_index(merged);
-                ssd_trace::instant(
-                    tracer,
-                    Phase::Index,
-                    "merge-delta",
-                    vec![
-                        ("generation", FieldValue::U64(generation)),
-                        ("triples", FieldValue::U64(triples)),
-                    ],
-                );
             }
         }
         let db = Arc::new(db);
         *lock(&self.current) = db;
-        ssd_trace::instant(
-            tracer,
-            Phase::Store,
-            "committed",
-            vec![
-                ("generation", FieldValue::U64(generation)),
-                ("seq", FieldValue::U64(commit_seq)),
-                ("ops", FieldValue::U64(txn.ops.len() as u64)),
-                ("bytes", FieldValue::U64(bytes_written)),
-            ],
-        );
         Ok(CommitInfo {
             generation,
             seq: commit_seq,

@@ -258,7 +258,9 @@ pub fn stratify(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
 
 /// What the evaluator refuses before doing any guard work: unsafe rules,
 /// inconsistent arities, negative cycles. Returns the strata otherwise.
-fn admit(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
+/// Public so that the static cost analysis and a server's admission
+/// refuse exactly what evaluation refuses, with the same check.
+pub fn admit(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
     program.check_safety().map_err(DatalogError::Unsafe)?;
     check_arities(program)?;
     stratify(program)
@@ -266,9 +268,8 @@ fn admit(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
 
 /// Every predicate is used with one arity: the EDB's own for `edge`,
 /// `node` and `root`, the first use's otherwise. (Builtin arity is part
-/// of the safety check.) Public so the static cost analysis refuses
-/// exactly what evaluation refuses.
-pub fn check_arities(program: &Program) -> Result<(), DatalogError> {
+/// of the safety check.)
+fn check_arities(program: &Program) -> Result<(), DatalogError> {
     let mut arity: HashMap<&str, usize> = EDB_PREDICATES.iter().copied().collect();
     for rule in &program.rules {
         for atom in std::iter::once(&rule.head).chain(rule.body.iter().map(|l| &l.atom)) {

@@ -22,6 +22,6 @@ pub use ast::{
 };
 pub use edb::{Edb, Key};
 pub use eval::{
-    access_paths, check_arities, evaluate, evaluate_naive, evaluate_traced, evaluate_with,
-    stratify, DatalogError, Evaluation, FP_DATALOG_ROUND,
+    access_paths, admit, evaluate, evaluate_naive, evaluate_traced, evaluate_with, stratify,
+    DatalogError, Evaluation, FP_DATALOG_ROUND,
 };

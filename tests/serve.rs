@@ -51,7 +51,7 @@ fn admit_queue_reject_scenario() -> Vec<TraceEvent> {
     let sid = s.open_session(quota(Some(1000), 50, 4));
 
     // Worker free: dispatch.
-    let d1 = s.submit(sid, JobKind::Query, "q1".into(), env(10));
+    let d1 = s.submit(sid, env(10));
     let t1 = match d1 {
         Decision::Dispatch(t) => t,
         other => panic!("q1 should dispatch, got {other:?}"),
@@ -61,22 +61,22 @@ fn admit_queue_reject_scenario() -> Vec<TraceEvent> {
 
     // Worker busy: queue, in order.
     assert!(matches!(
-        s.submit(sid, JobKind::Query, "q2".into(), env(10)),
+        s.submit(sid, env(10)),
         Decision::Queued { depth: 1, .. }
     ));
     assert!(matches!(
-        s.submit(sid, JobKind::Datalog, "q3".into(), env(10)),
+        s.submit(sid, env(10)),
         Decision::Queued { depth: 2, .. }
     ));
 
     // Queue full: SSD201, and the books show zero fuel charged for it.
-    let Decision::Rejected(d) = s.submit(sid, JobKind::Query, "q4".into(), env(10)) else {
+    let Decision::Rejected(d) = s.submit(sid, env(10)) else {
         panic!("q4 should be rejected");
     };
     assert_eq!(d.code.as_str(), "SSD201");
 
     // Per-job ceiling: lower bound 60 can never fit a 50-fuel grant.
-    let Decision::Rejected(d) = s.submit(sid, JobKind::Query, "q5".into(), env(60)) else {
+    let Decision::Rejected(d) = s.submit(sid, env(60)) else {
         panic!("q5 should be rejected");
     };
     assert_eq!(d.code.as_str(), "SSD030");
@@ -144,27 +144,21 @@ fn session_quota_exhaustion_is_ssd200() {
     let sid = s.open_session(quota(Some(100), 60, 2));
 
     // j1 takes a 60-fuel grant, leaving 40.
-    let Decision::Dispatch(t1) = s.submit(sid, JobKind::Query, "j1".into(), env(10)) else {
+    let Decision::Dispatch(t1) = s.submit(sid, env(10)) else {
         panic!("j1 dispatches");
     };
     assert_eq!(t1.grant_fuel, 60);
     assert_eq!(s.session_fuel_left(sid), Some(40));
 
     // Needs at least 50 but only 40 remain: immediate SSD200.
-    let Decision::Rejected(d) = s.submit(sid, JobKind::Query, "j2".into(), env(50)) else {
+    let Decision::Rejected(d) = s.submit(sid, env(50)) else {
         panic!("j2 is over the session balance");
     };
     assert_eq!(d.code.as_str(), "SSD200");
 
     // j3 and j4 fit the *current* balance and queue up behind j1.
-    assert!(matches!(
-        s.submit(sid, JobKind::Query, "j3".into(), env(35)),
-        Decision::Queued { .. }
-    ));
-    assert!(matches!(
-        s.submit(sid, JobKind::Query, "j4".into(), env(35)),
-        Decision::Queued { .. }
-    ));
+    assert!(matches!(s.submit(sid, env(35)), Decision::Queued { .. }));
+    assert!(matches!(s.submit(sid, env(35)), Decision::Queued { .. }));
 
     // j1 spends everything it was granted; j3 dispatches with the whole
     // remaining balance (40); j4's 35-fuel floor no longer fits the
@@ -194,10 +188,10 @@ fn session_quota_exhaustion_is_ssd200() {
 fn cancel_queued_and_unknown_jobs() {
     let mut s = Scheduler::new(1, 8, Arc::new(ManualClock::new()));
     let sid = s.open_session(SessionQuota::default());
-    let Decision::Dispatch(t1) = s.submit(sid, JobKind::Query, "a".into(), env(1)) else {
+    let Decision::Dispatch(t1) = s.submit(sid, env(1)) else {
         panic!("a dispatches");
     };
-    let Decision::Queued { job: j2, .. } = s.submit(sid, JobKind::Query, "b".into(), env(1)) else {
+    let Decision::Queued { job: j2, .. } = s.submit(sid, env(1)) else {
         panic!("b queues");
     };
     // Queued: removed synchronously.
@@ -221,11 +215,10 @@ fn cancel_is_scoped_to_the_owning_session() {
     let mut s = Scheduler::new(1, 8, Arc::new(ManualClock::new()));
     let owner = s.open_session(SessionQuota::default());
     let intruder = s.open_session(SessionQuota::default());
-    let Decision::Dispatch(t1) = s.submit(owner, JobKind::Query, "a".into(), env(1)) else {
+    let Decision::Dispatch(t1) = s.submit(owner, env(1)) else {
         panic!("a dispatches");
     };
-    let Decision::Queued { job: j2, .. } = s.submit(owner, JobKind::Query, "b".into(), env(1))
-    else {
+    let Decision::Queued { job: j2, .. } = s.submit(owner, env(1)) else {
         panic!("b queues");
     };
     // Another session's CANCEL gets the same SSD204 as an unknown id —
@@ -251,7 +244,7 @@ fn scheduler_state_stays_bounded() {
     let sid = s.open_session(SessionQuota::default());
     // Far more jobs than any cap; each completes before the next.
     for i in 0..(TRACE_CAP as u64 * 3) {
-        let Decision::Dispatch(t) = s.submit(sid, JobKind::Query, format!("q{i}"), env(1)) else {
+        let Decision::Dispatch(t) = s.submit(sid, env(1)) else {
             panic!("lone job always dispatches");
         };
         clock.advance(i % 7);
@@ -270,14 +263,14 @@ fn scheduler_state_stays_bounded() {
 fn shutdown_rejects_new_work_but_drains_the_queue() {
     let mut s = Scheduler::new(1, 8, Arc::new(ManualClock::new()));
     let sid = s.open_session(SessionQuota::default());
-    let Decision::Dispatch(t1) = s.submit(sid, JobKind::Query, "a".into(), env(1)) else {
+    let Decision::Dispatch(t1) = s.submit(sid, env(1)) else {
         panic!("a dispatches");
     };
-    let Decision::Queued { .. } = s.submit(sid, JobKind::Query, "b".into(), env(1)) else {
+    let Decision::Queued { .. } = s.submit(sid, env(1)) else {
         panic!("b queues");
     };
     s.begin_shutdown();
-    let Decision::Rejected(d) = s.submit(sid, JobKind::Query, "c".into(), env(1)) else {
+    let Decision::Rejected(d) = s.submit(sid, env(1)) else {
         panic!("c is rejected during shutdown");
     };
     assert_eq!(d.code.as_str(), "SSD203");
@@ -300,7 +293,7 @@ fn budget_split_refund_round_trips_through_scheduling() {
     let sid = s.open_session(quota(Some(500), 100, 2));
     let mut spent_total = 0u64;
     for spent in [30u64, 100, 0, 77] {
-        let Decision::Dispatch(t) = s.submit(sid, JobKind::Query, "q".into(), env(1)) else {
+        let Decision::Dispatch(t) = s.submit(sid, env(1)) else {
             panic!("dispatch");
         };
         s.complete(t.job, spent, 0, FinishKind::Completed);
@@ -317,10 +310,10 @@ fn queued_admission_is_ssd202() {
     use semistructured::diag::{Code, Severity};
     let mut s = Scheduler::new(1, 4, Arc::new(ManualClock::new()));
     let sid = s.open_session(quota(Some(1000), 50, 4));
-    let Decision::Dispatch(_) = s.submit(sid, JobKind::Query, "a".into(), env(1)) else {
+    let Decision::Dispatch(_) = s.submit(sid, env(1)) else {
         panic!("first job should dispatch");
     };
-    let Decision::Queued { depth, .. } = s.submit(sid, JobKind::Query, "b".into(), env(1)) else {
+    let Decision::Queued { depth, .. } = s.submit(sid, env(1)) else {
         panic!("second job should queue behind the busy worker");
     };
     assert_eq!(depth, 1);
@@ -349,7 +342,7 @@ fn refund_beyond_grant_is_ssd211_and_never_happens_when_healthy() {
     let mut s = Scheduler::new(1, 4, Arc::new(ManualClock::new()));
     let sid = s.open_session(quota(Some(500), 100, 2));
     for spent in [0u64, 100, 37] {
-        let Decision::Dispatch(t) = s.submit(sid, JobKind::Query, "q".into(), env(1)) else {
+        let Decision::Dispatch(t) = s.submit(sid, env(1)) else {
             panic!("dispatch");
         };
         s.complete(t.job, spent, 0, FinishKind::Completed);
@@ -455,12 +448,7 @@ fn stress_run(seed: u64) -> Vec<TraceEvent> {
             // the rejection paths are part of the schedule).
             0..=54 => {
                 let si = rng.gen_range(0..sessions.len());
-                let d = s.submit(
-                    sessions[si].id,
-                    JobKind::Query,
-                    format!("q{step}"),
-                    env(rng.gen_range(1..=30)),
-                );
+                let d = s.submit(sessions[si].id, env(rng.gen_range(1..=30)));
                 match d {
                     Decision::Dispatch(t) => {
                         assert!(sessions[si].open, "closed session must not dispatch");
@@ -625,16 +613,68 @@ fn server_streams_chunked_results() {
     server.shutdown();
 }
 
+/// An `RPE` job is the select over its path: the same envelope (the
+/// estimate the books carry), the same chunks and the same summary as
+/// the `QUERY` spelled out.
 #[test]
 fn rpe_jobs_desugar_to_selects() {
     let server = Server::start(movies(), ServeConfig::default());
-    let session = server.open_session(SessionQuota::default());
-    let out = session
-        .submit(JobKind::Rpe, "Entry.%.Title")
-        .unwrap()
-        .wait();
-    assert_eq!(out.error, None);
-    assert!(out.summary.unwrap().contains("results=3"));
+    let run = |kind, text| {
+        let session = server.open_session(SessionQuota::default());
+        let out = session.submit(kind, text).unwrap().wait();
+        (session.counters().unwrap().fuel_estimated, out)
+    };
+    let rpe = run(JobKind::Rpe, "Entry.%.Title");
+    let query = run(JobKind::Query, "select X from db.Entry.%.Title X");
+    assert_eq!(rpe, query);
+    assert_eq!(rpe.1.error, None);
+    assert!(rpe.0 > 0, "the estimate reached the books");
+    assert!(rpe.1.summary.unwrap().starts_with("results=3 "));
+    server.shutdown();
+}
+
+/// A job any engine refuses statically is refused by `submit` itself:
+/// nothing is admitted, estimated, granted or traced.
+#[test]
+fn statically_refused_jobs_are_invalid_at_submit() {
+    let server = Server::start(movies(), ServeConfig::default());
+    let session = server.open_session(SessionQuota {
+        fuel: Some(1_000_000),
+        ..SessionQuota::default()
+    });
+    let trace = server.trace();
+    for (kind, text, why) in [
+        (
+            JobKind::Query,
+            "select X from db.Entry.Movie Y",
+            "unbound variable X",
+        ),
+        (
+            JobKind::Rpe,
+            "Entry.Movie M, M.Title",
+            "trailing input after path expression",
+        ),
+        (
+            JobKind::Datalog,
+            "p(X) :- node(X), not p(X).",
+            "not stratifiable",
+        ),
+        (
+            JobKind::Datalog,
+            "q(X, Y) :- edge(X, Y).",
+            "predicate edge used with arity 2, expected 3",
+        ),
+        (JobKind::Datalog, "p(X) :- not node(X).", "unsafe program"),
+    ] {
+        match session.submit(kind, text) {
+            Err(SubmitError::Invalid(m)) => assert!(m.contains(why), "{text}: {m}"),
+            Err(e) => panic!("{text}: wrong refusal: {e}"),
+            Ok(h) => panic!("{text}: scheduled as job {}", h.job),
+        }
+    }
+    let c = session.counters().unwrap();
+    assert_eq!((c.admitted, c.fuel_estimated), (0, 0));
+    assert_eq!(server.trace(), trace, "the scheduler never saw them");
     server.shutdown();
 }
 
@@ -969,6 +1009,30 @@ fn datalog_after_a_commit_reads_the_new_generation() {
     assert_eq!(server.generation(), Some(1));
     // Two new edges in a chain: 1 + (2 direct + 1 transitive).
     closure("reach: 4 tuple(s)");
+    server.shutdown();
+}
+
+/// A `DATALOG` job is parsed against the symbols of the snapshot the
+/// server started on and runs on the generation its worker pins. That
+/// holds because every generation shares one append-only symbol table:
+/// a label first committed after start resolves to the same symbol in
+/// both.
+#[test]
+fn datalog_resolves_labels_committed_after_start() {
+    let dir = store_dir("symbols");
+    ssd_store::Store::init(&dir, &movies()).unwrap();
+    let (store, _) = ssd_store::Store::open(&dir, &semistructured::Budget::unlimited()).unwrap();
+    let server = Server::start_with_store(Arc::new(store), ServeConfig::default());
+    let session = server.open_session(SessionQuota::default());
+    let insert = script(&[ssd_store::Op::Insert("{Fresh: 1}".to_string())]);
+    let out = session.submit(JobKind::Commit, &insert).unwrap().wait();
+    assert_eq!(out.error, None);
+    let out = session
+        .submit(JobKind::Datalog, "f(Y) :- edge(_X, 'Fresh', Y).")
+        .unwrap()
+        .wait();
+    assert_eq!(out.error, None);
+    assert_eq!(out.chunks, vec!["f: 1 tuple(s)".to_string()]);
     server.shutdown();
 }
 
