@@ -248,11 +248,23 @@ q_out=$(timeout 60 ./target/release/ssd serve examples/movies.ssd --port 0 \
     done
     printf 'HELLO\nQUERY select T from db.Entry.Movie.Title T\n' \
         | timeout 60 ./target/release/ssd client "$port"
+    # Admission costs the generation a job runs on: with its 6 Title
+    # edges the recovered store puts this job's floor at 7 steps, over a
+    # 4-step ceiling; once a commit deletes them it fits.
+    printf 'HELLO\nDELETE Title\nCOMMIT\n' \
+        | timeout 60 ./target/release/ssd client "$port" >/dev/null
+    printf "HELLO job-fuel=4\nDATALOG t(X) :- edge(X, 'Title', _Y).\n" \
+        | timeout 60 ./target/release/ssd client "$port"
     printf 'SHUTDOWN\n' | timeout 60 ./target/release/ssd client "$port" >/dev/null
     wait "$serve4_pid" 2>/dev/null || true)
 echo "$q_out" | grep -q "Durable"           # the committed txn survived
 if echo "$q_out" | grep -q "Lost"; then
     echo "ci: uncommitted mutation visible after recovery" >&2
+    exit 1
+fi
+echo "$q_out" | grep -qxF "t: 0 tuple(s)"   # admitted on the post-commit generation
+if echo "$q_out" | grep -q "SSD030"; then
+    echo "ci: admission costed a job against a generation it does not run on" >&2
     exit 1
 fi
 rm -rf "$store_dir"; rm -f "$serve2_log" "$serve3_log" "$w_out" "$t_out"

@@ -54,6 +54,8 @@ pub struct Database {
     /// means building it failed (SSD051 dictionary overflow) and every
     /// query on this snapshot uses the interpreter.
     triple_index: OnceLock<Option<TripleIndex>>,
+    /// This generation's statistics; see [`Database::index_stats`].
+    index_stats: OnceLock<DataStats>,
     /// Storage generation this snapshot belongs to: 0 for a freestanding
     /// database, and the committed-transaction count when the database
     /// is a snapshot handed out by `ssd-store` (each commit swaps in a
@@ -141,6 +143,7 @@ impl Database {
             index: OnceLock::new(),
             guide: OnceLock::new(),
             triple_index: OnceLock::new(),
+            index_stats: OnceLock::new(),
             generation: 0,
         }
     }
@@ -440,12 +443,25 @@ impl Database {
         ssd_query::analyze::analyze_datalog_src(program, self.graph.symbols(), None)
     }
 
-    /// Data statistics refined by the extracted schema — the estimator's
-    /// input. The extracted schema conforms by construction, so the
-    /// per-schema-node extents are usable as cardinality bounds.
+    /// The statistics every estimate on this snapshot starts from, read
+    /// once off its triple index (built on first use) in one linear pass
+    /// over the runs. `cyclic` is `true` whatever the data: the index
+    /// does not say, and `true` only loosens bounds. When the index could
+    /// not be built (SSD051) the graph is walked instead.
+    pub fn index_stats(&self) -> &DataStats {
+        self.index_stats.get_or_init(|| match self.triple_index() {
+            Some(index) => index_stats(index),
+            None => DataStats::collect(&self.graph),
+        })
+    }
+
+    /// [`Database::index_stats`] refined by the extracted schema — what
+    /// `ssd check` and `ssd explain` estimate selects with. The extracted
+    /// schema conforms by construction, so the per-schema-node extents
+    /// are usable as cardinality bounds.
     pub fn data_stats(&self) -> (DataStats, Schema) {
         let schema = self.extract_schema();
-        let stats = DataStats::collect_with_schema(&self.graph, &schema);
+        let stats = self.index_stats().clone().refine(&self.graph, &schema);
         (stats, schema)
     }
 
@@ -466,8 +482,7 @@ impl Database {
     }
 
     /// The cost analysis behind [`Database::estimate_query`], over
-    /// statistics collected from this snapshot now. Spans only position
-    /// the diagnostics.
+    /// [`Database::data_stats`]. Spans only position the diagnostics.
     fn select_cost(
         &self,
         q: &SelectQuery,
@@ -481,11 +496,11 @@ impl Database {
         ssd_query::analyze::analyze_query_cost(q, spans, &ctx)
     }
 
-    /// The cost analysis behind [`Database::estimate_datalog`]; see
-    /// [`Database::select_cost`].
+    /// The cost analysis behind [`Database::estimate_datalog`], over
+    /// [`Database::index_stats`] (no datalog bound reads a schema).
     fn program_cost(&self, p: &Program, spans: Option<&ProgramSpans>) -> CostAnalysis {
-        let stats = DataStats::collect(&self.graph);
-        ssd_query::analyze::analyze_datalog_cost(p, spans, None, &CostContext::with_stats(&stats))
+        let ctx = CostContext::with_stats(self.index_stats());
+        ssd_query::analyze::analyze_datalog_cost(p, spans, None, &ctx)
     }
 
     /// Run a `rewrite` program (the surface syntax for structural
@@ -747,6 +762,36 @@ impl Edb for Triples<'_> {
         out.dedup();
         out
     }
+}
+
+/// The global statistics of the graph `index` was built for, read off
+/// its runs: SPO's length and the root's SPO range, the `node/1`
+/// relation's size, and one pass over POS's per-label ranges. Equal to
+/// [`DataStats::collect`] on every field but `cyclic`, which is `true`.
+fn index_stats(index: &TripleIndex) -> DataStats {
+    // Node ids are dense: mark the root and every first component of
+    // SPO and OSP.
+    let mut seen = vec![false; Triples(Some(index)).max_node() as usize + 1];
+    seen[index.root() as usize] = true;
+    for k in index.spo().iter().chain(index.osp().iter()) {
+        seen[k[0] as usize] = true;
+    }
+    let nodes = seen.iter().filter(|&&s| s).count() as u64;
+    let mut stats = DataStats {
+        nodes_reachable: nodes,
+        edges_reachable: index.len() as u64,
+        root_fanout: index.edges_from(index.root()).len() as u64,
+        edb_nodes: nodes,
+        cyclic: true,
+        ..DataStats::default()
+    };
+    for run in index.pos().as_slice().chunk_by(|a, b| a[0] == b[0]) {
+        stats.distinct_labels += 1;
+        if let Some(Label::Symbol(s)) = index.dict().resolve(run[0][0]) {
+            stats.symbol_counts.insert(*s, run.len() as u64);
+        }
+    }
+    stats
 }
 
 /// Fields of the `cost.actual` instant: the run's actual fuel, memory,

@@ -196,9 +196,8 @@ impl RelBounds {
 /// it is a positive EDB atom: the size of the range its constants select.
 /// No constant selects the whole relation; a symbol in `edge`'s label
 /// position selects that label's edges (none if no edge carries it). A
-/// node constant selects one node's fan-in or fan-out, and a value label
-/// is only counted by displayed form, which a symbol may share — both
-/// are floored at 0.
+/// node constant selects one node's fan-in or fan-out, and the
+/// statistics do not count value labels — both are floored at 0.
 fn first_literal_floor(rule: &Rule, ctx: &CostContext<'_>) -> u64 {
     let Some(first) = rule.body.first() else {
         return 0;
@@ -370,7 +369,8 @@ mod tests {
         );
         assert!(a.envelope.fuel.is_bounded());
         // Seed round is offered exactly the `a` edges, plus the round tick.
-        assert_eq!(a.envelope.fuel.lo, stats.label_count("a") + 1);
+        let a_edges = stats.symbol_count(g.symbols().intern("a"));
+        assert_eq!(a.envelope.fuel.lo, a_edges + 1);
         let all = parse_program("hit(Y) :- edge(_X, _L, Y).", g.symbols()).unwrap();
         let a = analyze_datalog_cost(&all, None, None, &CostContext::with_stats(&stats));
         assert_eq!(a.envelope.fuel.lo, stats.edges_reachable + 1);

@@ -45,8 +45,10 @@ use ssd_schema::{DataStats, Schema};
 /// of failing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CostContext<'a> {
-    /// Collected statistics of the target graph
-    /// ([`DataStats::collect`] / [`DataStats::collect_with_schema`]).
+    /// Statistics of the snapshot the estimate is for: a generation's
+    /// index counts (`Database::index_stats`, what admission reads), a
+    /// graph walk ([`DataStats::collect`]), or either refined by a
+    /// schema ([`DataStats::refine`]).
     pub stats: Option<&'a DataStats>,
     /// A schema the data conforms to. Per-schema-node extents are used
     /// only when `stats` was collected *with* this schema and reports

@@ -5,7 +5,7 @@
 //! the optimizer can estimate how many objects a path touches. This
 //! module is that collector: one deterministic pass over the reachable
 //! fragment of a data graph records global sizes (node/edge counts,
-//! fan-out, per-label edge counts) and — when a schema is supplied — the
+//! per-symbol edge counts) and — when a schema is supplied — the
 //! number of data nodes assigned to each schema node by the reachable
 //! product of data and schema (every data node reachable *while* the
 //! schema tracks it with a matching predicate edge).
@@ -31,8 +31,6 @@ pub struct DataStats {
     pub nodes_reachable: u64,
     /// Edges with a reachable source.
     pub edges_reachable: u64,
-    /// Largest out-degree among reachable nodes.
-    pub max_fanout: u64,
     /// Out-degree of the root.
     pub root_fanout: u64,
     /// Distinct nodes appearing as an endpoint of a reachable edge, plus
@@ -42,12 +40,9 @@ pub struct DataStats {
     pub distinct_labels: u64,
     /// Does the graph contain a cycle? Acyclic data bounds the number of
     /// label words any path expression can match even without a schema.
+    /// `true` is always sound.
     pub cyclic: bool,
-    /// Edge count per label (displayed form; symbols by name).
-    pub label_counts: BTreeMap<String, u64>,
-    /// Edge count per symbol label, by id — exact where the displayed
-    /// form is not (a value can be spelled like a symbol), and usable
-    /// without the symbol table.
+    /// Edge count per symbol label, by id. Value labels are not counted.
     pub symbol_counts: BTreeMap<SymbolId, u64>,
     /// With a schema: for each schema node, how many distinct data nodes
     /// the reachable data×schema product assigns to it. Empty without a
@@ -68,32 +63,33 @@ impl DataStats {
         stats.cyclic = g.has_cycle();
         let mut endpoints: BTreeSet<NodeId> = BTreeSet::new();
         endpoints.insert(g.root());
+        let mut labels: BTreeSet<&Label> = BTreeSet::new();
         for &n in &reachable {
-            let deg = g.out_degree(n) as u64;
-            stats.max_fanout = stats.max_fanout.max(deg);
             for e in g.edges(n) {
                 stats.edges_reachable += 1;
                 endpoints.insert(n);
                 endpoints.insert(e.to);
-                match &e.label {
-                    Label::Symbol(s) => *stats.symbol_counts.entry(*s).or_insert(0) += 1,
-                    Label::Value(v) => *stats.label_counts.entry(v.to_string()).or_insert(0) += 1,
+                labels.insert(&e.label);
+                if let Label::Symbol(s) = &e.label {
+                    *stats.symbol_counts.entry(*s).or_insert(0) += 1;
                 }
             }
         }
-        for (&s, &n) in &stats.symbol_counts {
-            let name = g.symbols().resolve(s).to_string();
-            *stats.label_counts.entry(name).or_insert(0) += n;
-        }
         stats.edb_nodes = endpoints.len() as u64;
-        stats.distinct_labels = stats.label_counts.len() as u64;
+        stats.distinct_labels = labels.len() as u64;
         stats
     }
 
     /// Collect global statistics plus per-schema-node assignment counts
     /// from the reachable data×schema product, and the conformance flag.
     pub fn collect_with_schema(g: &Graph, schema: &Schema) -> DataStats {
-        let mut stats = DataStats::collect(g);
+        DataStats::collect(g).refine(g, schema)
+    }
+
+    /// Refine global statistics of `g`, however they were gathered, with
+    /// the per-schema-node assignment counts of the reachable data×schema
+    /// product and the conformance flag.
+    pub fn refine(mut self, g: &Graph, schema: &Schema) -> DataStats {
         let mut assigned: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); schema.node_count()];
         let mut visited: BTreeSet<(NodeId, SchemaNodeId)> = BTreeSet::new();
         let start = (g.root(), schema.root());
@@ -114,9 +110,9 @@ impl DataStats {
                 }
             }
         }
-        stats.per_schema_node = assigned.iter().map(|s| s.len() as u64).collect();
-        stats.conforms = conforms(g, schema);
-        stats
+        self.per_schema_node = assigned.iter().map(|s| s.len() as u64).collect();
+        self.conforms = conforms(g, schema);
+        self
     }
 
     /// Data nodes assigned to `n` by the product traversal, if a schema
@@ -125,37 +121,9 @@ impl DataStats {
         self.per_schema_node.get(n.index()).copied()
     }
 
-    /// Edges carrying `label` (by displayed form), zero if absent.
-    pub fn label_count(&self, label: &str) -> u64 {
-        self.label_counts.get(label).copied().unwrap_or(0)
-    }
-
     /// Edges carrying the symbol `s`, zero if absent.
     pub fn symbol_count(&self, s: SymbolId) -> u64 {
         self.symbol_counts.get(&s).copied().unwrap_or(0)
-    }
-}
-
-impl std::fmt::Display for DataStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} node(s), {} edge(s), {} distinct label(s), max fan-out {}",
-            self.nodes_reachable, self.edges_reachable, self.distinct_labels, self.max_fanout
-        )?;
-        if !self.per_schema_node.is_empty() {
-            write!(
-                f,
-                ", schema extents {:?}{}",
-                self.per_schema_node,
-                if self.conforms {
-                    " (conforming)"
-                } else {
-                    " (non-conforming)"
-                }
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -186,16 +154,17 @@ mod tests {
         assert!(stats.cyclic);
         assert_eq!(stats.nodes_reachable, g.reachable().len() as u64);
         assert_eq!(stats.edges_reachable, g.edge_count() as u64);
-        assert_eq!(stats.label_count("Entry"), 2);
-        assert_eq!(stats.label_count("Title"), 2);
-        assert_eq!(stats.label_count("References"), 2);
-        // Value labels key by their displayed (quoted) form.
-        assert_eq!(stats.label_count("\"Casablanca\""), 1);
+        let count = |name: &str| stats.symbol_count(g.symbols().intern(name));
+        assert_eq!(count("Entry"), 2);
+        assert_eq!(count("Title"), 2);
+        assert_eq!(count("References"), 2);
         assert_eq!(stats.root_fanout, 2);
-        assert!(stats.max_fanout >= 3, "movie node has 3 edges");
+        // Six symbols plus the three string values.
+        assert_eq!(stats.distinct_labels, 9);
+        // Every edge not counted by symbol carries one of the values.
         assert_eq!(
             stats.edges_reachable,
-            stats.label_counts.values().sum::<u64>()
+            stats.symbol_counts.values().sum::<u64>() + 3
         );
         // Every reachable node is an edge endpoint here.
         assert_eq!(stats.edb_nodes, stats.nodes_reachable);
@@ -211,7 +180,7 @@ mod tests {
         // And stable across graph re-parses of the same literal.
         let c = DataStats::collect_with_schema(&cyclic_figure1(), &schema);
         assert_eq!(a.per_schema_node, c.per_schema_node);
-        assert_eq!(a.label_counts, c.label_counts);
+        assert_eq!(a.edges_reachable, c.edges_reachable);
     }
 
     #[test]
@@ -249,16 +218,5 @@ mod tests {
         assert_eq!(stats.edges_reachable, 0);
         assert_eq!(stats.edb_nodes, 1);
         assert_eq!(stats.distinct_labels, 0);
-        assert_eq!(stats.max_fanout, 0);
-    }
-
-    #[test]
-    fn display_mentions_extents_with_schema() {
-        let g = cyclic_figure1();
-        let with = DataStats::collect_with_schema(&g, &figure1_schema());
-        assert!(with.to_string().contains("schema extents"));
-        assert!(with.to_string().contains("conforming"));
-        let without = DataStats::collect(&g);
-        assert!(!without.to_string().contains("schema extents"));
     }
 }

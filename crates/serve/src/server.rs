@@ -20,13 +20,13 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Condvar, Mutex, Once, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, Once};
 use std::thread::JoinHandle;
 
 use semistructured::query::analyze::{analyze_datalog_cost, analyze_query_cost};
 use semistructured::query::lang::{self, Binding, Construct, QueryParseError, Source};
 use semistructured::triples::datalog::{self, Program};
-use semistructured::{CostContext, DataStats, Database, Schema, SelectQuery};
+use semistructured::{CostContext, Database, SelectQuery};
 use ssd_diag::{Code, Diagnostic};
 use ssd_guard::{CostEnvelope, Exhausted, Guard, Interval};
 use ssd_store::{Store, Txn};
@@ -45,15 +45,14 @@ use crate::sched::{
 pub const PANIC_PROBE: &str = "__ssd_panic_probe__";
 
 /// A job as admission checked it: parsed once, refused there if any
-/// engine would refuse it statically, and run by the worker as is.
+/// engine would refuse it statically, and run by the worker as is. A
+/// read carries the snapshot admission pinned and costed it against;
+/// the worker runs it there, however many commits land in between.
 enum Work {
     /// A `QUERY`, or an `RPE` as the select over its path.
-    Select(SelectQuery),
-    /// A `DATALOG` program, parsed against the symbols of the snapshot
-    /// the server started on. It runs on whichever generation the worker
-    /// pins: every generation shares that one append-only symbol table
-    /// (a `Graph` clone shares it), so its labels resolve alike in all.
-    Datalog(Program),
+    Select(Arc<Database>, SelectQuery),
+    /// A `DATALOG` program, parsed against its snapshot's symbols.
+    Datalog(Arc<Database>, Program),
     /// A `COMMIT`'s staged operations, each validated.
     Commit(Txn),
     /// A job carrying [`PANIC_PROBE`].
@@ -177,12 +176,18 @@ struct State {
     stop: bool,
 }
 
+/// What reads run on.
+enum Data {
+    /// One immutable database: the server is read-only (mutations are
+    /// SSD403).
+    Fixed(Arc<Database>),
+    /// A durable store: each read pins its current generation at
+    /// admission, and COMMIT jobs write through it.
+    Store(Arc<Store>),
+}
+
 struct Inner {
-    db: Arc<Database>,
-    /// The durable store, when the server was started over one. Jobs
-    /// pin a snapshot generation at run time; COMMIT jobs write through
-    /// it. `None` means the server is read-only (mutations are SSD403).
-    store: Option<Arc<Store>>,
+    data: Data,
     cfg: ServeConfig,
     state: Mutex<State>,
     work: Condvar,
@@ -190,9 +195,6 @@ struct Inner {
     /// here; one shared notifier thread drains them (see
     /// [`notify_failed`]).
     notify: Sender<(SyncSender<JobEvent>, String)>,
-    /// Estimator inputs, computed once per server, not per submit.
-    query_stats: OnceLock<(DataStats, Schema)>,
-    datalog_stats: OnceLock<DataStats>,
 }
 
 /// The serving subsystem. See the module docs.
@@ -206,18 +208,17 @@ impl Server {
     /// Start `cfg.workers` workers over `db` with a wall clock. The
     /// server is read-only: mutation verbs are rejected with SSD403.
     pub fn start(db: Arc<Database>, cfg: ServeConfig) -> Server {
-        Server::start_full(db, None, cfg)
+        Server::start_full(Data::Fixed(db), cfg)
     }
 
-    /// Start over a durable [`Store`]: reads pin snapshot generations,
-    /// and `COMMIT` jobs write through the WAL. The base `db` handed to
-    /// the estimator is the store's current snapshot at start time.
+    /// Start over a durable [`Store`]: each read is costed against and
+    /// runs on the generation current at its admission, and `COMMIT`
+    /// jobs write through the WAL.
     pub fn start_with_store(store: Arc<Store>, cfg: ServeConfig) -> Server {
-        let db = store.snapshot();
-        Server::start_full(db, Some(store), cfg)
+        Server::start_full(Data::Store(store), cfg)
     }
 
-    fn start_full(db: Arc<Database>, store: Option<Arc<Store>>, cfg: ServeConfig) -> Server {
+    fn start_full(data: Data, cfg: ServeConfig) -> Server {
         let (notify, notices) = mpsc::channel::<(SyncSender<JobEvent>, String)>();
         // One notifier for the whole server: delivers the failure
         // notices that could not be sent without blocking. It exits when
@@ -228,8 +229,7 @@ impl Server {
             }
         });
         let inner = Arc::new(Inner {
-            db,
-            store,
+            data,
             cfg: cfg.clone(),
             state: Mutex::new(State {
                 sched: Scheduler::new(cfg.workers, cfg.queue_cap, Arc::new(MonotonicClock::new())),
@@ -239,8 +239,6 @@ impl Server {
             }),
             work: Condvar::new(),
             notify,
-            query_stats: OnceLock::new(),
-            datalog_stats: OnceLock::new(),
         });
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
@@ -258,12 +256,15 @@ impl Server {
     /// Does this server write through a durable store? When false,
     /// mutation verbs are rejected with SSD403 before admission.
     pub fn writable(&self) -> bool {
-        self.inner.store.is_some()
+        matches!(self.inner.data, Data::Store(_))
     }
 
     /// The current store generation, when there is a store.
     pub fn generation(&self) -> Option<u64> {
-        self.inner.store.as_ref().map(|s| s.generation())
+        match &self.inner.data {
+            Data::Store(store) => Some(store.generation()),
+            Data::Fixed(_) => None,
+        }
     }
 
     /// Open a session under `quota`.
@@ -455,9 +456,10 @@ impl Drop for SessionHandle {
 
 /// Parse and check a job once, into the [`Work`] the worker runs and the
 /// envelope admission schedules. A job is refused here when any engine
-/// would refuse it statically. Statistics are collected once, from the
-/// snapshot the server started on, so a submit never re-extracts the
-/// schema; commits do not refresh them.
+/// would refuse it statically. A read pins the current snapshot here and
+/// is costed against that snapshot's [`Database::index_stats`] — the
+/// generation it will run on, so the lower bounds admission compares
+/// with the budget hold for the run even after commits.
 fn admit(inner: &Inner, kind: JobKind, text: &str) -> Result<(Work, CostEnvelope), String> {
     if text.contains(PANIC_PROBE) {
         let envelope = CostEnvelope {
@@ -482,23 +484,18 @@ fn admit(inner: &Inner, kind: JobKind, text: &str) -> Result<(Work, CostEnvelope
                 }
                 .to_string()
             })?;
-            let (stats, schema) = inner.query_stats.get_or_init(|| inner.db.data_stats());
-            let ctx = CostContext {
-                stats: Some(stats),
-                schema: Some(schema),
-            };
+            let db = snapshot(inner);
+            let ctx = CostContext::with_stats(db.index_stats());
             let envelope = analyze_query_cost(&query, None, &ctx).envelope;
-            Ok((Work::Select(query), envelope))
+            Ok((Work::Select(db, query), envelope))
         }
         JobKind::Datalog => {
-            let program = datalog::parse_program(text, inner.db.graph().symbols())?;
+            let db = snapshot(inner);
+            let program = datalog::parse_program(text, db.graph().symbols())?;
             datalog::admit(&program).map_err(|e| e.to_string())?;
-            let stats = inner
-                .datalog_stats
-                .get_or_init(|| DataStats::collect(inner.db.graph()));
-            let ctx = CostContext::with_stats(stats);
+            let ctx = CostContext::with_stats(db.index_stats());
             let envelope = analyze_datalog_cost(&program, None, None, &ctx).envelope;
-            Ok((Work::Datalog(program), envelope))
+            Ok((Work::Datalog(db, program), envelope))
         }
         JobKind::Commit => {
             // Writes are costed from the transaction script itself: the
@@ -525,6 +522,16 @@ fn admit(inner: &Inner, kind: JobKind, text: &str) -> Result<(Work, CostEnvelope
             };
             Ok((Work::Commit(txn), envelope))
         }
+    }
+}
+
+/// The snapshot a read admitted now runs on: a single `Arc` clone, so
+/// readers never block writers or vice versa, and commits that land
+/// while the job waits or streams cannot change what it reads.
+fn snapshot(inner: &Inner) -> Arc<Database> {
+    match &inner.data {
+        Data::Store(store) => store.snapshot(),
+        Data::Fixed(db) => Arc::clone(db),
     }
 }
 
@@ -677,13 +684,6 @@ fn run_job(
     guard: &Guard,
     tx: &SyncSender<JobEvent>,
 ) -> FinishKind {
-    // Pin a snapshot generation for the whole job: commits that land
-    // while this job streams cannot change what it reads, and the pin is
-    // a single Arc clone — readers never block writers or vice versa.
-    let db: Arc<Database> = match &inner.store {
-        Some(store) => store.snapshot(),
-        None => Arc::clone(&inner.db),
-    };
     let cancelled = || {
         ticket
             .budget
@@ -694,7 +694,7 @@ fn run_job(
     let summary: String;
     match work {
         Work::PanicProbe => panic!("panic probe"),
-        Work::Select(query) => {
+        Work::Select(db, query) => {
             match db.select_with(query, guard) {
                 Err(e) => {
                     let _ = tx.send(JobEvent::Failed(e));
@@ -750,7 +750,7 @@ fn run_job(
                     FinishKind::Completed
                 };
             }
-            let Some(store) = &inner.store else {
+            let Data::Store(store) = &inner.data else {
                 let d = Diagnostic::new(
                     Code::ReadOnlyStore,
                     "server is read-only: started without --data-dir",
@@ -775,7 +775,7 @@ fn run_job(
                 }
             }
         }
-        Work::Datalog(program) => match db.program_with(program, guard) {
+        Work::Datalog(db, program) => match db.program_with(program, guard) {
             Err(e) => {
                 let _ = tx.send(JobEvent::Failed(e));
                 return if cancelled() {

@@ -556,30 +556,6 @@ impl Tracer {
         });
     }
 
-    /// Record a point-in-time event with an explicit parent (cross-thread
-    /// companion to [`Tracer::instant`]).
-    pub fn instant_at(
-        &self,
-        phase: Phase,
-        name: &'static str,
-        parent: u64,
-        fields: Vec<(&'static str, FieldValue)>,
-    ) {
-        let mut inner = self.inner.borrow_mut();
-        let id = inner.fresh_id();
-        inner.emit(Event {
-            seq: 0,
-            id,
-            parent,
-            kind: EventKind::Instant,
-            phase,
-            name,
-            fuel: 0,
-            memory: 0,
-            fields,
-        });
-    }
-
     /// Flush all sinks.
     pub fn flush(&self) {
         for s in &mut self.inner.borrow_mut().sinks {
@@ -1030,7 +1006,6 @@ mod tests {
     fn detached_spans_for_cross_thread_lifecycles() {
         let (tracer, ring) = ring_tracer(64);
         let job = tracer.open_detached(Phase::Serve, "job", 0, vec![("job", 1u64.into())]);
-        tracer.instant_at(Phase::Serve, "dispatch", job, Vec::new());
         tracer.close_detached(
             job,
             Phase::Serve,
@@ -1041,9 +1016,9 @@ mod tests {
         );
         let events = ring.snapshot();
         validate(&events).unwrap();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[1].parent, job);
-        assert_eq!(events[2].fuel, 42);
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[1].id, job);
+        assert_eq!(events[1].fuel, 42);
     }
 
     #[test]

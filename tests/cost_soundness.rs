@@ -14,7 +14,9 @@ use semistructured::query::lang::ast::{Binding, Construct, SelectQuery, Source};
 use semistructured::query::lang::{evaluate_select, EvalOptions, EvalStats};
 use semistructured::query::{evaluate_batched, Rpe, Step};
 use semistructured::triples::datalog::parse_program;
-use semistructured::{AccessDecision, Bound, Budget, DataStats, Database, Graph, Guard, Label};
+use semistructured::{
+    AccessDecision, Bound, Budget, DataStats, Database, Graph, Guard, Label, Pred,
+};
 use ssd_data::movies::{movie_database, MovieDbConfig};
 
 const LABELS: &[&str] = &["a", "b", "c", "Movie", "Title"];
@@ -283,27 +285,51 @@ proptest! {
         assert_brackets("datalog", &a.envelope, guard.steps_used(), guard.memory_used())?;
     }
 
+    /// Contrapositive of soundness: if a real run finishes within a
+    /// budget, admission with that budget must accept the envelope —
+    /// costed, as the server costs it, from the statistics of the
+    /// generation that runs: a generated graph, and the generation a
+    /// generated commit makes of it.
     #[test]
     fn admission_never_rejects_a_run_that_fits(
         g in arb_graph(),
         p1 in arb_path(),
+        insert in arb_graph(),
+        delete in prop_oneof![Just(None), (0usize..LABELS.len()).prop_map(Some)],
     ) {
-        // Contrapositive of soundness: if a real run finishes within a
-        // budget, admission with that budget must accept the envelope.
         let q = query_of(p1, None);
-        let stats = DataStats::collect(&g);
-        let a = analyze_query_cost(&q, None, &CostContext::with_stats(&stats));
-        for (engine, guard, _) in run_both_engines(&g, &q)? {
-            let budget = Budget::unlimited()
-                .max_steps(guard.steps_used())
-                .max_memory_bytes(guard.memory_used().max(1));
-            prop_assert!(
-                budget.admit(&a.envelope).is_ok(),
-                "admission rejected a budget the {engine} run fit: used {} steps",
-                guard.steps_used()
-            );
+        let base = Database::new(g);
+        let next = commit(&base, &insert, delete.map(|k| LABELS[k]));
+        for db in [&base, &next] {
+            let ctx = CostContext::with_stats(db.index_stats());
+            let a = analyze_query_cost(&q, None, &ctx);
+            for (engine, guard, _) in run_both_engines(db.graph(), &q)? {
+                let budget = Budget::unlimited()
+                    .max_steps(guard.steps_used())
+                    .max_memory_bytes(guard.memory_used().max(1));
+                prop_assert!(
+                    budget.admit(&a.envelope).is_ok(),
+                    "generation {}: admission rejected a budget the {engine} run fit: \
+                     used {} steps",
+                    db.generation(),
+                    guard.steps_used()
+                );
+            }
         }
     }
+}
+
+/// The generation a store commit of `INSERT insert` (then `DELETE
+/// label`) makes of `base`: the id-stable ops a commit applies, with
+/// `base`'s triple index carried across by `merge_delta`.
+fn commit(base: &Database, insert: &Graph, delete: Option<&str>) -> Database {
+    let index = base.triple_index().unwrap();
+    let mut next = base.union_id_stable(&Database::new(insert.clone()));
+    if let Some(label) = delete {
+        next = next.delete_edges_id_stable(&Pred::Symbol(label.into()));
+    }
+    let merged = index.merge_delta(next.graph()).unwrap();
+    next.with_generation(1).with_seeded_index(merged)
 }
 
 /// The `Database` leg of traced ≡ untraced, on the retired E15's reorder query

@@ -10,7 +10,10 @@
 
 use std::sync::Arc;
 
-use semistructured::Database;
+use semistructured::query::analyze::{analyze_datalog_cost, analyze_query_cost};
+use semistructured::query::parse_query;
+use semistructured::triples::datalog::parse_program;
+use semistructured::{CostContext, Database};
 use ssd_guard::{Bound, CostEnvelope, Interval};
 use ssd_serve::sched::{JobId, SessionId};
 use ssd_serve::{
@@ -1012,11 +1015,9 @@ fn datalog_after_a_commit_reads_the_new_generation() {
     server.shutdown();
 }
 
-/// A `DATALOG` job is parsed against the symbols of the snapshot the
-/// server started on and runs on the generation its worker pins. That
-/// holds because every generation shares one append-only symbol table:
-/// a label first committed after start resolves to the same symbol in
-/// both.
+/// A `DATALOG` job is parsed against the symbols of the generation
+/// admission pins for it, and runs on that generation: a label first
+/// committed after start resolves once that commit is current.
 #[test]
 fn datalog_resolves_labels_committed_after_start() {
     let dir = store_dir("symbols");
@@ -1099,5 +1100,94 @@ fn commit_admission_charges_the_exact_envelope() {
     };
     assert!(d.headline().contains("SSD030"), "{}", d.headline());
     assert_eq!(server.generation(), Some(0));
+    server.shutdown();
+}
+
+/// Open a store seeded with `seed` and serve it, keeping a handle on the
+/// store so a test can read the generation a job ran on.
+fn serve_store(tag: &str, seed: &Database) -> (Arc<ssd_store::Store>, Server) {
+    let dir = store_dir(tag);
+    ssd_store::Store::init(&dir, seed).unwrap();
+    let (store, _) = ssd_store::Store::open(&dir, &semistructured::Budget::unlimited()).unwrap();
+    let store = Arc::new(store);
+    let server = Server::start_with_store(Arc::clone(&store), ServeConfig::default());
+    (store, server)
+}
+
+/// Admission costs a job against the generation it runs on. On
+/// `examples/movies.ssd` a 4-step job ceiling is below the floor of a
+/// datalog job scanning every `Title` edge (5 edges, plus the round
+/// tick), so it is refused; after a commit deletes those edges the same
+/// job fits, runs, and its estimate is the new generation's.
+#[test]
+fn admission_costs_the_generation_after_a_commit() {
+    const TITLES: &str = "t(X) :- edge(X, 'Title', _Y).";
+    let seed = Database::from_literal(include_str!("../examples/movies.ssd")).unwrap();
+    let (store, server) = serve_store("recost", &seed);
+    let tight = server.open_session(quota(None, 4, 1));
+    let Err(SubmitError::Rejected(d)) = tight.submit(JobKind::Datalog, TITLES) else {
+        panic!("generation 0 has 5 Title edges: expected SSD030");
+    };
+    assert!(
+        d.headline()
+            .contains("needs at least 6 step(s), limit is 4"),
+        "{}",
+        d.headline()
+    );
+
+    let writer = server.open_session(SessionQuota::default());
+    let delete = script(&[ssd_store::Op::Delete("Title".to_string())]);
+    let out = writer.submit(JobKind::Commit, &delete).unwrap().wait();
+    assert_eq!(out.error, None);
+    assert_eq!(server.generation(), Some(1));
+
+    let out = match tight.submit(JobKind::Datalog, TITLES) {
+        Ok(job) => job.wait(),
+        Err(e) => panic!("refused on generation 1: {e}"),
+    };
+    assert_eq!(out.error, None);
+    assert_eq!(out.chunks, vec!["t: 0 tuple(s)".to_string()]);
+    let generation1 = store.snapshot();
+    let program = parse_program(TITLES, generation1.graph().symbols()).unwrap();
+    let ctx = CostContext::with_stats(generation1.index_stats());
+    let estimate = analyze_datalog_cost(&program, None, None, &ctx)
+        .envelope
+        .fuel
+        .lo;
+    assert_eq!(estimate, 1, "no Title edge left: the round tick only");
+    assert_eq!(tight.counters().unwrap().fuel_estimated, estimate);
+    server.shutdown();
+}
+
+/// An interpreter-shaped select's floor scans the root's edges, so its
+/// estimate follows the root fan-out of the generation it runs on: after
+/// an insert adds a root edge it is generation 1's, not generation 0's.
+#[test]
+fn select_estimate_follows_the_root_fanout_of_its_generation() {
+    const QUERY: &str = "select T from db.Entry.%.Title T";
+    let (store, server) = serve_store("fanout", &movies());
+    let estimate = |db: &Database| {
+        let ctx = CostContext::with_stats(db.index_stats());
+        analyze_query_cost(&parse_query(QUERY).unwrap(), None, &ctx)
+            .envelope
+            .fuel
+            .lo
+    };
+    let generation0 = estimate(&store.snapshot());
+
+    let writer = server.open_session(SessionQuota::default());
+    let insert = script(&[ssd_store::Op::Insert(
+        "{Entry: {Movie: {Title: \"Z\"}}}".to_string(),
+    )]);
+    let out = writer.submit(JobKind::Commit, &insert).unwrap().wait();
+    assert_eq!(out.error, None);
+    let generation1 = estimate(&store.snapshot());
+    assert!(generation1 > generation0, "{generation1} vs {generation0}");
+
+    let reader = server.open_session(SessionQuota::default());
+    let out = reader.submit(JobKind::Query, QUERY).unwrap().wait();
+    assert_eq!(out.error, None);
+    assert!(out.summary.unwrap().contains("results=4"));
+    assert_eq!(reader.counters().unwrap().fuel_estimated, generation1);
     server.shutdown();
 }

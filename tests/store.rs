@@ -3,7 +3,8 @@
 //! interleaving random transactions with injected crashes, snapshot
 //! isolation under a concurrent writer, and the SSD4xx diagnostics —
 //! SSD400 (torn tail truncated), SSD401 (checksum mismatch), SSD402
-//! (recovery replay note), SSD403 (write on a read-only store).
+//! (recovery replay note), SSD403 (write on a read-only store) — and the
+//! statistics each generation carries, checked against a graph walk.
 //!
 //! The contract under test is the one `docs/ROBUSTNESS.md` states:
 //! after any injected crash, reopening the store yields *exactly* the
@@ -11,7 +12,7 @@
 //! uncommitted operation is visible.
 
 use proptest::prelude::*;
-use semistructured::{Budget, Database};
+use semistructured::{Budget, DataStats, Database, Graph, Label};
 use ssd_store::{Op, Store, StoreError, Txn};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -360,4 +361,85 @@ fn init_refuses_to_overwrite() {
     Store::init(&dir, &seed_db()).unwrap();
     assert!(Store::init(&dir, &seed_db()).is_err());
     assert!(Store::is_initialized(&dir));
+}
+
+// ------------------------------------------------ statistics per generation
+
+/// Symbol and integer labels, self-loops, cycles and edgeless roots.
+fn arb_graph() -> impl Strategy<Value = Graph> {
+    (
+        1usize..6,
+        proptest::collection::vec((0usize..6, 0usize..6, 0usize..5), 0..12),
+    )
+        .prop_map(|(n, edges)| {
+            let mut g = Graph::new();
+            let mut ids = vec![g.root()];
+            ids.extend((1..n).map(|_| g.add_node()));
+            for (from, to, label) in edges {
+                let label = match label {
+                    k @ 0..=2 => Label::symbol(g.symbols(), ["a", "b", "c"][k]),
+                    k => Label::int(k as i64),
+                };
+                g.add_edge(ids[from % n], label, ids[to % n]);
+            }
+            g
+        })
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        arb_graph().prop_map(|g| Op::Insert(Database::new(g).to_literal())),
+        (0usize..3).prop_map(|k| Op::Delete(["a", "b", "c"][k].to_string())),
+    ]
+}
+
+/// A generation's statistics read off its triple index equal a walk of
+/// its graph (which shares no code with the index) on every field but
+/// `cyclic`, and refining them by a schema equals walking with it.
+fn assert_stats_agree(db: &Database) -> Result<(), TestCaseError> {
+    let walked = DataStats::collect(db.graph());
+    let read = DataStats {
+        cyclic: walked.cyclic,
+        ..db.index_stats().clone()
+    };
+    prop_assert_eq!(read, walked);
+    let (refined, schema) = db.data_stats();
+    let reference = DataStats::collect_with_schema(db.graph(), &schema);
+    prop_assert_eq!(refined.per_schema_node, reference.per_schema_node);
+    prop_assert_eq!(refined.conforms, reference.conforms);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// On a generated graph, on the store opened over it, and after every
+    /// generated commit — with the index carried across the commit by
+    /// `merge_delta` (`carry`) or built afresh for the new generation.
+    #[test]
+    fn index_stats_equal_a_graph_walk_in_every_generation(
+        g in arb_graph(),
+        ops in proptest::collection::vec(arb_op(), 1..6),
+        carry in any::<bool>(),
+    ) {
+        let db = Database::new(g);
+        assert_stats_agree(&db)?;
+        let dir = tmpdir("stats");
+        Store::init(&dir, &db).unwrap();
+        let (store, _) = open_clean(&dir);
+        for op in ops {
+            let snapshot = store.snapshot();
+            if carry {
+                assert_stats_agree(&snapshot)?;
+            } else {
+                assert_stats_agree(&Database::new(snapshot.graph().clone()))?;
+            }
+            let mut txn = Txn::new();
+            txn.push(op);
+            store.commit(&txn).unwrap();
+        }
+        assert_stats_agree(&store.snapshot())?;
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
