@@ -30,6 +30,11 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # else outside tests and the report does. Output goes to the git-ignored
 # benchmark/out/.
 bash benchmark/run.sh --workload closure --trace 1 --scale 10000 --seconds 2 >/dev/null
+# And its commit layers: they are the only caller outside tests of the
+# id-stable mutators (`Database::union_id_stable`,
+# `delete_edges_id_stable`), `existing_index` and `merge_delta`, and
+# the run ends by reopening the store, which replays its WAL.
+bash benchmark/run.sh --workload write_mix --trace 1 --scale 10000 --seconds 2 >/dev/null
 
 echo "== cargo test" >&2
 cargo test -q --offline

@@ -1487,7 +1487,7 @@ fn cmd_dataguide(db: &Database, guide: &semistructured::DataGuide) -> String {
     let mut out = format!(
         "DataGuide: {} state(s) summarising {} data node(s)\n",
         guide.node_count(),
-        db.stats().nodes
+        db.graph().reachable().len()
     );
     out.push_str("paths up to length 3:\n");
     let mut paths = guide.paths_up_to(3);

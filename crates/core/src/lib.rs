@@ -612,42 +612,41 @@ impl Database {
     }
 
     /// Union with another database, *preserving this database's node
-    /// ids*: surviving nodes keep their ids, `other`'s fragment and the
-    /// fresh union root are appended after them, and no gc runs. The
-    /// result is bisimilar to [`Database::union`]'s; the id stability is
-    /// what lets `ssd-store` maintain the triple index incrementally
+    /// ids*: one owned copy of this graph, then [`ops::union_into_root`]
+    /// on it. Surviving nodes keep their ids, `other`'s fragment is
+    /// appended after them, and no gc runs; the root keeps its id too
+    /// unless an edge targets it. The result is bisimilar to
+    /// [`Database::union`]'s; the id stability is what lets `ssd-store`
+    /// maintain the triple index incrementally
     /// ([`TripleIndex::merge_delta`]) across commits.
+    ///
+    /// [`ops::union_into_root`]: ssd_graph::ops::union_into_root
     pub fn union_id_stable(&self, other: &Database) -> Database {
         let mut g = self.graph.clone();
-        let img = ssd_graph::ops::copy_subgraph(&other.graph, other.graph.root(), &mut g);
-        let root = g.root();
-        let u = ssd_graph::ops::union(&mut g, root, img);
-        g.set_root(u);
+        ssd_graph::ops::union_into_root(&mut g, &other.graph);
         Database::new(g)
     }
 
-    /// Delete matching edges *in place on a clone*, preserving node ids
-    /// (no gc, no rebuild) — the id-stable counterpart of
+    /// Delete matching edges on one owned copy of this graph with
+    /// [`delete_edges_in_place`], preserving node ids (no gc, no
+    /// rebuild) — the id-stable counterpart of
     /// [`Database::delete_edges`], bisimilar on the reachable fragment.
     pub fn delete_edges_id_stable(&self, pred: &Pred) -> Database {
         let mut g = self.graph.clone();
-        for n in g.reachable() {
-            let doomed = |e: &ssd_graph::Edge| pred.matches(&e.label, g.symbols());
-            if g.edges(n).iter().any(doomed) {
-                let kept = g.edges(n).iter().filter(|e| !doomed(e)).cloned().collect();
-                g.set_edges(n, kept);
-            }
-        }
+        delete_edges_in_place(&mut g, pred);
         Database::new(g)
     }
+}
 
-    /// Basic statistics.
-    pub fn stats(&self) -> DbStats {
-        DbStats {
-            nodes: self.graph.reachable().len(),
-            edges: self.graph.edge_count(),
-            symbols: self.graph.symbols().len(),
-            cyclic: self.graph.has_cycle(),
+/// Delete every reachable edge whose label matches `pred`, in place:
+/// node ids are untouched and only the nodes that lose an edge are
+/// rewritten. The in-place core of [`Database::delete_edges_id_stable`].
+pub fn delete_edges_in_place(g: &mut Graph, pred: &Pred) {
+    for n in g.reachable() {
+        let doomed = |e: &ssd_graph::Edge| pred.matches(&e.label, g.symbols());
+        if g.edges(n).iter().any(doomed) {
+            let kept = g.edges(n).iter().filter(|e| !doomed(e)).cloned().collect();
+            g.set_edges(n, kept);
         }
     }
 }
@@ -822,28 +821,6 @@ fn cost_actual_fields(
     fields
 }
 
-/// Summary statistics of a database.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DbStats {
-    pub nodes: usize,
-    pub edges: usize,
-    pub symbols: usize,
-    pub cyclic: bool,
-}
-
-impl std::fmt::Display for DbStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} nodes, {} edges, {} symbols{}",
-            self.nodes,
-            self.edges,
-            self.symbols,
-            if self.cyclic { ", cyclic" } else { "" }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,7 +870,7 @@ mod tests {
                  reach(Y) :- reach(X), edge(X, _L, Y).",
             )
             .unwrap();
-        assert_eq!(eval.count("reach"), db.stats().nodes);
+        assert_eq!(eval.count("reach"), db.graph().reachable().len());
     }
 
     /// A snapshot whose triple index could not be built (SSD051): datalog
@@ -979,9 +956,9 @@ mod tests {
     #[test]
     fn stats_and_dot() {
         let db = db();
-        let s = db.stats();
-        assert!(s.cyclic);
-        assert!(s.to_string().contains("cyclic"));
+        let profile = ssd_graph::stats::profile(db.graph());
+        assert!(profile.cyclic);
+        assert_eq!(profile.nodes, db.graph().reachable().len());
         assert!(db.to_dot().starts_with("digraph"));
     }
 

@@ -85,7 +85,7 @@ pub struct Graph {
 impl Clone for Graph {
     /// The copy starts without membership tables: each is rebuilt by the
     /// copy's first insertion at that node, and most nodes of a copy
-    /// (a commit's superseded roots among them) never see one.
+    /// never see one.
     fn clone(&self) -> Graph {
         Graph {
             nodes: self.nodes.clone(),

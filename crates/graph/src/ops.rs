@@ -25,6 +25,26 @@ pub fn union_all(g: &mut Graph, parts: &[NodeId]) -> NodeId {
     n
 }
 
+/// Union `other` into `g` at its root, in place; existing ids stay. If
+/// no edge in the arena (unreachable ones too) targets the root, the
+/// root takes the copy's root edges and nothing is stranded; otherwise
+/// the old root is live, so a fresh [`union`] node becomes the root. The
+/// copy's root stays, so a literal root on a cycle (`@x = {a: @x}`)
+/// still sees only its own edges through its inner edges.
+pub fn union_into_root(g: &mut Graph, other: &Graph) {
+    let root = g.root();
+    let targeted = g.all_edges().any(|(_, _, to)| to == root);
+    let img = copy_subgraph(other, other.root(), g);
+    if targeted {
+        let u = union(g, root, img);
+        g.set_root(u);
+    } else {
+        for e in g.edges(img).to_vec() {
+            g.add_edge(root, e.label, e.to);
+        }
+    }
+}
+
 /// The singleton constructor `{label: t}`.
 pub fn singleton(g: &mut Graph, label: Label, sub: NodeId) -> NodeId {
     let n = g.add_node();

@@ -14,10 +14,12 @@
 //! * **Snapshot isolation via generation swap.** The current database is
 //!   an `Arc<Database>` behind a mutex. [`Store::snapshot`] clones the
 //!   `Arc` — readers pin a *generation* and are never blocked or mutated
-//!   under them; a commit builds a new [`Database`] copy-on-write and
-//!   swaps the `Arc` at the end. [`Database::generation`] names the
-//!   generation (the committed-transaction count).
-//! * **Recovery.** [`Store::open`] replays the log over `base.ssd`,
+//!   under them; a commit clones the pinned generation's graph once,
+//!   applies every op of the txn to that copy in place, and swaps the
+//!   `Arc` at the end. [`Database::generation`] names the generation
+//!   (the committed-transaction count).
+//! * **Recovery.** [`Store::open`] replays the log over `base.ssd` in
+//!   place, on the one graph it parses from it, with no copy per op. It
 //!   verifies every checksum and sequence number, truncates any torn or
 //!   uncommitted tail, and reports what it did as SSD4xx diagnostics
 //!   (SSD400 tail truncated, SSD401 checksum/sequence corruption, SSD402
@@ -36,7 +38,8 @@ pub mod wal;
 
 pub use crc32::crc32;
 
-use semistructured::{Database, Pred};
+use semistructured::graph::literal::parse_graph;
+use semistructured::{delete_edges_in_place, Database, Graph, Pred};
 use ssd_diag::{Code, Diagnostic};
 use ssd_guard::{fail_point_fires, Budget, FailPoint};
 use std::fs::{self, OpenOptions};
@@ -164,19 +167,21 @@ impl Txn {
                 .parse()
                 .map_err(|_| format!("bad op length `{len_text}`"))?;
             let body_start = line_end + 1;
-            let body_end = body_start
-                .checked_add(len)
-                .filter(|&e| e <= bytes.len())
-                .ok_or_else(|| format!("op body overruns the script by design ({len} bytes)"))?;
+            let left = bytes.len() - body_start;
+            if len > left {
+                return Err(format!(
+                    "truncated op body: header declares {len} byte(s), {left} left in the script"
+                ));
+            }
             let body = text
-                .get(body_start..body_end)
+                .get(body_start..body_start + len)
                 .ok_or_else(|| "op body splits a UTF-8 character".to_string())?;
             match verb {
                 "INSERT" => txn.ops.push(Op::Insert(body.to_string())),
                 "DELETE" => txn.ops.push(Op::Delete(body.to_string())),
                 _ => return Err(format!("unknown verb `{verb}`: want INSERT or DELETE")),
             }
-            pos = body_end;
+            pos = body_start + len;
             if bytes.get(pos) == Some(&b'\n') {
                 pos += 1;
             } else if pos < bytes.len() {
@@ -344,18 +349,22 @@ fn io_err(context: &str, e: &std::io::Error) -> StoreError {
     StoreError::Io(format!("{context}: {e}"))
 }
 
-/// Apply one WAL op to a database, returning the next copy-on-write
-/// image. Both verbs use the *id-stable* mutation forms: surviving nodes
-/// keep their ids across the op, which is what lets a commit maintain the
-/// columnar triple index by merging one delta run instead of rebuilding.
-fn apply_op(db: &Database, kind: u8, body: &str) -> Result<Database, StoreError> {
+/// Apply one WAL op in place to a graph the caller owns (a commit's one
+/// copy of its snapshot, or the graph recovery replays on). Both verbs
+/// are *id-stable*: surviving nodes keep their ids across the op, which
+/// is what lets a commit maintain the columnar triple index by merging
+/// one delta run instead of rebuilding.
+fn apply_op(g: &mut Graph, kind: u8, body: &str) -> Result<(), StoreError> {
     match kind {
-        wal::KIND_INSERT => Database::from_literal(body)
-            .map(|d| db.union_id_stable(&d))
-            .map_err(|e| StoreError::Invalid(format!("INSERT literal does not parse: {e}"))),
-        wal::KIND_DELETE => Ok(db.delete_edges_id_stable(&Pred::Symbol(body.to_string()))),
-        other => Err(StoreError::Invalid(format!("unknown op kind {other}"))),
+        wal::KIND_INSERT => {
+            let literal = parse_graph(body)
+                .map_err(|e| StoreError::Invalid(format!("INSERT literal does not parse: {e}")))?;
+            semistructured::graph::ops::union_into_root(g, &literal);
+        }
+        wal::KIND_DELETE => delete_edges_in_place(g, &Pred::Symbol(body.to_string())),
+        other => return Err(StoreError::Invalid(format!("unknown op kind {other}"))),
     }
+    Ok(())
 }
 
 impl Store {
@@ -407,7 +416,7 @@ impl Store {
             }
             Err(e) => return Err(io_err("read base image", &e)),
         };
-        let base = Database::from_literal(&base_text)
+        let mut graph = parse_graph(&base_text)
             .map_err(|e| StoreError::Invalid(format!("base image does not parse: {e}")))?;
 
         let faults = Faults::from_budget(budget);
@@ -463,15 +472,11 @@ impl Store {
             ));
         }
 
-        let mut db: Option<Database> = None;
-        for txn in &scan.txns {
-            for op in &txn.ops {
-                let cur = db.as_ref().unwrap_or(&base);
-                db = Some(apply_op(cur, op.kind, &op.body)?);
-            }
+        for op in scan.txns.iter().flat_map(|txn| &txn.ops) {
+            apply_op(&mut graph, op.kind, &op.body)?;
         }
         let generation = scan.txns.len() as u64;
-        let db = db.unwrap_or(base).with_generation(generation);
+        let db = Database::new(graph).with_generation(generation);
 
         let mut file = OpenOptions::new()
             .read(true)
@@ -548,9 +553,9 @@ impl Store {
         lock(&self.wal).len
     }
 
-    /// Atomically apply and persist `txn`: build the next copy-on-write
-    /// database image (validating every op *before* any byte is
-    /// written), append op frames + a COMMIT frame to the WAL, fsync,
+    /// Atomically apply and persist `txn`: build the next generation on
+    /// one owned copy of the pinned snapshot's graph, every op applied to
+    /// it in place (validating every op *before* any byte is written), append op frames + a COMMIT frame to the WAL, fsync,
     /// then swap the shared generation. Concurrent readers holding
     /// snapshots are never blocked and never observe a partial
     /// transaction. On any I/O failure (real or injected) the store
@@ -569,16 +574,12 @@ impl Store {
             return Err(StoreError::ReadOnly(reason.clone()));
         }
 
-        // Validate and apply copy-on-write, before any byte is written.
+        // Validate and apply on one copy, before any byte is written.
         let snap = self.snapshot();
-        let mut db: Option<Database> = None;
+        let mut graph = snap.graph().clone();
         for op in &txn.ops {
-            let cur = db.as_ref().unwrap_or(&snap);
-            db = Some(apply_op(cur, op.kind(), op.body())?);
+            apply_op(&mut graph, op.kind(), op.body())?;
         }
-        let Some(db) = db else {
-            return Err(StoreError::Invalid("empty transaction".to_string()));
-        };
 
         // Append op frames, then the COMMIT frame, then fsync.
         let first_seq = w.next_seq;
@@ -611,7 +612,7 @@ impl Store {
         // delta run; the merged index is pre-seeded into the new
         // snapshot so readers never pay a full rebuild after a commit.
         let generation = snap.generation() + 1;
-        let mut db = db.with_generation(generation);
+        let mut db = Database::new(graph).with_generation(generation);
         if let Some(base_index) = snap.existing_index() {
             if let Ok(merged) = base_index.merge_delta(db.graph()) {
                 db = db.with_seeded_index(merged);
@@ -711,6 +712,16 @@ mod tests {
         assert!(Txn::parse_script("INSERT nope\nx").is_err());
         assert!(Txn::parse_script("FROB 1\nx\n").is_err());
         assert!(Txn::parse_script("INSERT 99\nshort\n").is_err());
+    }
+
+    #[test]
+    fn truncated_script_names_the_declared_length_and_what_is_left() {
+        let script = Txn::new().insert("{A: 1}").to_script();
+        let cut = &script[..script.len() - 4];
+        assert_eq!(
+            Txn::parse_script(cut).unwrap_err(),
+            "truncated op body: header declares 6 byte(s), 3 left in the script"
+        );
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! cargo run --example movies
 //! ```
 
+use semistructured::graph::stats::profile;
 use semistructured::query::restructure;
 use semistructured::{Database, Pred, Value};
 
 fn main() -> Result<(), String> {
     let db = Database::new(semistructured::data::movies::figure1());
-    println!("Figure 1: {}", db.stats());
+    println!("Figure 1: {}", profile(db.graph()));
     println!("{}\n", db.to_literal());
 
     // --- §1.3 browsing -------------------------------------------------
@@ -93,7 +94,7 @@ fn main() -> Result<(), String> {
     println!(
         "\nDataGuide: {} states summarising {} nodes",
         guide.node_count(),
-        db.stats().nodes
+        db.graph().reachable().len()
     );
     Ok(())
 }

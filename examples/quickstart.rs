@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use semistructured::graph::stats::profile;
 use semistructured::{Database, Pred};
 
 fn main() -> Result<(), String> {
@@ -23,7 +24,7 @@ fn main() -> Result<(), String> {
                             Director: "Ross"}}
         }"#,
     )?;
-    println!("database: {}", db.stats());
+    println!("database: {}", profile(db.graph()));
 
     // 2. Query with path expressions; variables tie paths together.
     let r = db.query(

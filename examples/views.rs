@@ -4,6 +4,7 @@
 //! cargo run --example views
 //! ```
 
+use semistructured::graph::stats::profile;
 use semistructured::query::views::ViewCatalog;
 use semistructured::Database;
 
@@ -18,7 +19,7 @@ fn main() -> Result<(), String> {
           ]
         }"#,
     )?;
-    println!("imported: {}", db.stats());
+    println!("imported: {}", profile(db.graph()));
 
     // Rewrite: rename `cast` to `performers` everywhere (deep relabel in
     // the surface transformation language).

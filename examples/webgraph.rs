@@ -5,6 +5,7 @@
 //! cargo run --example webgraph
 //! ```
 
+use semistructured::graph::stats::profile;
 use semistructured::query::decompose::{eval_decomposed, Partition};
 use semistructured::query::{eval_rpe, Rpe, Step};
 use semistructured::Database;
@@ -18,7 +19,7 @@ fn main() -> Result<(), String> {
         seed: 7,
     });
     let db = Database::new(g);
-    println!("web graph: {}", db.stats());
+    println!("web graph: {}", profile(db.graph()));
 
     // Pages reachable from page 0 through links only — a recursive query,
     // i.e. "graph datalog" (§3).

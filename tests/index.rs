@@ -23,7 +23,7 @@
 use proptest::prelude::*;
 use semistructured::triples::datalog::{Edb, Key};
 use semistructured::{
-    AccessDecision, Budget, Database, EvalOptions, Graph, Guard, Label, TripleIndex, Value,
+    AccessDecision, Budget, Database, EvalOptions, Graph, Guard, Label, NodeId, TripleIndex, Value,
 };
 use ssd_data::movies::{movie_database, MovieDbConfig};
 use ssd_graph::bisim::graphs_bisimilar;
@@ -339,8 +339,18 @@ proptest! {
         n in 1usize..20,
         inserts in proptest::collection::vec(0usize..5, 0..3),
         delete_year in any::<bool>(),
+        back_edge in any::<bool>(),
     ) {
-        let base = movies(n);
+        // With an edge into the root, each insert unions under a fresh
+        // root; without one, it rewrites the root in place.
+        let mut base = movies(n);
+        if back_edge {
+            let mut g = base.graph().clone();
+            let entry = g.edges(g.root())[0].to;
+            let root = g.root();
+            g.add_sym_edge(entry, "Up", root);
+            base = Database::new(g);
+        }
         let index = TripleIndex::build(base.graph()).unwrap();
         let mut db = base;
         for (j, extra) in inserts.iter().enumerate() {
@@ -416,7 +426,21 @@ proptest! {
         g in arb_datalog_graph(),
         insert in arb_datalog_graph(),
         delete in 0usize..4,
+        root_in in 0usize..3,
     ) {
+        // Edges into the root as generated, one more, or none: the
+        // fresh-union-root and the in-place insert are both carried.
+        let mut g = g;
+        let root = g.root();
+        if root_in == 1 {
+            let last = NodeId::from_index(g.node_count() - 1);
+            g.add_edge(last, Label::symbol(g.symbols(), "a"), root);
+        } else if root_in == 2 {
+            for n in g.node_ids().collect::<Vec<_>>() {
+                let kept = g.edges(n).iter().filter(|e| e.to != root).cloned().collect();
+                g.set_edges(n, kept);
+            }
+        }
         let base = Database::new(g);
         let before = base.triple_index().unwrap();
         let mut next = base.union_id_stable(&Database::new(insert));

@@ -115,6 +115,36 @@ proptest! {
         prop_assert!(graphs_bisimilar(&aa, &a), "union not idempotent");
     }
 
+    /// The id-stable union is the §2 union (bisimilar to
+    /// `Database::union`), on roots with an in-edge (a fresh union root)
+    /// and without one (the root rewritten in place), with literals
+    /// whose root is on a cycle. Every other node keeps its id and edges.
+    #[test]
+    fn id_stable_union_is_the_union(
+        mut a in arb_graph(),
+        mut b in arb_graph(),
+        back in (any::<bool>(), 0usize..7),
+        cycle in (any::<bool>(), 0usize..7),
+    ) {
+        for (g, (add, from)) in [(&mut a, back), (&mut b, cycle)] {
+            if add {
+                let from = NodeId::from_index(from % g.node_count());
+                let label = Label::symbol(g.symbols(), "a");
+                let root = g.root();
+                g.add_edge(from, label, root);
+            }
+        }
+        let (da, db) = (Database::new(a.clone()), Database::new(b));
+        let stable = da.union_id_stable(&db);
+        prop_assert!(graphs_bisimilar(stable.graph(), da.union(&db).graph()));
+        let g = stable.graph();
+        let targeted = a.all_edges().any(|(_, _, to)| to == a.root());
+        prop_assert_eq!(g.root() == a.root(), !targeted);
+        for n in a.node_ids().filter(|&n| n != g.root()) {
+            prop_assert_eq!(g.edges(n), a.edges(n));
+        }
+    }
+
     // ---------- serialization ------------------------------------------------
 
     #[test]

@@ -12,6 +12,7 @@
 //! uncommitted operation is visible.
 
 use proptest::prelude::*;
+use semistructured::graph::bisim::graphs_bisimilar;
 use semistructured::{Budget, DataStats, Database, Graph, Label};
 use ssd_store::{Op, Store, StoreError, Txn};
 use std::path::{Path, PathBuf};
@@ -440,6 +441,76 @@ proptest! {
         }
         assert_stats_agree(&store.snapshot())?;
         drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+// ------------------------------------------- commit memory and replay
+
+/// A base of `B`/`V` labels only (no txn label, so no generated DELETE
+/// cuts a base node off) whose root has fan-out 40, with an in-edge to
+/// the root through `Up` when `back_edge` is set.
+fn wide_base(back_edge: bool) -> Database {
+    let mut entries: Vec<String> = (0..40).map(|i| format!("B{}: {{V: {i}}}", i % 5)).collect();
+    if back_edge {
+        entries.push("B9: {Up: @r}".to_string());
+        return Database::from_literal(&format!("@r = {{{}}}", entries.join(", "))).unwrap();
+    }
+    Database::from_literal(&format!("{{{}}}", entries.join(", "))).unwrap()
+}
+
+/// Nodes and edges of the arena that the root does not reach.
+fn stranded(g: &Graph) -> (usize, usize) {
+    let reachable = g.reachable();
+    let edges: usize = reachable.iter().map(|&n| g.out_degree(n)).sum();
+    (g.node_count() - reachable.len(), g.edge_count() - edges)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// After generated INSERT/DELETE commits, what the arena holds
+    /// beyond the reachable fragment is bounded by the txns' own
+    /// literals, whatever the root's fan-out: no commit strands a copy
+    /// of the root's edges. Reopening replays the WAL to the very arena
+    /// the commits built: same root, node and edge counts, bisimilar.
+    #[test]
+    fn arena_grows_with_the_txns_and_replay_equals_commit(
+        first in arb_graph(),
+        txns in proptest::collection::vec(proptest::collection::vec(arb_op(), 1..3), 0..5),
+        back_edge in any::<bool>(),
+    ) {
+        let base = wide_base(back_edge);
+        let dir = tmpdir("arena");
+        Store::init(&dir, &base).unwrap();
+        let (store, _) = open_clean(&dir);
+        let first = vec![Op::Insert(Database::new(first).to_literal())];
+        let (mut literal_nodes, mut literal_edges) = (0, 0);
+        for ops in std::iter::once(first).chain(txns) {
+            let mut txn = Txn::new();
+            for op in ops {
+                if let Op::Insert(body) = &op {
+                    let literal = Database::from_literal(body).unwrap();
+                    literal_nodes += literal.graph().node_count();
+                    literal_edges += literal.graph().edge_count();
+                }
+                txn.push(op);
+            }
+            store.commit(&txn).unwrap();
+        }
+        let live = store.snapshot();
+        let (nodes, edges) = stranded(live.graph());
+        prop_assert!(nodes <= literal_nodes, "{} stranded node(s), literals {}", nodes, literal_nodes);
+        prop_assert!(edges <= literal_edges, "{} stranded edge(s), literals {}", edges, literal_edges);
+        drop(store);
+
+        let (again, _) = open_clean(&dir);
+        let recovered = again.snapshot();
+        prop_assert_eq!(recovered.graph().root(), live.graph().root());
+        prop_assert_eq!(recovered.graph().node_count(), live.graph().node_count());
+        prop_assert_eq!(recovered.graph().edge_count(), live.graph().edge_count());
+        prop_assert!(graphs_bisimilar(recovered.graph(), live.graph()));
+        drop(again);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
