@@ -19,12 +19,16 @@ echo "== cargo clippy -D warnings" >&2
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo build --release" >&2
-cargo build --release --offline
+# --locked: a build that would rewrite a Cargo.lock fails here, by name,
+# instead of at the worktree check at the bottom.
+cargo build --release --offline --locked
 
 echo "== benchmark harness builds" >&2
 # benchmark/ is a package of its own that the driver builds from source.
 # Build it (only) so that API drift against what it calls fails here.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# --locked also pins benchmark/Cargo.lock: a new dependency edge between
+# workspace crates would otherwise rewrite it.
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 # Run the onion's datalog layers once, small: they evaluate on
 # `Database::triples()` through `datalog::evaluate_with`, which nothing
 # else outside tests and the report does. Output goes to the git-ignored

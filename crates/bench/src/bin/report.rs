@@ -19,7 +19,7 @@ use semistructured::query::rpe::eval::{eval_nfa, eval_nfa_with_stats};
 use semistructured::query::{browse, evaluate_select, optimizer, parse_query, restructure};
 use semistructured::query::{Nfa, Rpe, Step};
 use semistructured::triples::datalog::{evaluate, evaluate_naive, parse_program};
-use semistructured::{DataGuide, Database, EvalOptions, Graph, Guard, Pred, Value};
+use semistructured::{DataGuide, Database, EvalOptions, Graph, Guard, Pred, TripleIndex, Value};
 use ssd_data::movies::{figure1, movie_database, MovieDbConfig};
 use ssd_data::webgraph::{clustered_graph, web_graph, WebGraphConfig};
 use std::time::Instant;
@@ -199,9 +199,9 @@ fn e05() {
             rel.select_eq("label", &Datum::Label(movie.clone()))
                 .unwrap()
         });
-        let index = db.triple_index();
+        let index = TripleIndex::build(g);
         let t_idx = time_us(9, || {
-            index.and_then(|ix| ix.label_id(&movie).map(|p| ix.by_label(p).len()))
+            index.label_id(&movie).map(|p| index.by_label(p).len())
         });
         let entry = Label::symbol(g.symbols(), "Entry");
         let title = Label::symbol(g.symbols(), "Title");

@@ -50,10 +50,9 @@ pub struct Database {
     graph: Graph,
     index: OnceLock<GraphIndex>,
     guide: OnceLock<DataGuide>,
-    /// The columnar triple index (SPO/POS/OSP). `None` inside the cell
-    /// means building it failed (SSD051 dictionary overflow) and every
-    /// query on this snapshot uses the interpreter.
-    triple_index: OnceLock<Option<TripleIndex>>,
+    /// The columnar triple index (SPO/POS/OSP): built on first use, or
+    /// seeded by the commit that made this generation.
+    triple_index: OnceLock<TripleIndex>,
     /// This generation's statistics; see [`Database::index_stats`].
     index_stats: OnceLock<DataStats>,
     /// Storage generation this snapshot belongs to: 0 for a freestanding
@@ -178,19 +177,23 @@ impl Database {
         self.index.get_or_init(|| GraphIndex::build(&self.graph))
     }
 
-    /// The columnar triple index (built on first use). `None` when the
-    /// dictionary overflowed (SSD051) — queries then always interpret.
+    /// The columnar triple index (built on first use). Always `Some`; the
+    /// `Option` is kept for callers written against the fallible build.
     pub fn triple_index(&self) -> Option<&TripleIndex> {
+        Some(self.built_index())
+    }
+
+    /// The triple index, built on first use.
+    fn built_index(&self) -> &TripleIndex {
         self.triple_index
-            .get_or_init(|| TripleIndex::build(&self.graph).ok())
-            .as_ref()
+            .get_or_init(|| TripleIndex::build(&self.graph))
     }
 
     /// The triple index only if it has already been built (or seeded) —
     /// never forces a build. `ssd-store` commits use this so snapshots
     /// that were never index-queried pay nothing at commit time.
     pub fn existing_index(&self) -> Option<&TripleIndex> {
-        self.triple_index.get().and_then(|o| o.as_ref())
+        self.triple_index.get()
     }
 
     /// Pre-seed the triple index (used by `ssd-store` commits, which
@@ -198,7 +201,7 @@ impl Database {
     /// [`TripleIndex::merge_delta`] instead of rebuilding per snapshot).
     #[must_use]
     pub fn with_seeded_index(self, index: TripleIndex) -> Database {
-        let _ = self.triple_index.set(Some(index));
+        let _ = self.triple_index.set(index);
         self
     }
 
@@ -207,17 +210,15 @@ impl Database {
     /// so an unbatchable query never builds the triple index.
     fn plan_select(&self, query: &SelectQuery) -> Result<(&TripleIndex, AccessPlan), String> {
         ssd_query::batch::batchable(query)?;
-        let index = self
-            .triple_index()
-            .ok_or("triple index unavailable (SSD051 dictionary overflow)")?;
+        let index = self.built_index();
         let plan = ssd_query::plan_access(&self.graph, index, query)?;
         Ok((index, plan))
     }
 
     /// Decide how a select query will be executed on this snapshot: the
     /// batched columnar pipeline whenever the shape is batchable, the
-    /// interpreter otherwise (with the SSD050 reason: the shape, or the
-    /// missing index).
+    /// interpreter otherwise (with the SSD050 reason: what in the shape
+    /// does not batch).
     pub fn select_access(&self, query: &SelectQuery) -> AccessDecision {
         match self.plan_select(query) {
             Ok((_, plan)) => AccessDecision::Batched(plan),
@@ -272,7 +273,7 @@ impl Database {
     /// The edge relation datalog reads on this snapshot: its triple
     /// index, in place (built on first use).
     pub fn triples(&self) -> Triples<'_> {
-        Triples(self.triple_index())
+        Triples(self.built_index())
     }
 
     /// Parse and evaluate a select-from-where query.
@@ -446,13 +447,10 @@ impl Database {
     /// The statistics every estimate on this snapshot starts from, read
     /// once off its triple index (built on first use) in one linear pass
     /// over the runs. `cyclic` is `true` whatever the data: the index
-    /// does not say, and `true` only loosens bounds. When the index could
-    /// not be built (SSD051) the graph is walked instead.
+    /// does not say, and `true` only loosens bounds.
     pub fn index_stats(&self) -> &DataStats {
-        self.index_stats.get_or_init(|| match self.triple_index() {
-            Some(index) => index_stats(index),
-            None => DataStats::collect(&self.graph),
-        })
+        self.index_stats
+            .get_or_init(|| index_stats(self.built_index()))
     }
 
     /// [`Database::index_stats`] refined by the extracted schema — what
@@ -688,34 +686,31 @@ impl AccessDecision {
 /// The edge relation datalog reads on a [`Database`] snapshot: its triple
 /// index, read in place; see [`Database::triples`]. Each bound-argument
 /// pattern of `edge` is one contiguous range of the permutation sorted
-/// for it. When the index could not be built (SSD051: its dictionary
-/// overflowed) the relation reports more labels than any id space holds,
-/// so the evaluator refuses the snapshot with `DatalogError::Capacity` —
-/// as it would the overflowed labels themselves.
-pub struct Triples<'a>(Option<&'a TripleIndex>);
+/// for it.
+pub struct Triples<'a>(&'a TripleIndex);
 
 impl Edb for Triples<'_> {
     fn root(&self) -> u32 {
-        self.0.map_or(0, TripleIndex::root)
+        self.0.root()
     }
 
     fn max_node(&self) -> u32 {
         // Both runs are sorted on their first component.
         let last = |run: &ssd_index::SortedRun| run.as_slice().last().map_or(0, |k| k[0]);
-        self.0
-            .map_or(0, |ix| ix.root().max(last(ix.spo())).max(last(ix.osp())))
+        let ix = self.0;
+        ix.root().max(last(ix.spo())).max(last(ix.osp()))
     }
 
     fn label_count(&self) -> usize {
-        self.0.map_or(usize::MAX, |ix| ix.dict().len())
+        self.0.dict().len()
     }
 
     fn label_id(&self, label: &Label) -> Option<u32> {
-        self.0?.label_id(label)
+        self.0.label_id(label)
     }
 
     fn label(&self, id: u32) -> Option<&Label> {
-        self.0?.dict().resolve(id)
+        self.0.dict().resolve(id)
     }
 
     fn scan(
@@ -725,22 +720,21 @@ impl Edb for Triples<'_> {
         o: Option<u32>,
         visit: &mut dyn FnMut(Key) -> bool,
     ) {
-        let Some(ix) = self.0 else { return };
         // (the matching range, where s, p, o sit in its keys)
         let (keys, [si, pi, oi]) = match (s, p, o) {
             (Some(s), Some(p), Some(o)) => {
-                if ix.spo().contains(&[s, p, o]) {
+                if self.0.spo().contains(&[s, p, o]) {
                     visit([s, p, o]);
                 }
                 return;
             }
-            (Some(s), Some(p), None) => (ix.edges_from_labeled(s, p), [0, 1, 2]),
-            (Some(s), None, None) => (ix.edges_from(s), [0, 1, 2]),
-            (None, None, None) => (ix.spo().as_slice(), [0, 1, 2]),
-            (None, Some(p), None) => (ix.by_label(p), [2, 0, 1]),
-            (None, Some(p), Some(o)) => (ix.pos().range2(p, o), [2, 0, 1]),
-            (None, None, Some(o)) => (ix.edges_into(o), [1, 2, 0]),
-            (Some(s), None, Some(o)) => (ix.osp().range2(o, s), [1, 2, 0]),
+            (Some(s), Some(p), None) => (self.0.edges_from_labeled(s, p), [0, 1, 2]),
+            (Some(s), None, None) => (self.0.edges_from(s), [0, 1, 2]),
+            (None, None, None) => (self.0.spo().as_slice(), [0, 1, 2]),
+            (None, Some(p), None) => (self.0.by_label(p), [2, 0, 1]),
+            (None, Some(p), Some(o)) => (self.0.pos().range2(p, o), [2, 0, 1]),
+            (None, None, Some(o)) => (self.0.edges_into(o), [1, 2, 0]),
+            (Some(s), None, Some(o)) => (self.0.osp().range2(o, s), [1, 2, 0]),
         };
         for k in keys {
             if !visit([k[si], k[pi], k[oi]]) {
@@ -750,13 +744,10 @@ impl Edb for Triples<'_> {
     }
 
     fn nodes(&self) -> Vec<u32> {
-        let Some(ix) = self.0 else {
-            return Vec::new();
-        };
         let firsts = |run: &ssd_index::SortedRun| run.iter().map(|k| k[0]).collect::<Vec<u32>>();
-        let mut out = firsts(ix.spo());
-        out.extend(firsts(ix.osp()));
-        out.push(ix.root());
+        let mut out = firsts(self.0.spo());
+        out.extend(firsts(self.0.osp()));
+        out.push(self.0.root());
         out.sort_unstable();
         out.dedup();
         out
@@ -766,11 +757,12 @@ impl Edb for Triples<'_> {
 /// The global statistics of the graph `index` was built for, read off
 /// its runs: SPO's length and the root's SPO range, the `node/1`
 /// relation's size, and one pass over POS's per-label ranges. Equal to
-/// [`DataStats::collect`] on every field but `cyclic`, which is `true`.
+/// a walk of the graph on every field but `cyclic`, which is `true`
+/// (`tests/store.rs` checks this against the walk).
 fn index_stats(index: &TripleIndex) -> DataStats {
     // Node ids are dense: mark the root and every first component of
     // SPO and OSP.
-    let mut seen = vec![false; Triples(Some(index)).max_node() as usize + 1];
+    let mut seen = vec![false; Triples(index).max_node() as usize + 1];
     seen[index.root() as usize] = true;
     for k in index.spo().iter().chain(index.osp().iter()) {
         seen[k[0] as usize] = true;
@@ -871,23 +863,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(eval.count("reach"), db.graph().reachable().len());
-    }
-
-    /// A snapshot whose triple index could not be built (SSD051): datalog
-    /// is refused for capacity, selects still run on the interpreter.
-    #[test]
-    fn datalog_refuses_a_snapshot_without_a_triple_index() {
-        let db = db();
-        db.triple_index.set(None).unwrap();
-        let err = db.datalog("reach(X) :- root(X).").unwrap_err();
-        assert!(err.starts_with("snapshot too large for datalog"), "{err}");
-        let p = ssd_triples::datalog::parse_program("n(X) :- node(X).", db.graph.symbols());
-        assert!(matches!(
-            ssd_triples::datalog::evaluate(&p.unwrap(), &db.triples()),
-            Err(ssd_triples::datalog::DatalogError::Capacity(_))
-        ));
-        let r = db.query("select T from db.Entry.Movie.Title T").unwrap();
-        assert!(r.graph().out_degree(r.graph().root()) > 0);
     }
 
     #[test]

@@ -37,14 +37,17 @@ pub struct TripleIndex {
 
 impl TripleIndex {
     /// Build from scratch: encode every reachable edge, then sort each
-    /// permutation once.
-    pub fn build(g: &Graph) -> Result<TripleIndex, Diagnostic> {
-        TripleIndex::build_with_dict(g, Dictionary::new())
+    /// permutation once. A fresh dictionary fills only past `u32::MAX`
+    /// labels, a programming error like the 2³²-th `NodeId`.
+    pub fn build(g: &Graph) -> TripleIndex {
+        let fresh = TripleIndex::build_with_dict(g, Dictionary::new());
+        // lint: allow(panic) — past u32::MAX labels, the same programming error as NodeId::from_index's
+        fresh.expect("more than u32::MAX distinct labels in one graph")
     }
 
-    /// Build reusing (and extending) an existing dictionary, so encoded
-    /// label ids stay comparable with runs produced against it.
-    pub fn build_with_dict(g: &Graph, mut dict: Dictionary) -> Result<TripleIndex, Diagnostic> {
+    /// Build reusing (and extending) `dict`, so encoded label ids stay
+    /// comparable with runs produced against it.
+    fn build_with_dict(g: &Graph, mut dict: Dictionary) -> Result<TripleIndex, Diagnostic> {
         let mut keys: Vec<Key> = Vec::with_capacity(g.edge_count());
         for &n in &g.reachable() {
             let s = n.index() as u32;
@@ -237,6 +240,7 @@ impl TripleIndex {
 mod tests {
     use super::*;
     use ssd_graph::literal::parse_graph;
+    use std::collections::HashSet;
 
     fn movie_graph() -> Graph {
         parse_graph(
@@ -249,7 +253,7 @@ mod tests {
     #[test]
     fn build_covers_reachable_edges_in_all_permutations() {
         let g = movie_graph();
-        let idx = TripleIndex::build(&g).unwrap();
+        let idx = TripleIndex::build(&g);
         assert_eq!(idx.len(), g.edge_count());
         assert_eq!(idx.spo.len(), idx.pos.len());
         assert_eq!(idx.spo.len(), idx.osp.len());
@@ -274,7 +278,7 @@ mod tests {
     #[test]
     fn prefix_lookups_follow_paths() {
         let g = movie_graph();
-        let idx = TripleIndex::build(&g).unwrap();
+        let idx = TripleIndex::build(&g);
         let entry = idx.label_id(&Label::symbol(g.symbols(), "Entry")).unwrap();
         let movie = idx.label_id(&Label::symbol(g.symbols(), "Movie")).unwrap();
         let title = idx.label_id(&Label::symbol(g.symbols(), "Title")).unwrap();
@@ -299,7 +303,7 @@ mod tests {
     #[test]
     fn merge_delta_tracks_id_stable_edits() {
         let mut g = movie_graph();
-        let idx = TripleIndex::build(&g).unwrap();
+        let idx = TripleIndex::build(&g);
         // Id-stable mutation: add a node + edges, drop nothing.
         let n = g.add_node();
         let year = Label::symbol(g.symbols(), "Remake");
@@ -312,10 +316,40 @@ mod tests {
         assert_eq!(merged.len(), idx.len() + 1);
     }
 
+    /// A dictionary carried across merges can fill, a fresh one cannot:
+    /// `merge_delta` over a full dictionary is SSD051, and a build of the
+    /// same graph still indexes exactly its reachable edges. This is the
+    /// path a store commit falls back on (it publishes the generation
+    /// unseeded, and the first use rebuilds).
+    #[test]
+    fn merge_delta_overflow_is_ssd051_and_a_fresh_build_still_succeeds() {
+        let mut g = movie_graph();
+        let full = Dictionary::with_limit(TripleIndex::build(&g).dict().len() as u32);
+        let idx = TripleIndex::build_with_dict(&g, full).unwrap();
+        let n = g.add_node();
+        let remake = Label::symbol(g.symbols(), "Remake");
+        g.add_edge(g.root(), remake, n);
+        let err = idx.merge_delta(&g).unwrap_err();
+        assert_eq!(err.code.as_str(), "SSD051");
+        let walked: HashSet<(u32, Label, u32)> = g
+            .reachable()
+            .into_iter()
+            .flat_map(|n| {
+                let s = n.index() as u32;
+                g.edges(n)
+                    .iter()
+                    .map(move |e| (s, e.label.clone(), e.to.index() as u32))
+            })
+            .collect();
+        let built: HashSet<(u32, Label, u32)> =
+            TripleIndex::build(&g).decoded().into_iter().collect();
+        assert_eq!(built, walked);
+    }
+
     #[test]
     fn merge_delta_drops_unreachable_fragments() {
         let mut g = movie_graph();
-        let idx = TripleIndex::build(&g).unwrap();
+        let idx = TripleIndex::build(&g);
         // Cut both Entry edges: everything below the root unreachable.
         g.set_edges(g.root(), Vec::new());
         let merged = idx.merge_delta(&g).unwrap();

@@ -7,8 +7,8 @@
 //! range of a sorted `Vec<[u32; 3]>`:
 //!
 //! - **dictionary encoding** ([`Dictionary`]): labels interned to dense
-//!   `u32` ids, append-only so ids survive incremental merges; overflow
-//!   is diagnosed as `SSD051`;
+//!   `u32` ids, append-only so ids survive incremental merges; only one
+//!   carried across merges can fill (`SSD051`), a fresh build cannot;
 //! - **sorted runs** ([`SortedRun`]): strictly-sorted duplicate-free key
 //!   vectors with galloping range lookups, resumable from a cursor so a
 //!   sorted probe column turns lookups into a merge join;
@@ -18,8 +18,8 @@
 //!   of re-sorting ([`TripleIndex::merge_delta`]).
 //!
 //! The batched executor in `ssd-query` plans against this structure and
-//! falls back to the one-binding-at-a-time interpreter (note `SSD050`)
-//! whenever a query's shape or statistics make the index a bad bet.
+//! leaves to the one-binding-at-a-time interpreter (note `SSD050`) only
+//! the query shapes it cannot batch.
 
 pub mod dict;
 mod index;

@@ -619,7 +619,7 @@ mod tests {
 
     fn both_ways(g: &Graph, src: &str) -> (Graph, Graph) {
         let q = parse_query(src).unwrap();
-        let index = TripleIndex::build(g).unwrap();
+        let index = TripleIndex::build(g);
         let plan = plan_access(g, &index, &q).unwrap();
         let opts = EvalOptions::default();
         let (batched, _) = evaluate_batched(g, &index, &q, &plan, &opts).unwrap();
@@ -648,7 +648,7 @@ mod tests {
     #[test]
     fn planner_rejects_unbatchable_shapes() {
         let g = movie_db();
-        let index = TripleIndex::build(&g).unwrap();
+        let index = TripleIndex::build(&g);
         for (q, why) in [
             ("select T from db.Entry.%.Title T", "predicate"),
             ("select T from db.%*.Title T", "Kleene star"),
@@ -672,7 +672,7 @@ mod tests {
         }
         src.push_str("Entry: {Rare: 1}}");
         let g = parse_graph(&src).unwrap();
-        let index = TripleIndex::build(&g).unwrap();
+        let index = TripleIndex::build(&g);
         let q = parse_query("select X from db.Entry.Rare X").unwrap();
         let plan = plan_access(&g, &index, &q).unwrap();
         assert_eq!(plan.bindings[0].steps[0].strategy, StepStrategy::SpoGallop);
@@ -698,7 +698,7 @@ mod tests {
     fn guard_fuel_is_charged_and_exhaustion_reported() {
         let g = movie_db();
         let q = parse_query("select T from db.Entry.Movie.Title T").unwrap();
-        let index = TripleIndex::build(&g).unwrap();
+        let index = TripleIndex::build(&g);
         let plan = plan_access(&g, &index, &q).unwrap();
         let guard = ssd_guard::Budget::unlimited().max_steps(3).guard();
         let opts = EvalOptions::default().with_guard(&guard);

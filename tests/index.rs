@@ -1,7 +1,8 @@
 //! Property tests for the `ssd-index` subsystem (SSD05x band):
 //!
-//! * the dictionary round-trips labels through dense ids and reports
-//!   SSD051 (`DictionaryOverflow`) when the id space is exhausted;
+//! * the dictionary round-trips labels through dense ids, and one whose
+//!   id space is exhausted reports SSD051 (`DictionaryOverflow`) — a
+//!   limit only a dictionary carried across merges can reach;
 //! * sorted runs are strictly sorted and duplicate-free however they are
 //!   built, and `merge(base, inserts, deletes)` agrees with rebuilding
 //!   from scratch;
@@ -351,7 +352,7 @@ proptest! {
             g.add_sym_edge(entry, "Up", root);
             base = Database::new(g);
         }
-        let index = TripleIndex::build(base.graph()).unwrap();
+        let index = TripleIndex::build(base.graph());
         let mut db = base;
         for (j, extra) in inserts.iter().enumerate() {
             let other = Database::from_literal(
@@ -362,7 +363,7 @@ proptest! {
             db = db.delete_edges_id_stable(&semistructured::Pred::Symbol("Year".into()));
         }
         let merged = index.merge_delta(db.graph()).unwrap();
-        let rebuilt = TripleIndex::build(db.graph()).unwrap();
+        let rebuilt = TripleIndex::build(db.graph());
         let key = |(s, l, o): &(u32, Label, u32)| (*s, format!("{l:?}"), *o);
         let mut a = merged.decoded();
         let mut b = rebuilt.decoded();
@@ -461,7 +462,7 @@ proptest! {
 #[test]
 fn index_agrees_with_the_triple_shredder() {
     let db = movies(25);
-    let index = TripleIndex::build(db.graph()).unwrap();
+    let index = TripleIndex::build(db.graph());
     let g = db.graph();
     let text = |l: &Label| format!("{l:?}");
     let from_index: BTreeSet<(usize, String, usize)> = index
