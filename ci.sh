@@ -29,16 +29,15 @@ echo "== benchmark harness builds" >&2
 # --locked also pins benchmark/Cargo.lock: a new dependency edge between
 # workspace crates would otherwise rewrite it.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
-# Run the onion's datalog layers once, small: they evaluate on
-# `Database::triples()` through `datalog::evaluate_with`, which nothing
-# else outside tests and the report does. Output goes to the git-ignored
-# benchmark/out/.
-bash benchmark/run.sh --workload closure --trace 1 --scale 10000 --seconds 2 >/dev/null
-# And its commit layers: they are the only caller outside tests of the
-# id-stable mutators (`Database::union_id_stable`,
-# `delete_edges_id_stable`), `existing_index` and `merge_delta`, and
-# the run ends by reopening the store, which replays its WAL.
-bash benchmark/run.sh --workload write_mix --trace 1 --scale 10000 --seconds 2 >/dev/null
+# Then run the driver's own command path, small: all four workloads at
+# scale 10^4, once end to end (with its correctness check against a
+# direct graph walk) and once traced. The traced onion is the only
+# caller outside tests of its datalog layers (`datalog::evaluate_with`
+# on `Database::triples()`) and of its commit layers (the id-stable
+# mutators, `existing_index` and the `merge_delta` shim), and each
+# `write_mix` run ends by reopening the store, which replays its WAL.
+# Output goes to the git-ignored benchmark/out/.
+bash benchmark/run.sh --quick >/dev/null
 
 echo "== cargo test" >&2
 cargo test -q --offline

@@ -189,20 +189,12 @@ impl Database {
             .get_or_init(|| TripleIndex::build(&self.graph))
     }
 
-    /// The triple index only if it has already been built (or seeded) —
-    /// never forces a build. `ssd-store` commits use this so snapshots
-    /// that were never index-queried pay nothing at commit time.
+    /// The triple index only if it has already been built — never forces
+    /// a build. `ssd-store` commits use this so that only a store whose
+    /// generations are index-queried builds each new generation's index
+    /// at commit time.
     pub fn existing_index(&self) -> Option<&TripleIndex> {
         self.triple_index.get()
-    }
-
-    /// Pre-seed the triple index (used by `ssd-store` commits, which
-    /// maintain the index incrementally with
-    /// [`TripleIndex::merge_delta`] instead of rebuilding per snapshot).
-    #[must_use]
-    pub fn with_seeded_index(self, index: TripleIndex) -> Database {
-        let _ = self.triple_index.set(index);
-        self
     }
 
     /// The batched plan for `query` with the index it runs on, or the
@@ -614,9 +606,9 @@ impl Database {
     /// on it. Surviving nodes keep their ids, `other`'s fragment is
     /// appended after them, and no gc runs; the root keeps its id too
     /// unless an edge targets it. The result is bisimilar to
-    /// [`Database::union`]'s; the id stability is what lets `ssd-store`
-    /// maintain the triple index incrementally
-    /// ([`TripleIndex::merge_delta`]) across commits.
+    /// [`Database::union`]'s. Its in-place core is the `INSERT` a store
+    /// commit and WAL replay both run, so replay rebuilds the very arena
+    /// (ids included) the commit published.
     ///
     /// [`ops::union_into_root`]: ssd_graph::ops::union_into_root
     pub fn union_id_stable(&self, other: &Database) -> Database {

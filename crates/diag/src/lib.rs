@@ -135,10 +135,6 @@ pub enum Code {
     /// shape, or statistics say the interpreter wins) and evaluation
     /// fell back to the one-binding-at-a-time interpreter.
     IndexFallback,
-    /// The dictionary encoder ran out of dense u32 ids while interning
-    /// labels — the graph has more distinct labels than the index can
-    /// address.
-    DictionaryOverflow,
     /// Evaluation ran out of its deterministic step (fuel) budget.
     StepLimitExceeded,
     /// Evaluation exceeded its byte-accounted memory budget.
@@ -251,7 +247,6 @@ impl Code {
             Code::ImpreciseEstimate => "SSD033",
             Code::AdmissionOverridesPartial => "SSD034",
             Code::IndexFallback => "SSD050",
-            Code::DictionaryOverflow => "SSD051",
             Code::StepLimitExceeded => "SSD101",
             Code::MemoryLimitExceeded => "SSD102",
             Code::DeadlineExceeded => "SSD103",
@@ -321,7 +316,6 @@ impl Code {
             | Code::AtomicOrderingUndeclared
             | Code::PublishBeforeLog
             | Code::FaultCoverageGap
-            | Code::DictionaryOverflow
             | Code::CostExceedsBudget => Severity::Error,
             Code::UnusedBinding
             | Code::EmptyPath
@@ -377,7 +371,6 @@ impl Code {
             Code::ImpreciseEstimate,
             Code::AdmissionOverridesPartial,
             Code::IndexFallback,
-            Code::DictionaryOverflow,
             Code::StepLimitExceeded,
             Code::MemoryLimitExceeded,
             Code::DeadlineExceeded,
@@ -606,12 +599,8 @@ mod tests {
     fn index_band_codes_and_severities() {
         assert_eq!(Code::IndexFallback.as_str(), "SSD050");
         assert_eq!(Code::IndexFallback.severity(), Severity::Note);
-        assert_eq!(Code::DictionaryOverflow.as_str(), "SSD051");
-        assert_eq!(Code::DictionaryOverflow.severity(), Severity::Error);
-        for c in [Code::IndexFallback, Code::DictionaryOverflow] {
-            assert!(!c.is_runtime(), "{c}: index codes are static-band codes");
-            assert!(!c.is_lint());
-        }
+        assert!(!Code::IndexFallback.is_runtime(), "a static-band code");
+        assert!(!Code::IndexFallback.is_lint());
     }
 
     #[test]

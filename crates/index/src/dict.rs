@@ -1,12 +1,11 @@
 //! Dictionary encoding: edge labels interned to dense `u32` ids.
 //!
 //! The triple permutations store `[u32; 3]` keys, so every [`Label`] —
-//! symbol or value — must map to a dense integer first. Interning is
-//! append-only (id = arrival order), which keeps ids stable across
-//! incremental merges: a delta run produced against an extended copy of
-//! the dictionary stays comparable with the base run it merges into.
+//! symbol or value — must map to a dense integer first. Every
+//! generation's index interns its own graph's labels into a fresh
+//! dictionary, so it holds exactly the labels that generation's
+//! reachable edges carry, numbered in arrival order within that build.
 
-use ssd_diag::{Code, Diagnostic};
 use ssd_graph::Label;
 use std::collections::HashMap;
 
@@ -15,46 +14,24 @@ use std::collections::HashMap;
 pub struct Dictionary {
     labels: Vec<Label>,
     ids: HashMap<Label, u32>,
-    limit: u32,
 }
 
 impl Dictionary {
-    /// An empty dictionary with the full `u32` id space available.
     pub fn new() -> Dictionary {
-        Dictionary::with_limit(u32::MAX)
-    }
-
-    /// An empty dictionary that refuses to hand out more than `limit`
-    /// ids (SSD051). Exists so overflow is testable without interning
-    /// four billion labels.
-    pub fn with_limit(limit: u32) -> Dictionary {
-        Dictionary {
-            labels: Vec::new(),
-            ids: HashMap::new(),
-            limit,
-        }
+        Dictionary::default()
     }
 
     /// Intern `label`, returning its dense id. Ids are assigned in first
     /// arrival order; re-interning is a lookup.
-    pub fn intern(&mut self, label: &Label) -> Result<u32, Diagnostic> {
+    pub fn intern(&mut self, label: &Label) -> u32 {
         if let Some(&id) = self.ids.get(label) {
-            return Ok(id);
+            return id;
         }
-        if self.labels.len() as u64 >= u64::from(self.limit) {
-            return Err(Diagnostic::new(
-                Code::DictionaryOverflow,
-                format!(
-                    "dictionary id space exhausted: {} labels already interned (limit {})",
-                    self.labels.len(),
-                    self.limit
-                ),
-            ));
-        }
-        let id = self.labels.len() as u32;
+        // lint: allow(panic) — the 2³²-th distinct label, the same programming error as NodeId::from_index's
+        let id = u32::try_from(self.labels.len()).expect("more than u32::MAX distinct labels");
         self.labels.push(label.clone());
         self.ids.insert(label.clone(), id);
-        Ok(id)
+        id
     }
 
     /// The id of an already-interned label, if any.
@@ -94,27 +71,14 @@ mod tests {
         let mut d = Dictionary::new();
         let a = Label::symbol(&syms, "Title");
         let b = Label::Value(Value::Int(7));
-        assert_eq!(d.intern(&a).unwrap(), 0);
-        assert_eq!(d.intern(&b).unwrap(), 1);
-        assert_eq!(d.intern(&a).unwrap(), 0, "re-intern returns the same id");
+        assert_eq!(d.intern(&a), 0);
+        assert_eq!(d.intern(&b), 1);
+        assert_eq!(d.intern(&a), 0, "re-intern returns the same id");
         assert_eq!(d.len(), 2);
         assert_eq!(d.resolve(0), Some(&a));
         assert_eq!(d.resolve(1), Some(&b));
         assert_eq!(d.resolve(2), None);
         assert_eq!(d.lookup(&b), Some(1));
         assert_eq!(d.lookup(&Label::Value(Value::Int(8))), None);
-    }
-
-    #[test]
-    fn overflow_is_ssd051() {
-        let mut d = Dictionary::with_limit(2);
-        assert!(d.intern(&Label::Value(Value::Int(1))).is_ok());
-        assert!(d.intern(&Label::Value(Value::Int(2))).is_ok());
-        // Existing labels still intern fine at the limit.
-        assert!(d.intern(&Label::Value(Value::Int(1))).is_ok());
-        let err = d.intern(&Label::Value(Value::Int(3))).unwrap_err();
-        assert_eq!(err.code, Code::DictionaryOverflow);
-        assert_eq!(err.code.as_str(), "SSD051");
-        assert!(err.is_error());
     }
 }

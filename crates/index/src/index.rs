@@ -13,11 +13,9 @@
 //! The index covers exactly the triples whose source is *reachable* from
 //! the root — the fragment every evaluator operates on.
 //!
-//! [`TripleIndex::merge_delta`] maintains the index across an id-stable
-//! graph mutation (node ids of surviving nodes unchanged — the contract
-//! `ssd-store`'s commit path provides) by diffing per-node edge lists
-//! against the base SPO run and folding the resulting delta runs in with
-//! linear merges; the base runs are never re-sorted.
+//! Each generation's index is built once from that generation's own
+//! graph ([`TripleIndex::build`]): one encoding pass over the reachable
+//! edges, one sort per permutation.
 
 use crate::dict::Dictionary;
 use crate::run::{Key, SortedRun};
@@ -36,35 +34,27 @@ pub struct TripleIndex {
 }
 
 impl TripleIndex {
-    /// Build from scratch: encode every reachable edge, then sort each
-    /// permutation once. A fresh dictionary fills only past `u32::MAX`
-    /// labels, a programming error like the 2³²-th `NodeId`.
+    /// Build from scratch: encode every reachable edge through a fresh
+    /// dictionary, then sort each permutation once.
     pub fn build(g: &Graph) -> TripleIndex {
-        let fresh = TripleIndex::build_with_dict(g, Dictionary::new());
-        // lint: allow(panic) — past u32::MAX labels, the same programming error as NodeId::from_index's
-        fresh.expect("more than u32::MAX distinct labels in one graph")
-    }
-
-    /// Build reusing (and extending) `dict`, so encoded label ids stay
-    /// comparable with runs produced against it.
-    fn build_with_dict(g: &Graph, mut dict: Dictionary) -> Result<TripleIndex, Diagnostic> {
+        let mut dict = Dictionary::new();
         let mut keys: Vec<Key> = Vec::with_capacity(g.edge_count());
         for &n in &g.reachable() {
             let s = n.index() as u32;
             for e in g.edges(n) {
-                keys.push([s, dict.intern(&e.label)?, e.to.index() as u32]);
+                keys.push([s, dict.intern(&e.label), e.to.index() as u32]);
             }
         }
         let spo = SortedRun::from_unsorted(keys);
         let pos = SortedRun::from_unsorted(spo.iter().map(|&[s, p, o]| [p, o, s]).collect());
         let osp = SortedRun::from_unsorted(spo.iter().map(|&[s, p, o]| [o, s, p]).collect());
-        Ok(TripleIndex {
+        TripleIndex {
             dict,
             spo,
             pos,
             osp,
             root: g.root().index() as u32,
-        })
+        }
     }
 
     /// Number of distinct indexed triples.
@@ -143,96 +133,12 @@ impl TripleIndex {
             .collect()
     }
 
-    /// Rebuild the index for `g`, an **id-stable evolution** of the
-    /// indexed graph (node ids present in both graphs mean the same
-    /// node — `ssd-store`'s commit mutators guarantee this), by merging
-    /// delta runs instead of re-sorting:
-    ///
-    /// 1. old triples whose source fell out of the reachable fragment are
-    ///    deleted wholesale (one linear SPO walk);
-    /// 2. each reachable node's encoded edge list is diffed against its
-    ///    SPO range (two-pointer, per-node);
-    /// 3. the accumulated inserts/deletes — typically tiny next to the
-    ///    base — are sorted and folded into each permutation with a
-    ///    linear [`SortedRun::merge`].
+    /// The index of `g`, equal to [`TripleIndex::build`]`(g)` — the step
+    /// `ssd-store`'s commit runs. It exists only because the benchmark's
+    /// onion (`benchmark/src/onion.rs`) calls it to time that step as
+    /// `index.merge_delta_ms`; ROADMAP item 2 deletes it.
     pub fn merge_delta(&self, g: &Graph) -> Result<TripleIndex, Diagnostic> {
-        let mut dict = self.dict.clone();
-        let mut live = g.reachable();
-        live.sort_unstable();
-        let mut reach = vec![false; g.node_count()];
-        for &n in &live {
-            reach[n.index()] = true;
-        }
-        let mut ins: Vec<Key> = Vec::new();
-        let mut del: Vec<Key> = Vec::new();
-        for &k in self.spo.iter() {
-            let s = k[0] as usize;
-            if s >= reach.len() || !reach[s] {
-                del.push(k);
-            }
-        }
-        for &n in &live {
-            let s = n.index() as u32;
-            let mut now: Vec<Key> = Vec::with_capacity(g.out_degree(n));
-            for e in g.edges(n) {
-                now.push([s, dict.intern(&e.label)?, e.to.index() as u32]);
-            }
-            now.sort_unstable();
-            now.dedup();
-            let before = self.spo.range1(s);
-            if before == now.as_slice() {
-                continue;
-            }
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < before.len() || j < now.len() {
-                match (before.get(i), now.get(j)) {
-                    (Some(b), Some(c)) if b == c => {
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(b), Some(c)) if b < c => {
-                        del.push(*b);
-                        i += 1;
-                    }
-                    (Some(_), Some(c)) => {
-                        ins.push(*c);
-                        j += 1;
-                    }
-                    (Some(b), None) => {
-                        del.push(*b);
-                        i += 1;
-                    }
-                    (None, Some(c)) => {
-                        ins.push(*c);
-                        j += 1;
-                    }
-                    (None, None) => break,
-                }
-            }
-        }
-        // Only the delta is sorted; the base runs are merged linearly.
-        let ins = SortedRun::from_unsorted(ins);
-        let del = SortedRun::from_unsorted(del);
-        let spo = SortedRun::merge(&self.spo, &ins, &del);
-        let permute =
-            |r: &SortedRun, f: fn(&Key) -> Key| SortedRun::from_unsorted(r.iter().map(f).collect());
-        let pos = SortedRun::merge(
-            &self.pos,
-            &permute(&ins, |&[s, p, o]| [p, o, s]),
-            &permute(&del, |&[s, p, o]| [p, o, s]),
-        );
-        let osp = SortedRun::merge(
-            &self.osp,
-            &permute(&ins, |&[s, p, o]| [o, s, p]),
-            &permute(&del, |&[s, p, o]| [o, s, p]),
-        );
-        Ok(TripleIndex {
-            dict,
-            spo,
-            pos,
-            osp,
-            root: g.root().index() as u32,
-        })
+        Ok(TripleIndex::build(g))
     }
 }
 
@@ -240,7 +146,6 @@ impl TripleIndex {
 mod tests {
     use super::*;
     use ssd_graph::literal::parse_graph;
-    use std::collections::HashSet;
 
     fn movie_graph() -> Graph {
         parse_graph(
@@ -301,52 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_delta_tracks_id_stable_edits() {
-        let mut g = movie_graph();
-        let idx = TripleIndex::build(&g);
-        // Id-stable mutation: add a node + edges, drop nothing.
-        let n = g.add_node();
-        let year = Label::symbol(g.symbols(), "Remake");
-        g.add_edge(g.root(), year.clone(), n);
-        let merged = idx.merge_delta(&g).unwrap();
-        let rebuilt = TripleIndex::build_with_dict(&g, idx.dict().clone()).unwrap();
-        assert_eq!(merged.spo.as_slice(), rebuilt.spo.as_slice());
-        assert_eq!(merged.pos.as_slice(), rebuilt.pos.as_slice());
-        assert_eq!(merged.osp.as_slice(), rebuilt.osp.as_slice());
-        assert_eq!(merged.len(), idx.len() + 1);
-    }
-
-    /// A dictionary carried across merges can fill, a fresh one cannot:
-    /// `merge_delta` over a full dictionary is SSD051, and a build of the
-    /// same graph still indexes exactly its reachable edges. This is the
-    /// path a store commit falls back on (it publishes the generation
-    /// unseeded, and the first use rebuilds).
-    #[test]
-    fn merge_delta_overflow_is_ssd051_and_a_fresh_build_still_succeeds() {
-        let mut g = movie_graph();
-        let full = Dictionary::with_limit(TripleIndex::build(&g).dict().len() as u32);
-        let idx = TripleIndex::build_with_dict(&g, full).unwrap();
-        let n = g.add_node();
-        let remake = Label::symbol(g.symbols(), "Remake");
-        g.add_edge(g.root(), remake, n);
-        let err = idx.merge_delta(&g).unwrap_err();
-        assert_eq!(err.code.as_str(), "SSD051");
-        let walked: HashSet<(u32, Label, u32)> = g
-            .reachable()
-            .into_iter()
-            .flat_map(|n| {
-                let s = n.index() as u32;
-                g.edges(n)
-                    .iter()
-                    .map(move |e| (s, e.label.clone(), e.to.index() as u32))
-            })
-            .collect();
-        let built: HashSet<(u32, Label, u32)> =
-            TripleIndex::build(&g).decoded().into_iter().collect();
-        assert_eq!(built, walked);
-    }
-
-    #[test]
     fn merge_delta_drops_unreachable_fragments() {
         let mut g = movie_graph();
         let idx = TripleIndex::build(&g);
@@ -354,7 +213,6 @@ mod tests {
         g.set_edges(g.root(), Vec::new());
         let merged = idx.merge_delta(&g).unwrap();
         assert!(merged.is_empty());
-        let rebuilt = TripleIndex::build_with_dict(&g, idx.dict().clone()).unwrap();
-        assert_eq!(merged.spo.as_slice(), rebuilt.spo.as_slice());
+        assert_eq!(merged.spo.as_slice(), TripleIndex::build(&g).spo.as_slice());
     }
 }

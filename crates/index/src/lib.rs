@@ -7,15 +7,15 @@
 //! range of a sorted `Vec<[u32; 3]>`:
 //!
 //! - **dictionary encoding** ([`Dictionary`]): labels interned to dense
-//!   `u32` ids, append-only so ids survive incremental merges; only one
-//!   carried across merges can fill (`SSD051`), a fresh build cannot;
+//!   `u32` ids in arrival order, one fresh dictionary per build;
 //! - **sorted runs** ([`SortedRun`]): strictly-sorted duplicate-free key
 //!   vectors with galloping range lookups, resumable from a cursor so a
 //!   sorted probe column turns lookups into a merge join;
 //! - **the index proper** ([`TripleIndex`]): the three permutations plus
-//!   the dictionary, built once per `Database` generation and maintained
-//!   across id-stable store commits by merging a small delta run instead
-//!   of re-sorting ([`TripleIndex::merge_delta`]).
+//!   the dictionary, built once per `Database` generation from that
+//!   generation's graph ([`TripleIndex::build`]) — lazily on first use,
+//!   or by the store commit that publishes the generation when its
+//!   parent's index was built.
 //!
 //! The batched executor in `ssd-query` plans against this structure and
 //! leaves to the one-binding-at-a-time interpreter (note `SSD050`) only

@@ -7,10 +7,6 @@
 //! the bracket), which makes walking a run with a sorted probe column a
 //! merge join: each probe resumes from the previous match position, so a
 //! full join touches each run entry at most once plus logarithmic slop.
-//!
-//! Incremental maintenance is the three-way linear merge
-//! `base ∪ inserts ∖ deletes` — the delta runs are sorted (they are
-//! small), the base run is only *walked*, never re-sorted.
 
 /// One encoded triple in some permutation order.
 pub type Key = [u32; 3];
@@ -122,76 +118,6 @@ impl SortedRun {
         let (start, end) = self.range2_from(0, a, b);
         &self.keys[start..end]
     }
-
-    /// Linear three-way merge: `base ∪ inserts ∖ deletes`. The base run
-    /// is walked once; no re-sort happens. Deleting a key not in the
-    /// union and inserting a key already present are both harmless.
-    pub fn merge(base: &SortedRun, inserts: &SortedRun, deletes: &SortedRun) -> SortedRun {
-        let (a, b, del) = (&base.keys, &inserts.keys, &deletes.keys);
-        let mut out: Vec<Key> = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j, mut d) = (0usize, 0usize, 0usize);
-        while i < a.len() || j < b.len() {
-            let k = match (a.get(i), b.get(j)) {
-                (Some(x), Some(y)) if x == y => {
-                    i += 1;
-                    j += 1;
-                    *x
-                }
-                (Some(x), Some(y)) if x < y => {
-                    i += 1;
-                    *x
-                }
-                (Some(_), Some(y)) => {
-                    j += 1;
-                    *y
-                }
-                (Some(x), None) => {
-                    i += 1;
-                    *x
-                }
-                (None, Some(y)) => {
-                    j += 1;
-                    *y
-                }
-                (None, None) => break,
-            };
-            while d < del.len() && del[d] < k {
-                d += 1;
-            }
-            if d < del.len() && del[d] == k {
-                continue;
-            }
-            out.push(k);
-        }
-        SortedRun { keys: out }
-    }
-
-    /// K-way merge of sorted runs (duplicates collapse). Used to fold a
-    /// stack of delta runs into one before merging with a base.
-    pub fn merge_many(runs: &[&SortedRun]) -> SortedRun {
-        let mut cursors: Vec<usize> = vec![0; runs.len()];
-        let total: usize = runs.iter().map(|r| r.len()).sum();
-        let mut out: Vec<Key> = Vec::with_capacity(total);
-        loop {
-            let mut best: Option<Key> = None;
-            for (r, &c) in runs.iter().zip(cursors.iter()) {
-                if let Some(k) = r.keys.get(c) {
-                    best = Some(match best {
-                        Some(b) if b <= *k => b,
-                        _ => *k,
-                    });
-                }
-            }
-            let Some(k) = best else { break };
-            for (r, c) in runs.iter().zip(cursors.iter_mut()) {
-                if r.keys.get(*c) == Some(&k) {
-                    *c += 1;
-                }
-            }
-            out.push(k);
-        }
-        SortedRun { keys: out }
-    }
 }
 
 impl<'a> IntoIterator for &'a SortedRun {
@@ -247,28 +173,5 @@ mod tests {
         assert_eq!(r.range2(3, 0), &[[3, 0, 0]]);
         assert!(r.contains(&[3, 0, 0]));
         assert!(!r.contains(&[3, 0, 1]));
-    }
-
-    #[test]
-    fn merge_is_union_minus_deletes() {
-        let base = run(&[[1, 0, 0], [2, 0, 0], [3, 0, 0]]);
-        let ins = run(&[[0, 0, 0], [2, 0, 0], [4, 0, 0]]);
-        let del = run(&[[2, 0, 0], [9, 9, 9]]);
-        let merged = SortedRun::merge(&base, &ins, &del);
-        assert_eq!(
-            merged.as_slice(),
-            &[[0, 0, 0], [1, 0, 0], [3, 0, 0], [4, 0, 0]]
-        );
-        assert!(merged.is_strictly_sorted());
-    }
-
-    #[test]
-    fn merge_many_collapses_duplicates() {
-        let a = run(&[[1, 0, 0], [3, 0, 0]]);
-        let b = run(&[[2, 0, 0], [3, 0, 0]]);
-        let c = run(&[[0, 0, 0]]);
-        let m = SortedRun::merge_many(&[&a, &b, &c]);
-        assert_eq!(m.as_slice(), &[[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]]);
-        assert_eq!(SortedRun::merge_many(&[]).len(), 0);
     }
 }

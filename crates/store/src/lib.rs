@@ -351,9 +351,9 @@ fn io_err(context: &str, e: &std::io::Error) -> StoreError {
 
 /// Apply one WAL op in place to a graph the caller owns (a commit's one
 /// copy of its snapshot, or the graph recovery replays on). Both verbs
-/// are *id-stable*: surviving nodes keep their ids across the op, which
-/// is what lets a commit maintain the columnar triple index by merging
-/// one delta run instead of rebuilding.
+/// are *id-stable*: surviving nodes keep their ids across the op, so
+/// replay, running the same ops on the graph it parses from the base
+/// image, rebuilds the very arena the commits published.
 fn apply_op(g: &mut Graph, kind: u8, body: &str) -> Result<(), StoreError> {
     match kind {
         wal::KIND_INSERT => {
@@ -606,20 +606,15 @@ impl Store {
         w.durable_len = w.len;
         w.next_seq = commit_seq + 1;
 
-        // Durable: publish the new generation. Because the ops were
-        // applied id-stably, the previous generation's triple index (if
-        // one was ever built) absorbs this commit as a single sorted
-        // delta run; the merged index is pre-seeded into the new
-        // snapshot so readers never pay a full rebuild after a commit.
+        // Durable: publish the new generation. If the previous
+        // generation's triple index was ever built, build this one's now,
+        // so no reader after the commit pays for it; a store nobody
+        // index-queried pays nothing here.
         let generation = snap.generation() + 1;
-        let mut db = Database::new(graph).with_generation(generation);
-        if let Some(base_index) = snap.existing_index() {
-            // Err is SSD051, the carried dictionary is full: publish unseeded; first use rebuilds fresh.
-            if let Ok(merged) = base_index.merge_delta(db.graph()) {
-                db = db.with_seeded_index(merged);
-            }
+        let db = Arc::new(Database::new(graph).with_generation(generation));
+        if snap.existing_index().is_some() {
+            db.triple_index();
         }
-        let db = Arc::new(db);
         *lock(&self.current) = db;
         Ok(CommitInfo {
             generation,
@@ -812,7 +807,7 @@ mod tests {
         let dir = tmpdir("index");
         Store::init(&dir, &db("{Seed: {Movie: {Title: \"Z\"}}}")).unwrap();
         let (store, _) = Store::open(&dir, &Budget::unlimited()).unwrap();
-        // Force the base index so commits merge deltas into it.
+        // Build the base index so every commit builds its generation's.
         assert!(store.snapshot().triple_index().is_some());
         store
             .commit(&Txn::new().insert("{Entry: {Movie: {Title: \"A\"}}}"))
@@ -820,17 +815,10 @@ mod tests {
         store.commit(&Txn::new().delete("Seed")).unwrap();
 
         let snap = store.snapshot();
-        let merged = snap.triple_index().expect("merged index seeded");
+        let built = snap.existing_index().expect("the commit built the index");
         let rebuilt = semistructured::TripleIndex::build(snap.graph());
-        // Dictionaries may order labels differently (the merged one keeps
-        // the base generation's ids), so compare decoded triple sets.
-        let key = |(s, l, o): &(u32, semistructured::Label, u32)| (*s, format!("{l:?}"), *o);
-        let mut a = merged.decoded();
-        let mut b = rebuilt.decoded();
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        assert_eq!(a, b);
-        assert_eq!(merged.root(), rebuilt.root());
+        assert_eq!(built.decoded(), rebuilt.decoded());
+        assert_eq!(built.root(), rebuilt.root());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub enum Phase {
     Serve,
     /// Durable storage: WAL commits, recovery replay, generation swaps.
     Store,
-    /// Columnar triple index: batched operators, delta merges.
+    /// Columnar triple index: batched operators, fallback notes.
     Index,
 }
 

@@ -161,11 +161,10 @@ fn all_static_codes_are_covered_by_the_cases() {
         Code::ImpreciseEstimate,
         Code::AdmissionOverridesPartial,
     ];
-    // The SSD05x execution band (SSD050 index fallback, SSD051
-    // dictionary overflow) is emitted by the access-path planner and the
-    // dictionary encoder, not the query/datalog analyzers; tests/index.rs
-    // exercises both.
-    let index_band = [Code::IndexFallback, Code::DictionaryOverflow];
+    // The SSD05x execution band (SSD050 index fallback) is emitted by
+    // the access-path planner, not the query/datalog analyzers;
+    // tests/index.rs exercises it.
+    let index_band = [Code::IndexFallback];
     let covered: Vec<Code> = QUERY_CASES
         .iter()
         .chain(DATALOG_CASES)

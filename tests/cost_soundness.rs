@@ -320,16 +320,13 @@ proptest! {
 }
 
 /// The generation a store commit of `INSERT insert` (then `DELETE
-/// label`) makes of `base`: the id-stable ops a commit applies, with
-/// `base`'s triple index carried across by `merge_delta`.
+/// label`) makes of `base`: the id-stable ops a commit applies.
 fn commit(base: &Database, insert: &Graph, delete: Option<&str>) -> Database {
-    let index = base.triple_index().unwrap();
     let mut next = base.union_id_stable(&Database::new(insert.clone()));
     if let Some(label) = delete {
         next = next.delete_edges_id_stable(&Pred::Symbol(label.into()));
     }
-    let merged = index.merge_delta(next.graph()).unwrap();
-    next.with_generation(1).with_seeded_index(merged)
+    next.with_generation(1)
 }
 
 /// The `Database` leg of traced ≡ untraced, on the retired E15's reorder query

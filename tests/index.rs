@@ -1,13 +1,8 @@
 //! Property tests for the `ssd-index` subsystem (SSD05x band):
 //!
-//! * the dictionary round-trips labels through dense ids, and one whose
-//!   id space is exhausted reports SSD051 (`DictionaryOverflow`) — a
-//!   limit only a dictionary carried across merges can reach;
+//! * the dictionary round-trips labels through dense ids;
 //! * sorted runs are strictly sorted and duplicate-free however they are
-//!   built, and `merge(base, inserts, deletes)` agrees with rebuilding
-//!   from scratch;
-//! * `TripleIndex::merge_delta` over an id-stable graph evolution equals
-//!   a full rebuild;
+//!   built;
 //! * every batchable shape is dispatched to the batched columnar
 //!   pipeline, at any graph size, and returns a result bisimilar to the
 //!   interpreter's — the reference the pipeline is checked against;
@@ -16,8 +11,7 @@
 //! * unbatchable shapes fall back (SSD050) without building an index;
 //! * datalog derives the same tuples, for the same guard fuel and
 //!   memory, whether its EDB is the triple index or a reference EDB built
-//!   by walking the graph, and naively — also after id-stable commits,
-//!   with the index carried by `merge_delta` or rebuilt;
+//!   by walking the graph, and naively — also after id-stable commits;
 //! * the decoded SPO run is the reachable edge set of a direct graph
 //!   walk.
 
@@ -284,11 +278,11 @@ proptest! {
         let mut dict = Dictionary::new();
         let mut ids = Vec::new();
         for l in &labels {
-            ids.push(dict.intern(l).unwrap());
+            ids.push(dict.intern(l));
         }
         for (l, &id) in labels.iter().zip(&ids) {
             prop_assert_eq!(dict.lookup(l), Some(id));
-            prop_assert_eq!(dict.intern(l).unwrap(), id);
+            prop_assert_eq!(dict.intern(l), id);
             prop_assert_eq!(dict.resolve(id), Some(l));
         }
         prop_assert!(dict.len() <= labels.len());
@@ -310,68 +304,6 @@ proptest! {
         expect.sort_unstable();
         expect.dedup();
         prop_assert_eq!(run.len(), expect.len());
-    }
-
-    /// Merging a base with insert/delete runs equals rebuilding from the
-    /// edited key set.
-    #[test]
-    fn merge_agrees_with_rebuild(
-        base in proptest::collection::vec(arb_key(), 0..80),
-        ins in proptest::collection::vec(arb_key(), 0..40),
-        del in proptest::collection::vec(arb_key(), 0..40),
-    ) {
-        let b = SortedRun::from_unsorted(base.clone());
-        let i = SortedRun::from_unsorted(ins.clone());
-        let d = SortedRun::from_unsorted(del.clone());
-        let merged = SortedRun::merge(&b, &i, &d);
-        prop_assert!(merged.is_strictly_sorted());
-        let mut expect: Vec<Key> = base;
-        expect.retain(|k| !d.contains(k));
-        expect.extend(ins.iter().filter(|k| !d.contains(k)));
-        expect.sort_unstable();
-        expect.dedup();
-        prop_assert_eq!(merged.iter().copied().collect::<Vec<_>>(), expect);
-    }
-
-    /// An id-stable edit sequence merged as a delta equals a full
-    /// rebuild, triple for triple.
-    #[test]
-    fn merge_delta_equals_rebuild(
-        n in 1usize..20,
-        inserts in proptest::collection::vec(0usize..5, 0..3),
-        delete_year in any::<bool>(),
-        back_edge in any::<bool>(),
-    ) {
-        // With an edge into the root, each insert unions under a fresh
-        // root; without one, it rewrites the root in place.
-        let mut base = movies(n);
-        if back_edge {
-            let mut g = base.graph().clone();
-            let entry = g.edges(g.root())[0].to;
-            let root = g.root();
-            g.add_sym_edge(entry, "Up", root);
-            base = Database::new(g);
-        }
-        let index = TripleIndex::build(base.graph());
-        let mut db = base;
-        for (j, extra) in inserts.iter().enumerate() {
-            let other = Database::from_literal(
-                &format!("{{Extra: {{Tag: \"t{j}\", N: {extra}}}}}")).unwrap();
-            db = db.union_id_stable(&other);
-        }
-        if delete_year {
-            db = db.delete_edges_id_stable(&semistructured::Pred::Symbol("Year".into()));
-        }
-        let merged = index.merge_delta(db.graph()).unwrap();
-        let rebuilt = TripleIndex::build(db.graph());
-        let key = |(s, l, o): &(u32, Label, u32)| (*s, format!("{l:?}"), *o);
-        let mut a = merged.decoded();
-        let mut b = rebuilt.decoded();
-        a.sort_by_key(key);
-        b.sort_by_key(key);
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(merged.root(), rebuilt.root());
-        prop_assert!(merged.spo().is_strictly_sorted());
     }
 
     /// Every batchable shape is dispatched to the batched pipeline at
@@ -419,9 +351,8 @@ proptest! {
         }
     }
 
-    /// The same after an id-stable commit step, with the index carried
-    /// across it by `merge_delta` (dictionary ids from before the commit,
-    /// labels that lost their last edge still interned) and rebuilt.
+    /// The same after an id-stable commit step, on the graph a store
+    /// commit of the same ops publishes.
     #[test]
     fn datalog_agrees_after_commits(
         g in arb_datalog_graph(),
@@ -429,8 +360,8 @@ proptest! {
         delete in 0usize..4,
         root_in in 0usize..3,
     ) {
-        // Edges into the root as generated, one more, or none: the
-        // fresh-union-root and the in-place insert are both carried.
+        // Edges into the root as generated, one more, or none: both the
+        // fresh-union-root and the in-place insert are covered.
         let mut g = g;
         let root = g.root();
         if root_in == 1 {
@@ -442,16 +373,11 @@ proptest! {
                 g.set_edges(n, kept);
             }
         }
-        let base = Database::new(g);
-        let before = base.triple_index().unwrap();
-        let mut next = base.union_id_stable(&Database::new(insert));
+        let mut next = Database::new(g).union_id_stable(&Database::new(insert));
         if let Some(name) = ["a", "b", "References"].get(delete) {
             next = next.delete_edges_id_stable(&semistructured::Pred::Symbol((*name).into()));
         }
-        let merged = before.merge_delta(next.graph()).unwrap();
-        let carried = Database::new(next.graph().clone()).with_seeded_index(merged);
         for program in DATALOG_PROGRAMS {
-            assert_datalog_agrees(&carried, program)?;
             assert_datalog_agrees(&next, program)?;
         }
     }
@@ -481,18 +407,6 @@ fn index_agrees_with_the_triple_shredder() {
         .collect();
     assert_eq!(index.len(), from_index.len());
     assert_eq!(from_index, walked);
-}
-
-/// SSD051: a dictionary with an artificially small id space reports the
-/// overflow as a diagnostic instead of wrapping ids.
-#[test]
-fn dictionary_overflow_is_ssd051() {
-    let mut dict = Dictionary::with_limit(2);
-    dict.intern(&Label::Value(Value::Int(0))).unwrap();
-    dict.intern(&Label::Value(Value::Int(1))).unwrap();
-    let err = dict.intern(&Label::Value(Value::Int(2))).unwrap_err();
-    assert_eq!(err.code, semistructured::diag::Code::DictionaryOverflow);
-    assert!(err.headline().contains("SSD051"), "{}", err.headline());
 }
 
 /// Results wide at the root — thousands of top-level edges, titles

@@ -974,10 +974,10 @@ fn commit_jobs_write_through_the_store_and_refresh_snapshots() {
     server.shutdown();
 }
 
-/// Datalog reads the snapshot's triple index in place, and commits carry
-/// that index forward by `merge_delta`: a `DATALOG` job after a commit on
-/// the same session must see the committed edge, not the index of the
-/// generation it was first built for.
+/// Datalog reads the snapshot's triple index in place, and a commit
+/// builds the new generation's index from the new graph: a `DATALOG` job
+/// after a commit on the same session must see the committed edge, not
+/// the index of the generation it was first built for.
 #[test]
 fn datalog_after_a_commit_reads_the_new_generation() {
     const CLOSURE: &str = "reach(X, Y) :- edge(X, 'References', Y).\n\
@@ -996,7 +996,7 @@ fn datalog_after_a_commit_reads_the_new_generation() {
         assert_eq!(out.error, None);
         assert_eq!(out.chunks, vec![expect.to_string()]);
     };
-    // Builds generation 0's index, which the commit then merges into.
+    // Builds generation 0's index, so the commit builds generation 1's.
     closure("reach: 1 tuple(s)");
     let out = session
         .submit(

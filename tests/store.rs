@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use semistructured::graph::bisim::graphs_bisimilar;
-use semistructured::{Budget, DataStats, Database, Graph, Label};
+use semistructured::{Budget, DataStats, Database, Graph, Label, TripleIndex, Value};
 use ssd_store::{Op, Store, StoreError, Txn};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -364,6 +364,38 @@ fn init_refuses_to_overwrite() {
     assert!(Store::is_initialized(&dir));
 }
 
+// ------------------------------------------------- index per generation
+
+/// Once a generation's triple index is built, each commit builds the
+/// next generation's from that generation's own graph before publishing
+/// it: no reader pays for the build, and the dictionary holds exactly
+/// the labels of the live edges, none of a deleted txn's.
+#[test]
+fn a_commit_builds_the_index_of_its_own_graph() {
+    let dir = tmpdir("own-index");
+    Store::init(&dir, &seed_db()).unwrap();
+    let (store, _) = open_clean(&dir);
+    store
+        .snapshot()
+        .query("select T from db.Seed.Tag T")
+        .unwrap();
+    store
+        .commit(&Txn::new().insert("{Gone: {Seq: 918273}}"))
+        .unwrap();
+    store.commit(&Txn::new().delete("Gone")).unwrap();
+
+    let snapshot = store.snapshot();
+    let built = snapshot
+        .existing_index()
+        .expect("the commit built the index");
+    let fresh = TripleIndex::build(snapshot.graph());
+    assert_eq!(built.decoded(), fresh.decoded());
+    assert_eq!(built.dict().len(), fresh.dict().len());
+    assert_eq!(built.label_id(&Label::Value(Value::Int(918273))), None);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ------------------------------------------------ statistics per generation
 
 /// Symbol and integer labels, self-loops, cycles and edgeless roots.
@@ -415,8 +447,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// On a generated graph, on the store opened over it, and after every
-    /// generated commit — with the index carried across the commit by
-    /// `merge_delta` (`carry`) or built afresh for the new generation.
+    /// generated commit — with `carry`, on the snapshot the commit
+    /// published (index built by the commit), otherwise on a fresh
+    /// `Database` over its graph.
     #[test]
     fn index_stats_equal_a_graph_walk_in_every_generation(
         g in arb_graph(),
