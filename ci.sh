@@ -144,6 +144,7 @@ grep -q "Casablanca" "$a_out"          # results streamed back
 grep -q " DONE " "$a_out"              # job settled
 grep -q "admitted" "$a_out"            # STATS block present
 grep -q "ERR error\[SSD210\]" "$a_out" # the retired plan-choosing verb is unknown
+grep -q "ERR .*SSD001" "$a_out"        # the unbound-variable QUERY is refused with its code
 grep -qxF "$reach_cli" "$a_out"        # DATALOG over the wire = `ssd datalog`
 [ "$(grep -c '^OK job=' "$a_out")" -eq 2 ] # statically refused jobs are never scheduled
 grep -q "SSD030" "$b_out"              # over-ceiling job rejected statically

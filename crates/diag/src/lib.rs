@@ -291,7 +291,6 @@ impl Code {
             | Code::DatalogUnsafe
             | Code::DatalogArityMismatch
             | Code::DatalogNotStratifiable
-            | Code::DatalogHeadWildcard
             | Code::StepLimitExceeded
             | Code::MemoryLimitExceeded
             | Code::DeadlineExceeded
@@ -321,6 +320,7 @@ impl Code {
             | Code::EmptyPath
             | Code::DatalogUndefinedPredicate
             | Code::DatalogUnreachableRule
+            | Code::DatalogHeadWildcard
             | Code::DatalogSingletonVariable
             | Code::UnboundedCost
             | Code::CrossProductJoin

@@ -1,7 +1,7 @@
 //! `ssd-analyze` — static analysis & diagnostics over UnQL/Lorel queries,
 //! regular path expressions, and graph-datalog programs.
 //!
-//! Three passes share the [`ssd_diag::Diagnostic`] vocabulary:
+//! Four passes share the [`ssd_diag::Diagnostic`] vocabulary:
 //!
 //! * [`vars`] — name resolution over select-from-where queries
 //!   (SSD001–SSD005): unbound/use-before-bind references, duplicate
@@ -9,18 +9,20 @@
 //! * [`typing`] — schema-aware path typing (SSD010): the product of each
 //!   binding's RPE automaton with a [`Schema`] infers the schema-node and
 //!   label sets the binding can produce, certifying emptiness.
-//! * [`datalog`] — lints over graph-datalog programs (SSD020–SSD026),
-//!   reusing the evaluator's own safety/stratification machinery so
-//!   analyzer and engine never disagree.
+//! * [`datalog`] — graph-datalog programs (SSD020–SSD026): the errors
+//!   are [`ssd_triples::datalog::check_program`]'s, the same function the
+//!   evaluator's [`admit`](ssd_triples::datalog::admit) refuses on, so
+//!   analyzer and engine never disagree; the rest are lints.
 //! * [`cost`] — `ssd-cost`, the static cost-and-cardinality estimator
 //!   (SSD030–SSD033): interval bounds on result cardinality, guard fuel,
-//!   and guard-accounted memory, driving admission control and the
-//!   cost-based optimizer. Opt-in — not part of [`analyze_query`].
+//!   and guard-accounted memory, which admission control compares with
+//!   a budget. Opt-in — not part of [`analyze_query`].
 //!
 //! Entry points: [`analyze_query`] / [`analyze_query_src`] for the query
 //! language, [`analyze_datalog_src`] for datalog; the CLI's `ssd check`
-//! and the evaluator's gate in [`crate::lang::evaluate_select`] sit on
-//! top of these.
+//! sits on top of these. The errors of [`vars`] are the only static check
+//! of a select: [`crate::lang::parse_query`], the server's admission and
+//! every select engine refuse on them.
 
 pub mod cost;
 pub mod datalog;

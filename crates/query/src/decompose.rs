@@ -465,7 +465,7 @@ mod work_profile_tests {
 // sub-query; chunks of matches run on worker threads and their result
 // trees union at the end.
 
-use crate::lang::eval::evaluate_select_seeded;
+use crate::lang::eval::{analyzer_gate, evaluate_select_seeded};
 use crate::lang::{evaluate_select, EvalOptions, SelectQuery};
 use ssd_graph::ops;
 
@@ -479,7 +479,7 @@ pub fn evaluate_select_parallel(
     query: &SelectQuery,
     workers: usize,
 ) -> Result<Graph, String> {
-    query.validate()?;
+    analyzer_gate(query, None, &ssd_guard::Guard::unlimited())?;
     assert!(workers > 0, "at least one worker");
     if query.bindings.is_empty() {
         let (r, _) = evaluate_select(g, query, &EvalOptions::default())?;

@@ -98,96 +98,7 @@ impl fmt::Display for CmpOp {
     }
 }
 
-impl SelectQuery {
-    /// Static checks: bindings only reference earlier variables; label
-    /// variables are placed legally; the construct and condition reference
-    /// only bound variables. Returns the set of bound variables on success.
-    pub fn validate(&self) -> Result<HashSet<&str>, String> {
-        let mut bound: HashSet<&str> = HashSet::new();
-        for (i, b) in self.bindings.iter().enumerate() {
-            if let Source::Var(v) = &b.source {
-                if !bound.contains(v.as_str()) {
-                    return Err(format!(
-                        "binding {i}: source variable {v} not bound by an earlier binding"
-                    ));
-                }
-            }
-            b.path.check_label_vars()?;
-            for lv in b.path.label_vars() {
-                if !bound.insert(lv) {
-                    return Err(format!("label variable {lv} bound twice"));
-                }
-            }
-            if !bound.insert(b.var.as_str()) {
-                return Err(format!("variable {} bound twice", b.var));
-            }
-        }
-        self.construct.check_vars(&bound)?;
-        if let Some(c) = &self.condition {
-            c.check_vars(&bound)?;
-        }
-        Ok(bound)
-    }
-}
-
-impl Construct {
-    fn check_vars(&self, bound: &HashSet<&str>) -> Result<(), String> {
-        match self {
-            Construct::Node(entries) => {
-                for (l, c) in entries {
-                    if let LabelExpr::LabelVar(v) = l {
-                        if !bound.contains(v.as_str()) {
-                            return Err(format!("unbound label variable ^{v} in construct"));
-                        }
-                    }
-                    c.check_vars(bound)?;
-                }
-                Ok(())
-            }
-            Construct::Var(v) => {
-                if bound.contains(v.as_str()) {
-                    Ok(())
-                } else {
-                    Err(format!("unbound variable {v} in construct"))
-                }
-            }
-            Construct::Atom(_) => Ok(()),
-        }
-    }
-}
-
 impl Cond {
-    fn check_vars(&self, bound: &HashSet<&str>) -> Result<(), String> {
-        let check_expr = |e: &Expr| match e {
-            Expr::Var(v) if !bound.contains(v.as_str()) => {
-                Err(format!("unbound variable {v} in condition"))
-            }
-            _ => Ok(()),
-        };
-        match self {
-            Cond::Cmp(a, _, b) => {
-                check_expr(a)?;
-                check_expr(b)
-            }
-            Cond::Like(e, _) | Cond::TypeIs(e, _) => check_expr(e),
-            Cond::Exists(v, path) => {
-                if !bound.contains(v.as_str()) {
-                    return Err(format!("unbound variable {v} in exists"));
-                }
-                // exists paths may not bind new variables.
-                if !path.label_vars().is_empty() {
-                    return Err("label variables not allowed inside exists".to_owned());
-                }
-                Ok(())
-            }
-            Cond::Not(c) => c.check_vars(bound),
-            Cond::And(a, b) | Cond::Or(a, b) => {
-                a.check_vars(bound)?;
-                b.check_vars(bound)
-            }
-        }
-    }
-
     /// The variables a condition reads — used by the optimizer to decide
     /// how early a condition can be evaluated (selection pushdown, §4).
     pub fn vars(&self) -> HashSet<&str> {
@@ -235,7 +146,15 @@ impl Cond {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::check_query_vars;
     use crate::rpe::{Rpe, Step};
+    use ssd_diag::DiagnosticSink;
+
+    /// Does the select language's static check refuse `q`? Hand-built
+    /// ASTs carry no spans, like an `RPE` job's query or an engine's.
+    fn refused(q: &SelectQuery) -> bool {
+        check_query_vars(q, None).has_errors()
+    }
 
     fn simple_query() -> SelectQuery {
         SelectQuery {
@@ -259,30 +178,28 @@ mod tests {
     #[test]
     fn valid_query_passes() {
         let q = simple_query();
-        let bound = q.validate().unwrap();
-        assert!(bound.contains("M"));
-        assert!(bound.contains("T"));
+        assert_eq!(check_query_vars(&q, None), vec![]);
     }
 
     #[test]
     fn forward_reference_rejected() {
         let mut q = simple_query();
         q.bindings.swap(0, 1);
-        assert!(q.validate().is_err());
+        assert!(refused(&q));
     }
 
     #[test]
     fn duplicate_variable_rejected() {
         let mut q = simple_query();
         q.bindings[1].var = "M".into();
-        assert!(q.validate().is_err());
+        assert!(refused(&q));
     }
 
     #[test]
     fn unbound_construct_var_rejected() {
         let mut q = simple_query();
         q.construct = Construct::Var("Z".into());
-        assert!(q.validate().is_err());
+        assert!(refused(&q));
     }
 
     #[test]
@@ -293,7 +210,7 @@ mod tests {
             CmpOp::Eq,
             Expr::Const(Value::Int(1)),
         ));
-        assert!(q.validate().is_err());
+        assert!(refused(&q));
     }
 
     #[test]
@@ -305,7 +222,7 @@ mod tests {
             var: "X".into(),
         });
         q.condition = Some(Cond::Like(Expr::Var("L".into()), "act%".into()));
-        assert!(q.validate().is_ok());
+        assert!(!refused(&q));
     }
 
     #[test]
@@ -316,7 +233,7 @@ mod tests {
             path: Rpe::step(Step::label_var("L")).star(),
             var: "X".into(),
         });
-        assert!(q.validate().is_err());
+        assert!(refused(&q));
     }
 
     #[test]
@@ -341,7 +258,7 @@ mod tests {
     fn exists_with_label_var_rejected() {
         let mut q = simple_query();
         q.condition = Some(Cond::Exists("M".into(), Rpe::step(Step::label_var("L"))));
-        assert!(q.validate().is_err());
+        assert!(refused(&q));
     }
 }
 

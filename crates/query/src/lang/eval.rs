@@ -145,9 +145,9 @@ pub struct BindingProfile {
 /// union of all constructed trees) and statistics.
 ///
 /// Evaluation is gated on the static analyzer
-/// ([`crate::analyze::analyze_query`]): error diagnostics refuse to run
-/// (their error set coincides with [`SelectQuery::validate`]'s rejection
-/// set, so nothing that used to evaluate is newly rejected); warnings are
+/// ([`crate::analyze::analyze_query`]), as every select engine is: error
+/// diagnostics refuse to run, the same ones
+/// [`parse_query`](crate::lang::parse_query) refuses on; warnings are
 /// collected into [`EvalStats::warnings`].
 pub fn evaluate_select(
     g: &Graph,
@@ -408,18 +408,14 @@ pub fn evaluate_select_seeded(
     label: Option<Label>,
     opts: &EvalOptions<'_>,
 ) -> Result<(Graph, EvalStats), String> {
-    query.validate()?;
-    if query.bindings.is_empty() {
-        return Err("seeded evaluation requires at least one binding".into());
-    }
     let unlimited = Guard::unlimited();
     let guard = opts.guard.unwrap_or(&unlimited);
     let mut sp = ssd_trace::span(opts.tracer, Phase::Eval, "select.seeded", Some(guard));
+    let mut stats = analyzer_gate(query, opts.tracer, guard)?;
+    if query.bindings.is_empty() {
+        return Err("seeded evaluation requires at least one binding".into());
+    }
     let mut result = Graph::with_symbols(g.symbols_handle());
-    let mut stats = EvalStats {
-        per_binding: binding_profiles(query),
-        ..EvalStats::default()
-    };
     let compiled: Vec<(Option<(Rpe, crate::rpe::ast::Step)>, Nfa)> = query
         .bindings
         .iter()

@@ -32,6 +32,6 @@ pub mod spans;
 
 pub use ast::{Binding, CmpOp, Cond, Construct, Expr, LabelExpr, SelectQuery, Source};
 pub use eval::{evaluate_select, BindingProfile, EvalOptions, EvalStats};
-pub use parser::{parse_query, parse_query_spanned, parse_rpe, QueryParseError};
+pub use parser::{check_query, parse_query, parse_query_spanned, parse_rpe, QueryParseError};
 pub use rewrite::parse_rewrite;
 pub use spans::{BindingSpans, OccSite, QuerySpans, VarOcc};

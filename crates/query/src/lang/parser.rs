@@ -26,8 +26,9 @@
 
 use super::ast::{Binding, CmpOp, Cond, Construct, Expr, LabelExpr, SelectQuery, Source};
 use super::spans::{BindingSpans, OccSite, QuerySpans, VarOcc};
+use crate::analyze::check_query_vars;
 use crate::rpe::{Rpe, Step};
-use ssd_diag::Span;
+use ssd_diag::{Diagnostic, DiagnosticSink, Span};
 use ssd_graph::{LabelKind, Value};
 use ssd_schema::Pred;
 
@@ -51,17 +52,31 @@ const KEYWORDS: &[&str] = &[
     "isint", "isreal", "isstring", "isbool", "issymbol",
 ];
 
-/// Parse a select-from-where query; also runs [`SelectQuery::validate`].
+/// Parse a select-from-where query and [`check_query`] it.
 pub fn parse_query(src: &str) -> Result<SelectQuery, QueryParseError> {
-    let (q, _) = parse_query_spanned(src)?;
-    q.validate().map_err(|m| QueryParseError {
-        at: src.len(),
-        message: m,
-    })?;
+    let (q, spans) = parse_query_spanned(src)?;
+    check_query(&q, Some(&spans))?;
     Ok(q)
 }
 
-/// Parse without validating, additionally returning the span side table.
+/// The select language's static check, as every entry point applies it:
+/// the first error (in source order) of [`check_query_vars`], as a
+/// [`QueryParseError`] at that error's span (byte 0 without `spans`).
+pub fn check_query(q: &SelectQuery, spans: Option<&QuerySpans>) -> Result<(), QueryParseError> {
+    match check_query_vars(q, spans)
+        .sorted_by_span()
+        .into_iter()
+        .find(Diagnostic::is_error)
+    {
+        Some(d) => Err(QueryParseError {
+            at: d.span.map_or(0, |s| s.start),
+            message: d.headline(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Parse without checking, additionally returning the span side table.
 /// This is the static analyzer's entry point: it wants the raw AST even
 /// when name resolution would fail, so it can report *all* problems with
 /// precise source locations instead of the first one.
@@ -723,6 +738,17 @@ mod tests {
         let e = parse_rpe("Entry.Movie M, M.Title").unwrap_err();
         assert_eq!(e.message, "trailing input after path expression");
         assert!(parse_rpe("").is_err());
+    }
+
+    #[test]
+    fn a_check_error_is_reported_at_its_span() {
+        let e = parse_query("select X from db.a Y").unwrap_err();
+        assert_eq!(e.at, 7, "{e}");
+        assert!(e.message.starts_with("error[SSD001]"), "{e}");
+        // The first error in source order: `Z` in the construct before
+        // the duplicate `M`.
+        let e = parse_query("select Z from db.a M, db.b M").unwrap_err();
+        assert_eq!((e.at, &e.message[..13]), (7, "error[SSD001]"), "{e}");
     }
 
     #[test]

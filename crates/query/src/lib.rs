@@ -5,7 +5,7 @@
 //! * [`rpe`] — regular path expressions: AST, Thompson NFA, subset DFA,
 //!   and product-reachability evaluation over data graphs.
 //! * [`lang`] — the UnQL/Lorel-flavoured select-from-where surface
-//!   language: parser, validator, evaluator with optimizer knobs.
+//!   language: parser, evaluator with optimizer knobs.
 //! * [`recursion`] — structural recursion (UnQL's computational core):
 //!   the horizontal `ext` and vertical `gext` operators, evaluated with
 //!   the ε-edge graph-transformation technique of \[10\] so they are total

@@ -13,8 +13,8 @@ use std::fmt;
 pub struct Step {
     pub pred: Pred,
     /// If set, matching this step binds the edge label to the named label
-    /// variable. Only legal as the final step of a binding path (checked by
-    /// the parser/validator).
+    /// variable. Only legal as the final step of a binding path (SSD005,
+    /// checked by `analyze::vars`).
     pub label_var: Option<String>,
 }
 

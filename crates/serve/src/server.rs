@@ -24,7 +24,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, Once};
 use std::thread::JoinHandle;
 
 use semistructured::query::analyze::{analyze_datalog_cost, analyze_query_cost};
-use semistructured::query::lang::{self, Binding, Construct, QueryParseError, Source};
+use semistructured::query::lang::{self, Binding, Construct, Source};
 use semistructured::triples::datalog::{self, Program};
 use semistructured::{CostContext, Database, SelectQuery};
 use ssd_diag::{Code, Diagnostic};
@@ -101,10 +101,12 @@ pub enum JobEvent {
 pub enum SubmitError {
     /// Admission control said no (SSD030/SSD2xx); zero engine fuel spent.
     Rejected(Diagnostic),
-    /// The text does not parse, or its engine refuses it statically (an
-    /// unbound variable, an unsafe, arity-inconsistent or unstratifiable
-    /// program, an invalid COMMIT literal). Nothing was scheduled and
-    /// nothing was counted.
+    /// The text does not parse, or the language's static check refuses
+    /// it: the first error diagnostic of the check `ssd check` runs
+    /// (SSD001–SSD005 for `QUERY` and `RPE`, SSD020–SSD022 for
+    /// `DATALOG`), with its code. A `COMMIT` is invalid when a staged
+    /// literal does not parse. Nothing was scheduled and nothing was
+    /// counted.
     Invalid(String),
 }
 
@@ -472,18 +474,13 @@ fn admit(inner: &Inner, kind: JobKind, text: &str) -> Result<(Work, CostEnvelope
     match kind {
         JobKind::Query | JobKind::Rpe => {
             let query = if kind == JobKind::Rpe {
-                lang::parse_rpe(text).map(select_over)
+                lang::parse_rpe(text)
+                    .map(select_over)
+                    .and_then(|q| lang::check_query(&q, None).map(|()| q))
             } else {
-                lang::parse_query_spanned(text).map(|(q, _)| q)
+                lang::parse_query(text)
             }
             .map_err(|e| e.to_string())?;
-            query.validate().map_err(|message| {
-                QueryParseError {
-                    at: text.len(),
-                    message,
-                }
-                .to_string()
-            })?;
             let db = snapshot(inner);
             let ctx = CostContext::with_stats(db.index_stats());
             let envelope = analyze_query_cost(&query, None, &ctx).envelope;

@@ -803,7 +803,7 @@ mod tests {
     }
 
     #[test]
-    fn commit_maintains_triple_index_by_delta_merge() {
+    fn commit_builds_the_triple_index_of_each_generation() {
         let dir = tmpdir("index");
         Store::init(&dir, &db("{Seed: {Movie: {Title: \"Z\"}}}")).unwrap();
         let (store, _) = Store::open(&dir, &Budget::unlimited()).unwrap();

@@ -130,56 +130,6 @@ impl Program {
         out.dedup();
         out
     }
-
-    /// Range-restriction (safety) check: every head variable and every
-    /// variable of a negative literal must occur in some positive body
-    /// literal.
-    pub fn check_safety(&self) -> Result<(), String> {
-        for (i, rule) in self.rules.iter().enumerate() {
-            let head = rule.head.pred.as_str();
-            let edb = EDB_PREDICATES.iter().any(|&(p, _)| p == head);
-            if edb || is_builtin(head) {
-                return Err(format!(
-                    "rule {i}: cannot define {} predicate {head}",
-                    if edb { "EDB" } else { "builtin" }
-                ));
-            }
-            let positive_vars: std::collections::HashSet<&str> = rule
-                .body
-                .iter()
-                .filter(|l| l.positive && !is_builtin(l.atom.pred.as_str()))
-                .flat_map(|l| l.atom.vars())
-                .collect();
-            for v in rule.head.vars() {
-                if !positive_vars.contains(v) {
-                    return Err(format!(
-                        "rule {i}: head variable {v} not bound by a positive body literal"
-                    ));
-                }
-            }
-            for lit in rule
-                .body
-                .iter()
-                .filter(|l| !l.positive || is_builtin(l.atom.pred.as_str()))
-            {
-                if is_builtin(lit.atom.pred.as_str()) && lit.atom.terms.len() != 2 {
-                    return Err(format!(
-                        "rule {i}: builtin {} takes exactly two arguments",
-                        lit.atom.pred
-                    ));
-                }
-                for v in lit.atom.vars() {
-                    if !positive_vars.contains(v) {
-                        return Err(format!(
-                            "rule {i}: variable {v} in {} literal not bound positively",
-                            if lit.positive { "builtin" } else { "negated" }
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Display for Term {
@@ -552,7 +502,15 @@ impl<'a> P<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datalog::check_program;
     use ssd_graph::new_symbols;
+
+    fn codes(p: &Program) -> Vec<&'static str> {
+        check_program(p, None)
+            .iter()
+            .map(|d| d.code.as_str())
+            .collect()
+    }
 
     #[test]
     fn parse_transitive_closure() {
@@ -565,7 +523,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.rules.len(), 2);
         assert_eq!(p.idb_predicates(), vec!["path"]);
-        assert!(p.check_safety().is_ok());
+        assert_eq!(check_program(&p, None), vec![]);
     }
 
     #[test]
@@ -588,7 +546,7 @@ mod tests {
         let syms = new_symbols();
         let p = parse_program("dead(X) :- node(X), not reach(X).", &syms).unwrap();
         assert!(!p.rules[0].body[1].positive);
-        assert!(p.check_safety().is_ok());
+        assert_eq!(check_program(&p, None), vec![]);
     }
 
     #[test]
@@ -607,14 +565,15 @@ mod tests {
     fn unsafe_head_var_rejected() {
         let syms = new_symbols();
         let p = parse_program("q(X, Y) :- edge(X, _L, _Z).", &syms).unwrap();
-        assert!(p.check_safety().is_err());
+        assert_eq!(codes(&p), vec!["SSD020"]);
     }
 
     #[test]
     fn unsafe_negated_var_rejected() {
         let syms = new_symbols();
         let p = parse_program("q(X) :- node(X), not edge(X, _L, Y).", &syms).unwrap();
-        assert!(p.check_safety().is_err());
+        // Both `_L` and `Y` are unbound.
+        assert_eq!(codes(&p), vec!["SSD020", "SSD020"]);
     }
 
     #[test]

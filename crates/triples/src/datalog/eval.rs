@@ -20,10 +20,11 @@
 //! measures the gap between the two, which §3's pointer to "graph datalog"
 //! implicitly relies on being large.
 
-use super::ast::{is_builtin, Atom, Literal, Program, Rule, Term, EDB_PREDICATES};
+use super::ast::{is_builtin, Atom, Literal, Program, ProgramSpans, Rule, Term, EDB_PREDICATES};
 use super::edb::Edb;
 use super::rel::Relation;
 use crate::algebra::Datum;
+use ssd_diag::{Code, Diagnostic, Span};
 use ssd_graph::{Label, NodeId};
 use ssd_guard::{Exhausted, Guard};
 use ssd_trace::{Phase, Tracer};
@@ -47,13 +48,9 @@ const UNBOUND: u32 = u32::MAX;
 /// Errors from evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DatalogError {
-    Unsafe(String),
-    NotStratifiable(String),
-    ArityMismatch {
-        pred: String,
-        expected: usize,
-        got: usize,
-    },
+    /// The program breaks a static rule: the first finding of
+    /// [`check_program`] (SSD020, SSD021 or SSD022).
+    Invalid(Diagnostic),
     /// The snapshot's node or label ids do not fit the evaluator's
     /// 31-bit id spaces.
     Capacity(String),
@@ -65,21 +62,7 @@ pub enum DatalogError {
 impl std::fmt::Display for DatalogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DatalogError::Unsafe(m) => write!(f, "unsafe program: {m}"),
-            DatalogError::NotStratifiable(p) => {
-                write!(
-                    f,
-                    "program is not stratifiable (negative cycle through {p})"
-                )
-            }
-            DatalogError::ArityMismatch {
-                pred,
-                expected,
-                got,
-            } => write!(
-                f,
-                "predicate {pred} used with arity {got}, expected {expected}"
-            ),
+            DatalogError::Invalid(d) => f.write_str(&d.headline()),
             DatalogError::Capacity(m) => write!(f, "snapshot too large for datalog: {m}"),
             DatalogError::Exhausted(e) => write!(f, "{}", e.headline()),
         }
@@ -208,9 +191,8 @@ enum Mode {
 
 /// Assign each IDB predicate a stratum such that positive dependencies stay
 /// within or below, and negative dependencies come from strictly below.
-/// Public so the static analyzer can certify stratifiability without
-/// running the program.
-pub fn stratify(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
+/// Fails with a predicate on a cycle through negation.
+fn stratify(program: &Program) -> Result<Vec<Vec<&Rule>>, &str> {
     let idb: Vec<&str> = program.idb_predicates();
     let mut stratum: HashMap<&str, usize> = idb.iter().map(|p| (*p, 0)).collect();
     let max_strata = idb.len() + 1;
@@ -222,8 +204,7 @@ pub fn stratify(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
         rounds += 1;
         if rounds > max_strata * program.rules.len().max(1) + 1 {
             // A stratum exceeded the number of predicates: negative cycle.
-            let culprit = idb.first().copied().unwrap_or("?").to_owned();
-            return Err(DatalogError::NotStratifiable(culprit));
+            return Err(idb.first().copied().unwrap_or("?"));
         }
         for rule in &program.rules {
             let head_pred = rule.head.pred.as_str();
@@ -240,7 +221,7 @@ pub fn stratify(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
                 };
                 if required > head_stratum {
                     if required >= max_strata {
-                        return Err(DatalogError::NotStratifiable(head_pred.to_owned()));
+                        return Err(head_pred);
                     }
                     stratum.insert(head_pred, required);
                     changed = true;
@@ -256,37 +237,136 @@ pub fn stratify(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
     Ok(strata)
 }
 
-/// What the evaluator refuses before doing any guard work: unsafe rules,
-/// inconsistent arities, negative cycles. Returns the strata otherwise.
-/// Public so that the static cost analysis and a server's admission
-/// refuse exactly what evaluation refuses, with the same check.
-pub fn admit(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
-    program.check_safety().map_err(DatalogError::Unsafe)?;
-    check_arities(program)?;
-    stratify(program)
-}
-
-/// Every predicate is used with one arity: the EDB's own for `edge`,
-/// `node` and `root`, the first use's otherwise. (Builtin arity is part
-/// of the safety check.)
-fn check_arities(program: &Program) -> Result<(), DatalogError> {
+/// The static rules of the language, as diagnostics in source order:
+/// range restriction (SSD020: every head variable, and every variable of
+/// a negated or builtin literal, occurs in a positive body literal; no
+/// rule defines an EDB or builtin predicate; builtins take two
+/// arguments), one arity per predicate (SSD021: the EDB's own for
+/// `edge`, `node` and `root`, the first use's otherwise) and stratified
+/// negation (SSD022, located at the first negated derived literal).
+/// [`admit`] refuses a program on the first finding and `ssd check`
+/// reports them all; `spans` locates them in the source.
+pub fn check_program(program: &Program, spans: Option<&ProgramSpans>) -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
     let mut arity: HashMap<&str, usize> = EDB_PREDICATES.iter().copied().collect();
-    for rule in &program.rules {
-        for atom in std::iter::once(&rule.head).chain(rule.body.iter().map(|l| &l.atom)) {
-            if is_builtin(atom.pred.as_str()) {
-                continue;
+    let idb: HashSet<&str> = program.idb_predicates().into_iter().collect();
+    let mut cycle = stratify(program).err();
+    for (i, rule) in program.rules.iter().enumerate() {
+        let head = rule.head.pred.as_str();
+        let head_span = spans.and_then(|s| s.head(i));
+        let edb = EDB_PREDICATES.iter().any(|&(p, _)| p == head);
+        if edb || is_builtin(head) {
+            diags.push(
+                Diagnostic::new(
+                    Code::DatalogUnsafe,
+                    format!(
+                        "rule {i}: cannot define {} predicate `{head}`",
+                        if edb { "EDB" } else { "builtin" }
+                    ),
+                )
+                .with_span_opt(head_span),
+            );
+        }
+        let positive_vars: HashSet<&str> = rule
+            .body
+            .iter()
+            .filter(|l| l.positive && !is_builtin(l.atom.pred.as_str()))
+            .flat_map(|l| l.atom.vars())
+            .collect();
+        for v in rule.head.vars().filter(|v| !positive_vars.contains(v)) {
+            diags.push(
+                Diagnostic::new(
+                    Code::DatalogUnsafe,
+                    format!("rule {i}: head variable `{v}` not bound by a positive body literal"),
+                )
+                .with_span_opt(head_span)
+                .with_suggestion(format!("add a positive body literal mentioning `{v}`")),
+            );
+        }
+        check_arity(&rule.head, head_span, &mut arity, &mut diags);
+        for (j, lit) in rule.body.iter().enumerate() {
+            let span = spans.and_then(|s| s.body(i, j));
+            let pred = lit.atom.pred.as_str();
+            let builtin = is_builtin(pred);
+            if builtin && lit.atom.terms.len() != 2 {
+                diags.push(
+                    Diagnostic::new(
+                        Code::DatalogUnsafe,
+                        format!("rule {i}: builtin `{pred}` takes exactly two arguments"),
+                    )
+                    .with_span_opt(span),
+                );
             }
-            let expected = *arity.entry(atom.pred.as_str()).or_insert(atom.terms.len());
-            if expected != atom.terms.len() {
-                return Err(DatalogError::ArityMismatch {
-                    pred: atom.pred.clone(),
-                    expected,
-                    got: atom.terms.len(),
-                });
+            if builtin || !lit.positive {
+                for v in lit.atom.vars().filter(|v| !positive_vars.contains(v)) {
+                    diags.push(
+                        Diagnostic::new(
+                            Code::DatalogUnsafe,
+                            format!(
+                                "rule {i}: variable `{v}` in {} literal not bound positively",
+                                if lit.positive { "builtin" } else { "negated" }
+                            ),
+                        )
+                        .with_span_opt(span),
+                    );
+                }
+            }
+            check_arity(&lit.atom, span, &mut arity, &mut diags);
+            if !lit.positive && idb.contains(pred) {
+                if let Some(culprit) = cycle.take() {
+                    diags.push(not_stratifiable(culprit).with_span_opt(span));
+                }
             }
         }
     }
-    Ok(())
+    diags
+}
+
+fn check_arity<'p>(
+    atom: &'p Atom,
+    span: Option<Span>,
+    arity: &mut HashMap<&'p str, usize>,
+    diags: &mut Vec<Diagnostic>,
+) {
+    if is_builtin(atom.pred.as_str()) {
+        return; // builtin arity is a safety (SSD020) concern
+    }
+    let expected = *arity.entry(atom.pred.as_str()).or_insert(atom.terms.len());
+    if expected != atom.terms.len() {
+        diags.push(
+            Diagnostic::new(
+                Code::DatalogArityMismatch,
+                format!(
+                    "predicate `{}` used with arity {}, expected {expected}",
+                    atom.pred,
+                    atom.terms.len()
+                ),
+            )
+            .with_span_opt(span),
+        );
+    }
+}
+
+fn not_stratifiable(culprit: &str) -> Diagnostic {
+    Diagnostic::new(
+        Code::DatalogNotStratifiable,
+        format!("program is not stratifiable (negative cycle through `{culprit}`)"),
+    )
+    .with_suggestion(
+        "break the cycle of recursion through negation; every negated \
+         predicate must be fully computable in a lower stratum",
+    )
+}
+
+/// What the evaluator refuses before doing any guard work: the first
+/// finding of [`check_program`]. Returns the strata otherwise. Public so
+/// that the static cost analysis and a server's admission refuse exactly
+/// what evaluation refuses, with the same check.
+pub fn admit(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
+    if let Some(d) = check_program(program, None).into_iter().next() {
+        return Err(DatalogError::Invalid(d));
+    }
+    stratify(program).map_err(|p| DatalogError::Invalid(not_stratifiable(p)))
 }
 
 /// For each body literal of `rule`, which arguments are resolved before
@@ -964,6 +1044,11 @@ mod tests {
     use ssd_graph::literal::parse_graph;
     use ssd_graph::Graph;
 
+    /// Did evaluation refuse the program statically, with `code`?
+    pub(super) fn refused(r: Result<Evaluation, DatalogError>, code: Code) -> bool {
+        matches!(r, Err(DatalogError::Invalid(d)) if d.code == code)
+    }
+
     fn chain(n: usize) -> Graph {
         // root -a-> n1 -a-> n2 ... linear chain of n edges.
         let mut g = Graph::new();
@@ -1069,10 +1154,7 @@ mod tests {
         )
         .unwrap();
         let edb = Walked::new(&g);
-        assert!(matches!(
-            evaluate(&p, &edb),
-            Err(DatalogError::NotStratifiable(_))
-        ));
+        assert!(refused(evaluate(&p, &edb), Code::DatalogNotStratifiable));
     }
 
     #[test]
@@ -1080,7 +1162,7 @@ mod tests {
         let g = Graph::new();
         let p = parse_program("q(X, Y) :- node(X).", g.symbols()).unwrap();
         let edb = Walked::new(&g);
-        assert!(matches!(evaluate(&p, &edb), Err(DatalogError::Unsafe(_))));
+        assert!(refused(evaluate(&p, &edb), Code::DatalogUnsafe));
     }
 
     #[test]
@@ -1088,10 +1170,7 @@ mod tests {
         let g = chain(1);
         let p = parse_program("q(X) :- edge(X, _Y).", g.symbols()).unwrap();
         let edb = Walked::new(&g);
-        assert!(matches!(
-            evaluate(&p, &edb),
-            Err(DatalogError::ArityMismatch { .. })
-        ));
+        assert!(refused(evaluate(&p, &edb), Code::DatalogArityMismatch));
     }
 
     #[test]
@@ -1099,7 +1178,7 @@ mod tests {
         let g = chain(1);
         let p = parse_program("edge(X, a, Y) :- edge(Y, a, X).", g.symbols()).unwrap();
         let edb = Walked::new(&g);
-        assert!(matches!(evaluate(&p, &edb), Err(DatalogError::Unsafe(_))));
+        assert!(refused(evaluate(&p, &edb), Code::DatalogUnsafe));
     }
 
     #[test]
@@ -1190,6 +1269,7 @@ mod tests {
 
 #[cfg(test)]
 mod builtin_tests {
+    use super::tests::refused;
     use super::*;
     use crate::datalog::ast::parse_program;
     use crate::datalog::edb::walked::Walked;
@@ -1236,7 +1316,7 @@ mod builtin_tests {
         let g = parse_graph("{}").unwrap();
         let p = parse_program("q(X) :- node(X), lt(Y, 5).", g.symbols()).unwrap();
         let edb = Walked::new(&g);
-        assert!(matches!(evaluate(&p, &edb), Err(DatalogError::Unsafe(_))));
+        assert!(refused(evaluate(&p, &edb), Code::DatalogUnsafe));
     }
 
     #[test]
@@ -1244,7 +1324,7 @@ mod builtin_tests {
         let g = parse_graph("{}").unwrap();
         let p = parse_program("lt(X, X) :- node(X).", g.symbols()).unwrap();
         let edb = Walked::new(&g);
-        assert!(matches!(evaluate(&p, &edb), Err(DatalogError::Unsafe(_))));
+        assert!(refused(evaluate(&p, &edb), Code::DatalogUnsafe));
     }
 
     #[test]
@@ -1252,7 +1332,7 @@ mod builtin_tests {
         let g = parse_graph("{}").unwrap();
         let p = parse_program("q(X) :- node(X), lt(X).", g.symbols()).unwrap();
         let edb = Walked::new(&g);
-        assert!(matches!(evaluate(&p, &edb), Err(DatalogError::Unsafe(_))));
+        assert!(refused(evaluate(&p, &edb), Code::DatalogUnsafe));
     }
 
     #[test]

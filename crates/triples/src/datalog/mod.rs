@@ -8,8 +8,10 @@
 //! * [`edb`] — how rule bodies read `edge(Src, Label, Dst)`, `node(N)`
 //!   and `root(R)`: one access interface, answered in place by a
 //!   snapshot's triple index, never a per-query copy.
-//! * [`eval`] — stratified evaluation over encoded tuples, both naive
-//!   and semi-naive (the semi-naive/naive gap is experiment E6).
+//! * [`eval`] — the static checks every entry point refuses on
+//!   ([`check_program`]), and stratified evaluation over encoded tuples,
+//!   both naive and semi-naive (the semi-naive/naive gap is experiment
+//!   E6).
 
 pub mod ast;
 pub mod edb;
@@ -22,6 +24,6 @@ pub use ast::{
 };
 pub use edb::{Edb, Key};
 pub use eval::{
-    access_paths, admit, evaluate, evaluate_naive, evaluate_traced, evaluate_with, stratify,
+    access_paths, admit, check_program, evaluate, evaluate_naive, evaluate_traced, evaluate_with,
     DatalogError, Evaluation, FP_DATALOG_ROUND,
 };

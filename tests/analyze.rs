@@ -1,8 +1,11 @@
 //! Integration tests for the `ssd-analyze` static-analysis pass, run over
 //! generated datasets (ssd-data movies / webgraph): every SSD0xx code
 //! fires at least once with a source span, clean inputs yield zero
-//! diagnostics, and — property-tested — analyzer-accepted queries never
-//! fail evaluation (the gate's error set equals the evaluator's).
+//! diagnostics, `ssd check`, the library and a server session refuse
+//! exactly the same sources, and — property-tested — analyzer-accepted
+//! queries never fail evaluation.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use semistructured::diag::{Code, DiagnosticSink, Severity};
@@ -11,6 +14,7 @@ use semistructured::query::lang::{
 };
 use semistructured::query::Rpe;
 use semistructured::Database;
+use ssd_serve::{JobKind, ServeConfig, Server, SessionQuota, SubmitError};
 
 fn movie_db() -> Database {
     Database::new(semistructured::data::movies::movie_database(
@@ -201,6 +205,64 @@ fn clean_query_and_program_yield_zero_diagnostics() {
     assert!(d.is_empty(), "{d:?}");
 }
 
+/// One refusal set per language: `ssd check` (`check_query` /
+/// `check_datalog`) reports an error exactly when the library
+/// (`query` / `datalog`) and a server session's `submit` refuse the
+/// source, and each refusal carries the code of the first error.
+#[test]
+fn check_library_and_server_refuse_the_same_sources() {
+    let db = Arc::new(movie_db());
+    let server = Server::start(Arc::clone(&db), ServeConfig::default());
+    let session = server.open_session(SessionQuota {
+        fuel: None,
+        ..SessionQuota::default()
+    });
+    let clean_query = "select {Title: T} from db.Entry.Movie M, M.Title T";
+    let clean_program = "reach(X) :- root(X).\nreach(Y) :- reach(X), edge(X, _L, Y).";
+    let queries = QUERY_CASES.iter().map(|(_, src)| *src).chain([clean_query]);
+    let programs = DATALOG_CASES
+        .iter()
+        .map(|(_, src)| *src)
+        .chain([clean_program]);
+    let sources = queries
+        .map(|src| (JobKind::Query, src))
+        .chain(programs.map(|src| (JobKind::Datalog, src)));
+    for (kind, src) in sources {
+        let (checked, library) = if kind == JobKind::Query {
+            let diags = db.check_query(src).unwrap().diagnostics;
+            (diags, db.query(src).err())
+        } else {
+            (db.check_datalog(src).unwrap(), db.datalog(src).err())
+        };
+        let first_error = checked.iter().find(|d| d.is_error()).map(|d| d.code);
+        let served = match session.submit(kind, src) {
+            Err(SubmitError::Invalid(m)) => Some(m),
+            Err(e) => panic!("{src:?}: refused by admission control: {e}"),
+            Ok(h) => {
+                let out = h.wait();
+                assert_eq!(out.error, None, "{src:?} failed after admission");
+                None
+            }
+        };
+        assert_eq!(
+            library.is_some(),
+            first_error.is_some(),
+            "{src:?}: check found {first_error:?}, the library said {library:?}"
+        );
+        assert_eq!(
+            served.is_some(),
+            first_error.is_some(),
+            "{src:?}: check found {first_error:?}, the server said {served:?}"
+        );
+        if let Some(code) = first_error {
+            for refusal in [library, served].into_iter().flatten() {
+                assert!(refusal.contains(code.as_str()), "{src:?}: {refusal}");
+            }
+        }
+    }
+    server.shutdown();
+}
+
 #[test]
 fn diagnostics_render_with_carets() {
     let db = movie_db();
@@ -241,9 +303,9 @@ fn warnings_do_not_block_evaluation_errors_do() {
 }
 
 // ---------------------------------------------------------------------------
-// Property: the analyzer's error set coincides with the evaluator's
-// rejection set. Accepted ⇒ evaluation succeeds (in particular, no
-// unbound-variable failures mid-evaluation); rejected ⇔ validate rejects.
+// Property: the analyzer's error set is the evaluator's refusal set.
+// Accepted ⇒ evaluation succeeds: the interpreter's runtime variable
+// lookups never miss.
 
 const VARS: &[&str] = &["A", "B", "C"];
 const LABELS: &[&str] = &["Entry", "Movie", "Title", "Cast", "Bogus"];
@@ -304,14 +366,6 @@ proptest! {
             .collect();
         let outcome =
             semistructured::query::evaluate_select(db.graph(), &q, &EvalOptions::default());
-        // Gate ⇔ validate: nothing validate accepts is newly refused.
-        prop_assert_eq!(
-            errors.is_empty(),
-            q.validate().is_ok(),
-            "analyzer/validate disagree on {}: {:?}",
-            q,
-            errors
-        );
         // Accepted ⇒ evaluation completes (no unbound-variable failures).
         prop_assert_eq!(
             outcome.is_ok(),

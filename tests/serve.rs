@@ -650,24 +650,25 @@ fn statically_refused_jobs_are_invalid_at_submit() {
         (
             JobKind::Query,
             "select X from db.Entry.Movie Y",
-            "unbound variable X",
+            "at byte 7: error[SSD001]: unbound variable `X`",
         ),
         (
             JobKind::Rpe,
             "Entry.Movie M, M.Title",
             "trailing input after path expression",
         ),
+        (JobKind::Rpe, "(^L)*", "error[SSD005]"),
         (
             JobKind::Datalog,
             "p(X) :- node(X), not p(X).",
-            "not stratifiable",
+            "error[SSD022]: program is not stratifiable",
         ),
         (
             JobKind::Datalog,
             "q(X, Y) :- edge(X, Y).",
-            "predicate edge used with arity 2, expected 3",
+            "error[SSD021]: predicate `edge` used with arity 2, expected 3",
         ),
-        (JobKind::Datalog, "p(X) :- not node(X).", "unsafe program"),
+        (JobKind::Datalog, "p(X) :- not node(X).", "error[SSD020]"),
     ] {
         match session.submit(kind, text) {
             Err(SubmitError::Invalid(m)) => assert!(m.contains(why), "{text}: {m}"),
