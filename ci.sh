@@ -53,6 +53,11 @@ echo "== ssd lint (workspace invariants, docs/LINTS.md)" >&2
 # matching the old hard gate.
 ./target/release/ssd lint --deny-warnings
 
+echo "== ssd lint --loc (non-test lines per crate)" >&2
+# The one line counter: lines under crates/*/src that hold a token once
+# comments and #[cfg(test)]/#[test] items are elided.
+./target/release/ssd lint --loc
+
 echo "== ssd lint --json (machine-readable rendering)" >&2
 # The seeded fixture must render as exactly one JSON object per line:
 # findings with code/severity/file/line/message and nothing else. The
@@ -79,6 +84,22 @@ fi
 reach_prog='reach(X) :- root(X). reach(Y) :- reach(X), edge(X, _L, Y).'
 reach_cli=$(timeout 60 ./target/release/ssd datalog examples/movies.ssd "$reach_prog" \
     | grep '^reach: [1-9][0-9]* tuple(s)$')
+
+echo "== broken pipe smoke run" >&2
+# A reader that stops early must not make `ssd` panic: output ends
+# quietly. One run reaches the closed pipe most of the time; five make
+# a regression all but certain to show.
+pipe_err=$(mktemp)
+for _ in 1 2 3 4 5; do
+    ./target/release/ssd datalog examples/movies.ssd 'q(X) :- node(X).' \
+        2>>"$pipe_err" | head -1 >/dev/null
+done
+if grep -q panicked "$pipe_err"; then
+    echo "ci: ssd panicked writing to a closed pipe:" >&2
+    cat "$pipe_err" >&2
+    exit 1
+fi
+rm -f "$pipe_err"
 
 echo "== governed query smoke run" >&2
 smoke=$(timeout 60 ./target/release/ssd query examples/movies.ssd \

@@ -12,7 +12,6 @@
 //! numbers come from `benchmark/` (BENCHMARK.json).
 
 use semistructured::graph::bisim::graphs_bisimilar;
-use semistructured::graph::index::GraphIndex;
 use semistructured::query::decompose::{eval_decomposed_nfa, Partition};
 use semistructured::query::recursion::{gext, Transducer};
 use semistructured::query::rpe::eval::{eval_nfa, eval_nfa_with_stats};
@@ -103,18 +102,18 @@ fn e01() {
 }
 
 fn e02() {
-    header("E2 — §1.3 browsing, locate phase: scan vs index (µs, median of 9)");
+    header("E2 — §1.3 browsing, locate phase: scan vs triple index (µs, median of 9)");
     println!(
         "{:>8} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}",
         "entries", "q1 scan", "q1 index", "q2 scan", "q2 index", "q3 scan", "q3 index"
     );
     for &size in &[30usize, 100, 300, 1000] {
         let g = movies(size);
-        let idx = GraphIndex::build(&g);
+        let idx = TripleIndex::build(&g);
         let q1s = time_us(9, || browse::locate_string_scan(&g, "Actor 3"));
         let q1i = time_us(9, || browse::locate_string_indexed(&g, &idx, "Actor 3"));
         let q2s = time_us(9, || browse::locate_ints_greater_scan(&g, 1 << 16));
-        let q2i = time_us(9, || browse::locate_ints_greater_indexed(&g, &idx, 1 << 16));
+        let q2i = time_us(9, || browse::locate_ints_greater_indexed(&idx, 1 << 16));
         let q3s = time_us(9, || browse::locate_attrs_prefix_scan(&g, "Act"));
         let q3i = time_us(9, || browse::locate_attrs_prefix_indexed(&g, &idx, "Act"));
         println!(

@@ -6,7 +6,7 @@
 use semistructured::diag::DiagnosticSink;
 use semistructured::{Budget, Database, Guard};
 use std::cell::Cell;
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
 
 /// CLI failure modes.
 #[derive(Debug, PartialEq, Eq)]
@@ -46,6 +46,7 @@ ssd — semistructured data toolkit (Buneman, PODS 1997)
                 [--json]                   one JSON object per finding line
                 [--explain SSD9xx]         ROOT defaults to the current
                                            directory; see docs/LINTS.md
+                [--loc]                    per-crate non-test line counts
   ssd browse    DATA string TEXT           where is this string?
   ssd browse    DATA ints THRESHOLD        integers greater than N?
   ssd browse    DATA attrs PREFIX          attribute names with prefix?
@@ -143,6 +144,16 @@ fn install_quiet_panic_hook() {
             }
         }));
     });
+}
+
+/// Write a command's output and its final newline to `out`. A reader
+/// that stops early (`ssd … | head -1`) is not a failure: a
+/// `BrokenPipe` ends the output quietly.
+pub fn write_output(out: &mut impl Write, output: &str) -> std::io::Result<()> {
+    match writeln!(out, "{output}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        done => done,
+    }
 }
 
 /// Entry point shared by `main` and the tests. `stdin` backs the `-`
@@ -721,10 +732,11 @@ fn prepend_truncation(guard: &Guard, out: String) -> String {
 /// Errors always fail; `--deny-warnings` makes warnings (panic-budget
 /// drift) fail too, which is how ci.sh runs it.
 fn cmd_lint(rest: &[&str]) -> Result<String, CliError> {
-    const USAGE: &str = "lint [ROOT] [--deny-warnings] [--json] [--explain SSD9xx]";
+    const USAGE: &str = "lint [ROOT] [--deny-warnings] [--json] [--explain SSD9xx] [--loc]";
     let mut tail: Vec<&str> = rest.to_vec();
     let deny_warnings = take_flag(&mut tail, "--deny-warnings");
     let json = take_flag(&mut tail, "--json");
+    let loc = take_flag(&mut tail, "--loc");
     let mut explain_code: Option<String> = None;
     let mut i = 0;
     while i < tail.len() {
@@ -759,6 +771,16 @@ fn cmd_lint(rest: &[&str]) -> Result<String, CliError> {
         [r] => std::path::PathBuf::from(r),
         _ => return Err(CliError::Usage(USAGE.into())),
     };
+    if loc {
+        let per_crate = ssd_lint::non_test_lines(&root).map_err(CliError::Failed)?;
+        let mut out = format!("{:<10} {:>7}\n", "crate", "lines");
+        for (krate, n) in &per_crate {
+            out.push_str(&format!("{krate:<10} {n:>7}\n"));
+        }
+        let total: usize = per_crate.values().sum();
+        out.push_str(&format!("{:<10} {total:>7}", "total"));
+        return Ok(out);
+    }
     let report = ssd_lint::lint_workspace(&root).map_err(CliError::Failed)?;
     let out = if json {
         // println!/eprintln! append the final newline.
@@ -1432,55 +1454,45 @@ fn cmd_datalog(
 }
 
 fn cmd_browse(db: &Database, mode: &str, arg: &str) -> Result<String, CliError> {
-    let symbols_fmt = |hit: &semistructured::query::browse::Hit| {
-        let path: Vec<String> = hit
-            .path
-            .iter()
-            .map(|l| l.display(db.graph().symbols()).to_string())
-            .collect();
-        format!(
-            "  {} at root.{}",
-            hit.label.display(db.graph().symbols()),
-            path.join(".")
-        )
-    };
-    match mode {
+    let (hits, mut out) = match mode {
         "string" => {
             let hits = db.find_string(arg);
-            let mut out = format!("{} occurrence(s) of {arg:?}\n", hits.len());
-            for h in &hits {
-                out.push_str(&symbols_fmt(h));
-                out.push('\n');
-            }
-            Ok(out.trim_end().to_owned())
+            let head = format!("{} occurrence(s) of {arg:?}", hits.len());
+            (hits, head)
         }
         "ints" => {
             let threshold: i64 = arg
                 .parse()
                 .map_err(|_| CliError::Usage(format!("'{arg}' is not an integer")))?;
             let hits = db.ints_greater(threshold);
-            let mut out = format!("{} integer(s) greater than {threshold}\n", hits.len());
-            for (v, h) in &hits {
-                out.push_str(&format!(
-                    "  {v}{}\n",
-                    symbols_fmt(h).trim_start_matches(' ')
-                ));
-            }
-            Ok(out.trim_end().to_owned())
+            let head = format!("{} integer(s) greater than {threshold}", hits.len());
+            (hits, head)
         }
         "attrs" => {
             let hits = db.attrs_with_prefix(arg);
-            let mut out = format!("{} attribute edge(s) with prefix {arg:?}\n", hits.len());
-            for h in &hits {
-                out.push_str(&symbols_fmt(h));
-                out.push('\n');
-            }
-            Ok(out.trim_end().to_owned())
+            let head = format!("{} attribute edge(s) with prefix {arg:?}", hits.len());
+            (hits, head)
         }
-        other => Err(CliError::Usage(format!(
-            "browse mode must be string|ints|attrs, got '{other}'"
-        ))),
+        other => {
+            return Err(CliError::Usage(format!(
+                "browse mode must be string|ints|attrs, got '{other}'"
+            )))
+        }
+    };
+    let symbols = db.graph().symbols();
+    for hit in &hits {
+        let path: Vec<String> = hit
+            .path
+            .iter()
+            .map(|l| l.display(symbols).to_string())
+            .collect();
+        out.push_str(&format!(
+            "\n  {} at root.{}",
+            hit.label.display(symbols),
+            path.join(".")
+        ));
     }
+    Ok(out)
 }
 
 fn cmd_dataguide(db: &Database, guide: &semistructured::DataGuide) -> String {
@@ -1527,6 +1539,25 @@ mod tests {
     const DATA: &str = r#"{Entry: {Movie: {Title: "Casablanca",
                                       Cast: {Actors: "Bogart"},
                                       Year: 1942}}}"#;
+
+    #[test]
+    fn output_ends_quietly_on_a_broken_pipe() {
+        struct Failing(ErrorKind);
+        impl Write for Failing {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(self.0.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        assert!(write_output(&mut Failing(ErrorKind::BrokenPipe), "x").is_ok());
+        let err = write_output(&mut Failing(ErrorKind::PermissionDenied), "x").unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::PermissionDenied);
+        let mut buf = Vec::new();
+        write_output(&mut buf, "a\nb").unwrap();
+        assert_eq!(buf, b"a\nb\n");
+    }
 
     #[test]
     fn help_and_unknown() {
@@ -1735,6 +1766,17 @@ mod tests {
     }
 
     #[test]
+    fn lint_loc_prints_per_crate_lines_and_a_total() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let fixture = format!("{root}/tests/fixtures/lint-loc");
+        let out = run_str(&["lint", &fixture, "--loc"], "").unwrap();
+        assert_eq!(
+            out,
+            "crate        lines\ndemo            12\nother            1\ntotal           13"
+        );
+    }
+
+    #[test]
     fn lint_passes_on_the_workspace_and_fails_on_the_fixture() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let out = run_str(&["lint", root, "--deny-warnings"], "").unwrap();
@@ -1786,7 +1828,20 @@ mod tests {
         assert!(s.contains("1 occurrence"));
         assert!(s.contains("Entry.Movie.Title"));
         let i = run_str(&["browse", "-", "ints", "1900"], DATA).unwrap();
-        assert!(i.contains("1 integer"));
+        assert_eq!(
+            i,
+            "1 integer(s) greater than 1900\n  1942 at root.Entry.Movie.Year"
+        );
+        let none = run_str(&["browse", "-", "ints", &i64::MAX.to_string()], DATA).unwrap();
+        assert_eq!(none, format!("0 integer(s) greater than {}", i64::MAX));
+        let all = run_str(&["browse", "-", "ints", &i64::MIN.to_string()], DATA).unwrap();
+        assert!(all.starts_with("1 integer(s)"), "{all}");
+        let movies = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/movies.ssd");
+        let m = run_str(&["browse", movies, "ints", "1900"], "").unwrap();
+        assert!(
+            m.lines().any(|l| l == "  1941 at root.Entry.Movie.Year"),
+            "{m}"
+        );
         let a = run_str(&["browse", "-", "attrs", "Act"], DATA).unwrap();
         assert!(a.contains("1 attribute"));
         assert!(matches!(

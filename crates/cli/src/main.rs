@@ -21,16 +21,19 @@
 //! arguments are taken literally, or read from a file when prefixed with
 //! `@` (e.g. `@queries/titles.ssd`).
 
-use ssd_cli::{run, CliError};
+use ssd_cli::{run, write_output, CliError};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args, &mut std::io::stdin().lock()) {
-        Ok(output) => {
-            println!("{output}");
-            ExitCode::SUCCESS
-        }
+        Ok(output) => match write_output(&mut std::io::stdout().lock(), &output) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: writing output: {e}");
+                ExitCode::FAILURE
+            }
+        },
         Err(CliError::Usage(msg)) => {
             eprintln!("usage error: {msg}\n\nrun `ssd help` for commands");
             ExitCode::from(2)

@@ -11,7 +11,7 @@
 //! | workload generators | [`data`] (`ssd-data`) | §1 |
 //!
 //! The [`Database`] type bundles a data graph with lazily built auxiliary
-//! structures (edge index, DataGuide, triple index) and exposes the whole
+//! structures (triple index, DataGuide) and exposes the whole
 //! feature set behind a compact API:
 //!
 //! ```
@@ -40,7 +40,7 @@ pub use ssd_query::analyze::{CostAnalysis, CostContext};
 pub use ssd_query::{AccessPlan, EvalOptions, Rpe, SelectQuery};
 pub use ssd_schema::{DataGuide, DataStats, Pred, Schema};
 
-use ssd_graph::index::GraphIndex;
+use ssd_query::browse::{self, Hit};
 use ssd_triples::datalog::{Edb, Key, Program, ProgramSpans};
 use std::sync::OnceLock;
 
@@ -48,7 +48,6 @@ use std::sync::OnceLock;
 /// auxiliary structures.
 pub struct Database {
     graph: Graph,
-    index: OnceLock<GraphIndex>,
     guide: OnceLock<DataGuide>,
     /// The columnar triple index (SPO/POS/OSP): built on first use, or
     /// seeded by the commit that made this generation.
@@ -139,7 +138,6 @@ impl Database {
     pub fn new(graph: Graph) -> Database {
         Database {
             graph,
-            index: OnceLock::new(),
             guide: OnceLock::new(),
             triple_index: OnceLock::new(),
             index_stats: OnceLock::new(),
@@ -170,11 +168,6 @@ impl Database {
 
     pub fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    /// The edge-level index (built on first use).
-    pub fn index(&self) -> &GraphIndex {
-        self.index.get_or_init(|| GraphIndex::build(&self.graph))
     }
 
     /// The columnar triple index (built on first use). Always `Some`; the
@@ -338,19 +331,25 @@ impl Database {
         ssd_query::eval_rpe(&self.graph, self.graph.root(), rpe)
     }
 
-    /// §1.3 browse: where is this string? (index-backed)
-    pub fn find_string(&self, text: &str) -> Vec<ssd_query::browse::Hit> {
-        ssd_query::browse::find_string_indexed(&self.graph, self.index(), text)
+    /// §1.3 browse: where is this string? (value or symbol, from the
+    /// triple index)
+    pub fn find_string(&self, text: &str) -> Vec<Hit> {
+        let located = browse::locate_string_indexed(&self.graph, self.built_index(), text);
+        browse::annotate(&self.graph, located)
     }
 
-    /// §1.3 browse: integers greater than a threshold (index-backed).
-    pub fn ints_greater(&self, threshold: i64) -> Vec<(i64, ssd_query::browse::Hit)> {
-        ssd_query::browse::ints_greater_indexed(&self.graph, self.index(), threshold)
+    /// §1.3 browse: integers greater than a threshold, in ascending value
+    /// order (from the triple index).
+    pub fn ints_greater(&self, threshold: i64) -> Vec<Hit> {
+        let located = browse::locate_ints_greater_indexed(self.built_index(), threshold);
+        browse::annotate(&self.graph, located)
     }
 
-    /// §1.3 browse: attribute names starting with a prefix (index-backed).
-    pub fn attrs_with_prefix(&self, prefix: &str) -> Vec<ssd_query::browse::Hit> {
-        ssd_query::browse::attrs_with_prefix_indexed(&self.graph, self.index(), prefix)
+    /// §1.3 browse: attribute names starting with a prefix (from the
+    /// triple index).
+    pub fn attrs_with_prefix(&self, prefix: &str) -> Vec<Hit> {
+        let located = browse::locate_attrs_prefix_indexed(&self.graph, self.built_index(), prefix);
+        browse::annotate(&self.graph, located)
     }
 
     /// Run a graph-datalog program over the edge relation.

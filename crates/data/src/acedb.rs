@@ -145,9 +145,12 @@ mod tests {
     #[test]
     fn mixed_value_types_present() {
         let g = acedb(&AcedbConfig::default());
-        let idx = ssd_graph::index::GraphIndex::build(&g);
-        let kinds: std::collections::BTreeSet<_> =
-            idx.distinct_values().map(|v| v.kind()).collect();
+        let kinds: std::collections::BTreeSet<_> = g
+            .reachable()
+            .into_iter()
+            .flat_map(|n| g.edges(n))
+            .filter_map(|e| e.label.as_value().map(|v| v.kind()))
+            .collect();
         assert!(kinds.len() >= 2, "expected mixed leaf types: {kinds:?}");
     }
 

@@ -195,6 +195,16 @@ pub fn movie_database(cfg: &MovieDbConfig) -> Graph {
 mod tests {
     use super::*;
     use ssd_graph::bisim::graphs_bisimilar;
+    use ssd_graph::Value;
+
+    /// The labels of every edge reachable from the root.
+    fn reachable_labels(g: &Graph) -> Vec<&Label> {
+        g.reachable()
+            .into_iter()
+            .flat_map(|n| g.edges(n))
+            .map(|e| &e.label)
+            .collect()
+    }
 
     #[test]
     fn figure1_has_three_entries() {
@@ -238,22 +248,26 @@ mod tests {
     fn figure1_contains_the_egregious_error() {
         // Bacall's edge is labeled with the other movie's title.
         let g = figure1();
-        let idx = ssd_graph::index::GraphIndex::build(&g);
-        let wrong = idx.value_edges(&ssd_graph::Value::Str("Play it again, Sam".into()));
+        let wrong = Label::str("Play it again, Sam");
         // Once as the mislabeled actor, once as the actual title.
-        assert_eq!(wrong.len(), 2);
+        let count = reachable_labels(&g)
+            .into_iter()
+            .filter(|l| **l == wrong)
+            .count();
+        assert_eq!(count, 2);
     }
 
     #[test]
     fn figure1_has_real_and_int_values() {
         let g = figure1();
-        let idx = ssd_graph::index::GraphIndex::build(&g);
-        assert!(idx
-            .distinct_values()
-            .any(|v| matches!(v, ssd_graph::Value::Real(r) if (*r - 1.2e6).abs() < 1.0)));
-        assert!(idx
-            .distinct_values()
-            .any(|v| matches!(v, ssd_graph::Value::Int(_))));
+        let values: Vec<&Value> = reachable_labels(&g)
+            .into_iter()
+            .filter_map(Label::as_value)
+            .collect();
+        assert!(values
+            .iter()
+            .any(|v| matches!(v, Value::Real(r) if (*r - 1.2e6).abs() < 1.0)));
+        assert!(values.iter().any(|v| matches!(v, Value::Int(_))));
     }
 
     #[test]
@@ -284,11 +298,11 @@ mod tests {
             credit_cast_prob: 0.5,
             ..MovieDbConfig::default()
         });
-        let idx = ssd_graph::index::GraphIndex::build(&g);
+        let labels = reachable_labels(&g);
         let credit_sym = g.symbols().get("Credit").unwrap();
-        assert!(!idx.symbol_edges(credit_sym).is_empty());
+        assert!(labels.contains(&&Label::Symbol(credit_sym)));
         let actors_sym = g.symbols().get("Actors").unwrap();
-        assert!(!idx.symbol_edges(actors_sym).is_empty());
+        assert!(labels.contains(&&Label::Symbol(actors_sym)));
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! * [`encode`]ings of relational and object-oriented databases,
 //! * an [`oem`] view (Object Exchange Model, the Tsimmis interchange
 //!   format),
-//! * value/label/path [`index`]es supporting the §1.3 browsing queries,
+//! * the shared [`symbol`] table, whose prefix search starts the §1.3
+//!   attribute-name browse (the edge indexes that answer the §1.3
+//!   browsing queries are `ssd-index`'s triple permutations),
 //! * [`dot`] export for visualisation.
 
 pub mod bisim;
@@ -32,7 +34,6 @@ pub mod builder;
 pub mod dot;
 pub mod encode;
 pub mod graph;
-pub mod index;
 pub mod json;
 pub mod label;
 pub mod literal;

@@ -44,6 +44,11 @@ impl Dictionary {
         self.labels.get(id as usize)
     }
 
+    /// Every `(id, label)` pair, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &Label)> {
+        (0u32..).zip(&self.labels)
+    }
+
     /// Number of interned labels.
     pub fn len(&self) -> usize {
         self.labels.len()
@@ -80,5 +85,7 @@ mod tests {
         assert_eq!(d.resolve(2), None);
         assert_eq!(d.lookup(&b), Some(1));
         assert_eq!(d.lookup(&Label::Value(Value::Int(8))), None);
+        let pairs: Vec<(u32, &Label)> = d.iter().collect();
+        assert_eq!(pairs, vec![(0, &a), (1, &b)]);
     }
 }

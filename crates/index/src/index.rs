@@ -146,6 +146,7 @@ impl TripleIndex {
 mod tests {
     use super::*;
     use ssd_graph::literal::parse_graph;
+    use ssd_graph::Value;
 
     fn movie_graph() -> Graph {
         parse_graph(
@@ -180,6 +181,83 @@ mod tests {
         assert_eq!(via_osp, idx.spo.as_slice());
     }
 
+    /// The §1.3 browsing fixture: a big integer, two `Actors` attributes
+    /// and one lower-case `actors`.
+    fn db() -> Graph {
+        parse_graph(
+            r#"{Entry: {Movie: {Title: "Casablanca",
+                                Cast: {Actors: "Bogart", Actors: "Bacall"},
+                                BoxOffice: 1200000}},
+                Entry: {Movie: {Title: "Play it again, Sam",
+                                Cast: {Credit: {actors: "Allen"}},
+                                Year: 1972}}}"#,
+        )
+        .unwrap()
+    }
+
+    /// Edges whose label is the same value or symbol as `label`: one
+    /// dictionary lookup, then one POS range.
+    fn edges_labeled(idx: &TripleIndex, label: &Label) -> usize {
+        idx.label_id(label).map_or(0, |p| idx.by_label(p).len())
+    }
+
+    /// Integer-labelled edges with `lo <= i` (and `i <= hi` if given).
+    fn ints_in_range(idx: &TripleIndex, lo: i64, hi: Option<i64>) -> Vec<i64> {
+        let mut out: Vec<i64> = Vec::new();
+        for (p, l) in idx.dict().iter() {
+            if let Label::Value(Value::Int(i)) = l {
+                if *i >= lo && hi.is_none_or(|h| *i <= h) {
+                    out.extend(idx.by_label(p).iter().map(|_| *i));
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn build_counts_edges() {
+        let g = db();
+        let idx = TripleIndex::build(&g);
+        assert_eq!(idx.len(), g.edge_count());
+    }
+
+    #[test]
+    fn find_string_value() {
+        let g = db();
+        let idx = TripleIndex::build(&g);
+        assert_eq!(edges_labeled(&idx, &Label::str("Casablanca")), 1);
+        assert_eq!(edges_labeled(&idx, &Label::str("Nope")), 0);
+    }
+
+    #[test]
+    fn ints_greater_than_2_pow_16() {
+        let g = db();
+        let idx = TripleIndex::build(&g);
+        assert_eq!(ints_in_range(&idx, 1 << 16, None), vec![1_200_000]);
+        // Both integers are >= 0.
+        assert_eq!(ints_in_range(&idx, 0, None).len(), 2);
+        // Bounded range excludes the big one.
+        assert_eq!(ints_in_range(&idx, 0, Some(10_000)), vec![1972]);
+    }
+
+    #[test]
+    fn attr_prefix_act_is_case_sensitive() {
+        let g = db();
+        let idx = TripleIndex::build(&g);
+        let with_prefix = |prefix: &str| -> usize {
+            g.symbols()
+                .symbols_with_prefix(prefix)
+                .into_iter()
+                .map(|s| edges_labeled(&idx, &Label::Symbol(s)))
+                .sum()
+        };
+        // "Actors" x2 edges plus "actors" x1 — prefix "Act" matches only the former.
+        assert_eq!(with_prefix("Act"), 2);
+        assert_eq!(with_prefix("act"), 1);
+        assert_eq!(with_prefix("zzz"), 0);
+    }
+
     #[test]
     fn prefix_lookups_follow_paths() {
         let g = movie_graph();
@@ -203,6 +281,28 @@ mod tests {
         for &t in &frontier {
             assert_eq!(idx.edges_into(t).len(), 1);
         }
+    }
+
+    #[test]
+    fn value_edges_exact() {
+        // A value label is one dictionary id and its edges one POS range.
+        let g = movie_graph();
+        let idx = TripleIndex::build(&g);
+        let year = idx.label_id(&Label::int(1972)).expect("1972 is indexed");
+        assert_eq!(idx.by_label(year).len(), 1);
+        assert_eq!(idx.dict().resolve(year), Some(&Label::int(1972)));
+        assert_eq!(idx.label_id(&Label::int(9999)), None);
+    }
+
+    #[test]
+    fn unreachable_edges_are_not_indexed() {
+        let mut g = movie_graph();
+        let orphan = g.add_node();
+        let leaf = g.add_node();
+        g.add_edge(orphan, Label::str("ghost"), leaf);
+        let idx = TripleIndex::build(&g);
+        assert_eq!(idx.label_id(&Label::str("ghost")), None);
+        assert_eq!(idx.len(), g.edge_count() - 1);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!
 //! The batched executor in `ssd-query` plans against this structure and
 //! leaves to the one-binding-at-a-time interpreter (note `SSD050`) only
-//! the query shapes it cannot batch.
+//! the query shapes it cannot batch; `ssd-query`'s `browse` answers the
+//! §1.3 browsing queries from its dictionary and POS run.
 
 pub mod dict;
 mod index;

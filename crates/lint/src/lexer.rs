@@ -297,7 +297,9 @@ pub fn matching(toks: &[Tok], open: usize) -> usize {
 /// Drop every token belonging to a `#[cfg(test)]`- or `#[test]`-
 /// annotated item (attribute included). The item is the attribute's
 /// target: everything up to the end of the next brace-matched block,
-/// or the next top-level `;` for block-less items.
+/// or the next top-level `;` for block-less items. A match arm
+/// (`#[cfg(test)] pat => body,`) ends with its body: a block, or the
+/// expression up to the arm's `,` or the match's closing `}`.
 pub fn elide_tests(src: &str, toks: &[Tok]) -> Vec<Tok> {
     let mut out = Vec::with_capacity(toks.len());
     let mut i = 0;
@@ -327,6 +329,13 @@ pub fn elide_tests(src: &str, toks: &[Tok]) -> Vec<Tok> {
                             break;
                         }
                         TokKind::Punct(b';') if depth_pa == 0 => break,
+                        TokKind::Punct(b'=')
+                            if depth_pa == 0
+                                && toks.get(j + 1).is_some_and(|t| t.is_punct(b'>')) =>
+                        {
+                            j = arm_end(toks, j + 2);
+                            break;
+                        }
                         _ => {}
                     }
                     j += 1;
@@ -339,6 +348,43 @@ pub fn elide_tests(src: &str, toks: &[Tok]) -> Vec<Tok> {
         i += 1;
     }
     out
+}
+
+/// Last token of the match-arm body starting at `body`: its block (and
+/// a trailing `,`), or everything up to the `,` that ends the arm,
+/// stopping short of the `}` that closes the match.
+fn arm_end(toks: &[Tok], body: usize) -> usize {
+    if toks.get(body).is_some_and(|t| t.is_punct(b'{')) {
+        let close = matching(toks, body);
+        let comma = toks.get(close + 1).is_some_and(|t| t.is_punct(b','));
+        return close + usize::from(comma);
+    }
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(body) {
+        match t.kind {
+            TokKind::Punct(b'(' | b'[' | b'{') => depth += 1,
+            TokKind::Punct(b')' | b']' | b'}') if depth == 0 => return j - 1,
+            TokKind::Punct(b')' | b']' | b'}') => depth -= 1,
+            TokKind::Punct(b',') if depth == 0 => return j,
+            _ => {}
+        }
+    }
+    toks.len().saturating_sub(1)
+}
+
+/// How many lines of `src` hold at least one of `toks`; a token that
+/// spans lines (a multi-line string) holds each line it touches.
+pub fn lines_holding(src: &str, toks: &[Tok]) -> usize {
+    let starts: Vec<usize> = std::iter::once(0)
+        .chain(src.match_indices('\n').map(|(i, _)| i + 1))
+        .collect();
+    let line = |pos: usize| starts.partition_point(|&s| s <= pos) - 1;
+    let mut held = vec![false; starts.len()];
+    for t in toks {
+        let last = line(t.end.saturating_sub(1).max(t.start));
+        held[line(t.start)..=last].fill(true);
+    }
+    held.into_iter().filter(|&h| h).count()
 }
 
 /// 1-based line number of byte offset `pos`.
@@ -406,6 +452,45 @@ mod tests {
         assert!(!names.contains(&"gone"));
         assert!(!names.contains(&"also_gone"));
         assert_eq!(names.iter().filter(|n| **n == "unwrap").count(), 1);
+    }
+
+    #[test]
+    fn elides_an_inner_cfg_test_match_arm_and_nothing_after_it() {
+        let src = "fn run(c: &str) -> u8 {\n\
+                   match c {\n\
+                   \"a\" => 1,\n\
+                   #[cfg(test)]\n\
+                   \"boom\" => panic!(\"x\"),\n\
+                   #[cfg(test)]\n\
+                   \"blk\" => { gone() }\n\
+                   _ => 2,\n\
+                   }\n\
+                   }\n\
+                   fn after() { kept(); }\n\
+                   fn last(c: u8) -> u8 { match c { 0 => 1, #[cfg(test)] _ => tail() } }";
+        let lx = lex(src);
+        let kept = elide_tests(src, &lx.toks);
+        let names: Vec<&str> = kept
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text(src))
+            .collect();
+        assert!(!names.contains(&"panic") && !names.contains(&"gone"));
+        assert!(!names.contains(&"tail"));
+        assert!(names.contains(&"after") && names.contains(&"kept"));
+        // Braces stay balanced: the arms' match and function still close.
+        let opens = kept.iter().filter(|t| t.is_punct(b'{')).count();
+        let closes = kept.iter().filter(|t| t.is_punct(b'}')).count();
+        assert_eq!(opens, closes);
+    }
+
+    #[test]
+    fn lines_holding_counts_token_lines_only() {
+        let src = "// comment\n\nfn f() {\n    let s = \"a\n b\";\n}\n/* c */\n";
+        let lx = lex(src);
+        // `fn f() {`, the two lines of the string, and `}`.
+        assert_eq!(lines_holding(src, &lx.toks), 4);
+        assert_eq!(lines_holding("", &[]), 0);
     }
 
     #[test]

@@ -351,6 +351,18 @@ pub fn explain(code: &str) -> Option<&'static str> {
     })
 }
 
+/// Non-test lines per crate: the lines of `crates/<crate>/src/**.rs`
+/// that still hold a token once comments and `#[cfg(test)]`/`#[test]`
+/// items are elided — the same token stream the lints read.
+pub fn non_test_lines(root: &Path) -> Result<BTreeMap<String, usize>, String> {
+    let ws = scan::load(root)?;
+    let mut per_crate = BTreeMap::new();
+    for f in &ws.files {
+        *per_crate.entry(f.krate.clone()).or_default() += lexer::lines_holding(&f.src, &f.toks);
+    }
+    Ok(per_crate)
+}
+
 /// The lint codes, for help output.
 pub fn lint_codes() -> Vec<Code> {
     Code::all()

@@ -14,15 +14,19 @@
 //! relational or object-oriented query languages."
 //!
 //! Here they *are* answered, generically, in two ways each: by a full scan
-//! of the reachable graph (the baseline) and through the
-//! [`ssd_graph::index::GraphIndex`] (the §4 optimization);
-//! experiment E2 benchmarks the gap. A found occurrence is reported with
-//! one shortest label path from the root, so the answer is *localised*
-//! ("where in the database"), not just boolean.
+//! of the reachable graph (`locate_*_scan`, the reference and experiment
+//! E2's baseline) and from the generation's [`TripleIndex`]
+//! (`locate_*_indexed`, the §4 "indices on labels and strings"). The index
+//! turns each question into a search of its label dictionary — one exact
+//! lookup for a string, one pass over the ids for an integer range, the
+//! symbol table's prefix search for an attribute name — followed by one
+//! POS range per matching label. [`annotate`] then reports each located
+//! edge with one shortest label path from the root, so the answer is
+//! *localised* ("where in the database"), not just boolean.
 
-use ssd_graph::index::GraphIndex;
 use ssd_graph::{Graph, Label, NodeId, Value};
-use std::collections::{HashMap, VecDeque};
+use ssd_index::TripleIndex;
+use std::collections::VecDeque;
 
 /// An occurrence of a browsing hit: the edge, plus one shortest label path
 /// from the root to the edge's source.
@@ -36,54 +40,68 @@ pub struct Hit {
     pub path: Vec<Label>,
 }
 
-/// Compute one shortest label path from the root to every reachable node.
-fn shortest_paths(g: &Graph) -> HashMap<NodeId, Vec<Label>> {
-    let mut paths: HashMap<NodeId, Vec<Label>> = HashMap::new();
-    paths.insert(g.root(), Vec::new());
-    let mut queue = VecDeque::new();
-    queue.push_back(g.root());
+/// Raw located edge, before path annotation.
+pub type Located = (NodeId, Label, NodeId);
+
+/// Attach to each located edge one shortest label path from the root to
+/// its source. One BFS records, per node, the `(parent, label)` edge that
+/// first discovered it; only the hits' paths are rebuilt from those links.
+pub fn annotate(g: &Graph, located: Vec<Located>) -> Vec<Hit> {
+    if located.is_empty() {
+        return Vec::new();
+    }
+    let root = g.root();
+    let mut parent: Vec<Option<(NodeId, &Label)>> = vec![None; g.node_count()];
+    let mut queue = VecDeque::from([root]);
     while let Some(n) = queue.pop_front() {
-        let base = paths[&n].clone();
         for e in g.edges(n) {
-            if let std::collections::hash_map::Entry::Vacant(slot) = paths.entry(e.to) {
-                let mut p = base.clone();
-                p.push(e.label.clone());
-                slot.insert(p);
+            if e.to != root && parent[e.to.index()].is_none() {
+                parent[e.to.index()] = Some((n, &e.label));
                 queue.push_back(e.to);
             }
         }
     }
-    paths
-}
-
-fn hits_from_edges(g: &Graph, edges: Vec<(NodeId, Label, NodeId)>) -> Vec<Hit> {
-    let paths = shortest_paths(g);
-    edges
+    located
         .into_iter()
-        .map(|(from, label, to)| Hit {
-            from,
-            label,
-            to,
-            path: paths.get(&from).cloned().unwrap_or_default(),
+        .map(|(from, label, to)| {
+            let mut path = Vec::new();
+            let mut n = from;
+            while let Some((p, l)) = parent[n.index()] {
+                path.push(l.clone());
+                n = p;
+            }
+            path.reverse();
+            Hit {
+                from,
+                label,
+                to,
+                path,
+            }
         })
         .collect()
 }
 
-/// Raw located edge, before path annotation.
-pub type Located = (NodeId, Label, NodeId);
+/// Append the indexed edges carrying label id `p` (one POS range).
+fn push_labeled(idx: &TripleIndex, p: u32, out: &mut Vec<Located>) {
+    let Some(label) = idx.dict().resolve(p) else {
+        return;
+    };
+    out.extend(idx.by_label(p).iter().map(|&[_, o, s]| {
+        (
+            NodeId::from_index(s as usize),
+            label.clone(),
+            NodeId::from_index(o as usize),
+        )
+    }));
+}
 
-/// Q1 locate (scan): edges carrying the string `text` as a value or a
-/// symbol name. The pure search step, without path annotation.
-pub fn locate_string_scan(g: &Graph, text: &str) -> Vec<Located> {
+/// Every reachable edge whose label satisfies `pred`, in BFS order of its
+/// source.
+fn scan(g: &Graph, pred: impl Fn(&Label) -> bool) -> Vec<Located> {
     let mut out = Vec::new();
     for n in g.reachable() {
         for e in g.edges(n) {
-            let matched = match &e.label {
-                Label::Value(Value::Str(s)) => s == text,
-                Label::Symbol(s) => &*g.symbols().resolve(*s) == text,
-                _ => false,
-            };
-            if matched {
+            if pred(&e.label) {
                 out.push((n, e.label.clone(), e.to));
             }
         }
@@ -91,106 +109,74 @@ pub fn locate_string_scan(g: &Graph, text: &str) -> Vec<Located> {
     out
 }
 
-/// Q1 locate (index).
-pub fn locate_string_indexed(g: &Graph, idx: &GraphIndex, text: &str) -> Vec<Located> {
-    idx.find_string(g, text)
-        .into_iter()
-        .flat_map(|(from, to)| {
-            g.edges(from)
-                .iter()
-                .filter(|e| e.to == to && e.label.text(g.symbols()).as_deref() == Some(text))
-                .map(|e| (from, e.label.clone(), e.to))
-                .collect::<Vec<_>>()
-        })
-        .collect()
+/// Q1 locate (scan): edges carrying the string `text` as a value or a
+/// symbol name.
+pub fn locate_string_scan(g: &Graph, text: &str) -> Vec<Located> {
+    scan(g, |l| match l {
+        Label::Value(Value::Str(s)) => s == text,
+        Label::Symbol(s) => &*g.symbols().resolve(*s) == text,
+        _ => false,
+    })
 }
 
-/// Q1 (scan): where is the string `text`? With path annotation.
-pub fn find_string_scan(g: &Graph, text: &str) -> Vec<Hit> {
-    hits_from_edges(g, locate_string_scan(g, text))
-}
-
-/// Q1 (index), with path annotation.
-pub fn find_string_indexed(g: &Graph, idx: &GraphIndex, text: &str) -> Vec<Hit> {
-    hits_from_edges(g, locate_string_indexed(g, idx, text))
-}
-
-/// Q2 locate (scan): integer edges with value > `threshold`.
-pub fn locate_ints_greater_scan(g: &Graph, threshold: i64) -> Vec<(i64, Located)> {
+/// Q1 locate (index): the string value `text`, then the symbol named
+/// `text` — two dictionary lookups, each followed by its POS range.
+pub fn locate_string_indexed(g: &Graph, idx: &TripleIndex, text: &str) -> Vec<Located> {
+    let symbol = g.symbols().get(text).map(Label::Symbol);
     let mut out = Vec::new();
-    for n in g.reachable() {
-        for e in g.edges(n) {
-            if let Label::Value(Value::Int(i)) = &e.label {
-                if *i > threshold {
-                    out.push((*i, (n, e.label.clone(), e.to)));
-                }
-            }
+    for label in [Some(Label::str(text)), symbol].iter().flatten() {
+        if let Some(p) = idx.label_id(label) {
+            push_labeled(idx, p, &mut out);
         }
     }
     out
 }
 
-/// Q2 locate (index): a range probe on the value btree.
-pub fn locate_ints_greater_indexed(
-    g: &Graph,
-    idx: &GraphIndex,
-    threshold: i64,
-) -> Vec<(i64, Located)> {
-    let _ = g;
-    idx.ints_in_range(threshold.checked_add(1), None)
-        .into_iter()
-        .map(|(i, (from, to))| (i, (from, Label::int(i), to)))
-        .collect()
+/// Q2 locate (scan): integer edges with value > `threshold`.
+pub fn locate_ints_greater_scan(g: &Graph, threshold: i64) -> Vec<Located> {
+    scan(
+        g,
+        |l| matches!(l, Label::Value(Value::Int(i)) if *i > threshold),
+    )
 }
 
-/// Q2 (scan): integers greater than `threshold`, with paths.
-pub fn ints_greater_scan(g: &Graph, threshold: i64) -> Vec<(i64, Hit)> {
-    let (vals, edges): (Vec<i64>, Vec<_>) =
-        locate_ints_greater_scan(g, threshold).into_iter().unzip();
-    vals.into_iter().zip(hits_from_edges(g, edges)).collect()
-}
-
-/// Q2 (index), with paths.
-pub fn ints_greater_indexed(g: &Graph, idx: &GraphIndex, threshold: i64) -> Vec<(i64, Hit)> {
-    let (vals, raw): (Vec<i64>, Vec<_>) = locate_ints_greater_indexed(g, idx, threshold)
-        .into_iter()
-        .unzip();
-    vals.into_iter().zip(hits_from_edges(g, raw)).collect()
+/// Q2 locate (index): one pass over the dictionary for the integer labels
+/// above `threshold`, then their POS ranges in ascending value order.
+pub fn locate_ints_greater_indexed(idx: &TripleIndex, threshold: i64) -> Vec<Located> {
+    let mut ints: Vec<(i64, u32)> = idx
+        .dict()
+        .iter()
+        .filter_map(|(p, l)| match l {
+            Label::Value(Value::Int(i)) if *i > threshold => Some((*i, p)),
+            _ => None,
+        })
+        .collect();
+    ints.sort_unstable();
+    let mut out = Vec::new();
+    for (_, p) in ints {
+        push_labeled(idx, p, &mut out);
+    }
+    out
 }
 
 /// Q3 locate (scan): symbol edges whose name starts with `prefix`.
 pub fn locate_attrs_prefix_scan(g: &Graph, prefix: &str) -> Vec<Located> {
+    scan(g, |l| match l {
+        Label::Symbol(s) => g.symbols().resolve(*s).starts_with(prefix),
+        _ => false,
+    })
+}
+
+/// Q3 locate (index): the symbol table's prefix search, then each symbol's
+/// POS range — no graph scan at all.
+pub fn locate_attrs_prefix_indexed(g: &Graph, idx: &TripleIndex, prefix: &str) -> Vec<Located> {
     let mut out = Vec::new();
-    for n in g.reachable() {
-        for e in g.edges(n) {
-            if let Label::Symbol(s) = &e.label {
-                if g.symbols().resolve(*s).starts_with(prefix) {
-                    out.push((n, e.label.clone(), e.to));
-                }
-            }
+    for sym in g.symbols().symbols_with_prefix(prefix) {
+        if let Some(p) = idx.label_id(&Label::Symbol(sym)) {
+            push_labeled(idx, p, &mut out);
         }
     }
     out
-}
-
-/// Q3 locate (index): symbol-table prefix search + label index — no graph
-/// scan at all.
-pub fn locate_attrs_prefix_indexed(g: &Graph, idx: &GraphIndex, prefix: &str) -> Vec<Located> {
-    idx.attrs_with_prefix(g, prefix)
-        .into_iter()
-        .map(|(sym, (from, to))| (from, Label::Symbol(sym), to))
-        .collect()
-}
-
-/// Q3 (scan): objects with an attribute name starting with `prefix`, with
-/// paths.
-pub fn attrs_with_prefix_scan(g: &Graph, prefix: &str) -> Vec<Hit> {
-    hits_from_edges(g, locate_attrs_prefix_scan(g, prefix))
-}
-
-/// Q3 (index), with paths.
-pub fn attrs_with_prefix_indexed(g: &Graph, idx: &GraphIndex, prefix: &str) -> Vec<Hit> {
-    hits_from_edges(g, locate_attrs_prefix_indexed(g, idx, prefix))
 }
 
 #[cfg(test)]
@@ -212,25 +198,37 @@ mod tests {
         .unwrap()
     }
 
-    fn norm(hits: &[Hit]) -> BTreeSet<(NodeId, NodeId)> {
-        hits.iter().map(|h| (h.from, h.to)).collect()
+    fn set(located: &[Located]) -> BTreeSet<Located> {
+        located.iter().cloned().collect()
+    }
+
+    fn ints(located: &[Located]) -> Vec<i64> {
+        located
+            .iter()
+            .map(|(_, l, _)| match l {
+                Label::Value(Value::Int(i)) => *i,
+                other => panic!("not an int label: {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
     fn q1_scan_and_index_agree() {
         let g = db();
-        let idx = GraphIndex::build(&g);
+        let idx = TripleIndex::build(&g);
         for text in ["Casablanca", "Bogart", "Title", "actors", "nothing-here"] {
-            let s = find_string_scan(&g, text);
-            let i = find_string_indexed(&g, &idx, text);
-            assert_eq!(norm(&s), norm(&i), "disagree on {text}");
+            let s = locate_string_scan(&g, text);
+            let i = locate_string_indexed(&g, &idx, text);
+            assert_eq!(set(&s), set(&i), "disagree on {text}");
         }
+        assert!(locate_string_indexed(&g, &idx, "nothing-here").is_empty());
     }
 
     #[test]
     fn q1_finds_casablanca_with_path() {
         let g = db();
-        let hits = find_string_scan(&g, "Casablanca");
+        let idx = TripleIndex::build(&g);
+        let hits = annotate(&g, locate_string_indexed(&g, &idx, "Casablanca"));
         assert_eq!(hits.len(), 1);
         let path: Vec<String> = hits[0]
             .path
@@ -241,56 +239,101 @@ mod tests {
     }
 
     #[test]
+    fn find_string_matches_symbols_too() {
+        let g = db();
+        let idx = TripleIndex::build(&g);
+        // "Title" occurs as a symbol on two edges, never as a string.
+        let hits = locate_string_indexed(&g, &idx, "Title");
+        assert_eq!(hits.len(), 2);
+        assert!(hits.iter().all(|(_, l, _)| l.is_symbol()));
+    }
+
+    #[test]
     fn q2_scan_and_index_agree() {
         let g = db();
-        let idx = GraphIndex::build(&g);
-        for threshold in [0, 1941, 65536, 10_000_000] {
-            let s: BTreeSet<i64> = ints_greater_scan(&g, threshold)
-                .into_iter()
-                .map(|(i, _)| i)
-                .collect();
-            let i: BTreeSet<i64> = ints_greater_indexed(&g, &idx, threshold)
-                .into_iter()
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(s, i, "disagree at threshold {threshold}");
+        let idx = TripleIndex::build(&g);
+        for threshold in [i64::MIN, 0, 1941, 65536, 10_000_000, i64::MAX] {
+            let s = locate_ints_greater_scan(&g, threshold);
+            let i = locate_ints_greater_indexed(&idx, threshold);
+            assert_eq!(set(&s), set(&i), "disagree at threshold {threshold}");
         }
+        assert!(locate_ints_greater_indexed(&idx, i64::MAX).is_empty());
+        assert_eq!(locate_ints_greater_indexed(&idx, i64::MIN).len(), 3);
+    }
+
+    #[test]
+    fn q2_index_lists_values_in_ascending_order() {
+        let g = db();
+        let idx = TripleIndex::build(&g);
+        assert_eq!(
+            ints(&locate_ints_greater_indexed(&idx, 0)),
+            vec![1942, 1972, 1_200_000]
+        );
     }
 
     #[test]
     fn q2_finds_ints_above_2_16() {
         let g = db();
-        let hits = ints_greater_scan(&g, 1 << 16);
+        let idx = TripleIndex::build(&g);
+        let hits = annotate(&g, locate_ints_greater_indexed(&idx, 1 << 16));
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, 1_200_000);
+        assert_eq!(hits[0].label, Label::int(1_200_000));
+        assert_eq!(
+            ints(&locate_ints_greater_scan(&g, 1 << 16)),
+            vec![1_200_000]
+        );
     }
 
     #[test]
     fn q3_scan_and_index_agree() {
         let g = db();
-        let idx = GraphIndex::build(&g);
-        for prefix in ["Act", "act", "T", "Zzz"] {
-            let s = attrs_with_prefix_scan(&g, prefix);
-            let i = attrs_with_prefix_indexed(&g, &idx, prefix);
-            assert_eq!(norm(&s), norm(&i), "disagree on {prefix}");
+        let idx = TripleIndex::build(&g);
+        for prefix in ["Act", "act", "T", "Zzz", ""] {
+            let s = locate_attrs_prefix_scan(&g, prefix);
+            let i = locate_attrs_prefix_indexed(&g, &idx, prefix);
+            assert_eq!(set(&s), set(&i), "disagree on {prefix}");
         }
     }
 
     #[test]
     fn q3_finds_act_attributes() {
         let g = db();
+        let idx = TripleIndex::build(&g);
         // Case-sensitive: "Actors" x2 + "actors" x1.
-        assert_eq!(attrs_with_prefix_scan(&g, "Act").len(), 2);
-        assert_eq!(attrs_with_prefix_scan(&g, "act").len(), 1);
+        assert_eq!(locate_attrs_prefix_scan(&g, "Act").len(), 2);
+        assert_eq!(locate_attrs_prefix_scan(&g, "act").len(), 1);
+        assert_eq!(locate_attrs_prefix_indexed(&g, &idx, "Act").len(), 2);
+        assert_eq!(locate_attrs_prefix_indexed(&g, &idx, "act").len(), 1);
+        assert!(locate_attrs_prefix_indexed(&g, &idx, "zzz").is_empty());
+    }
+
+    #[test]
+    fn unreachable_edges_are_not_found() {
+        let mut g = db();
+        let orphan = g.add_node();
+        let leaf = g.add_node();
+        g.add_edge(orphan, Label::str("ghost"), leaf);
+        g.add_edge(orphan, Label::int(1 << 20), leaf);
+        g.add_sym_edge(orphan, "ghostly", leaf);
+        let idx = TripleIndex::build(&g);
+        assert!(locate_string_indexed(&g, &idx, "ghost").is_empty());
+        assert!(locate_string_scan(&g, "ghost").is_empty());
+        assert!(locate_string_indexed(&g, &idx, "ghostly").is_empty());
+        assert!(locate_attrs_prefix_indexed(&g, &idx, "ghost").is_empty());
+        assert_eq!(
+            ints(&locate_ints_greater_indexed(&idx, 1 << 16)),
+            vec![1_200_000]
+        );
     }
 
     #[test]
     fn browsing_works_on_cyclic_data() {
         let g = parse_graph(r#"@e = {References: @e, Title: "Loop"}"#).unwrap();
-        let idx = GraphIndex::build(&g);
-        let hits = find_string_indexed(&g, &idx, "Loop");
+        let idx = TripleIndex::build(&g);
+        let hits = annotate(&g, locate_string_indexed(&g, &idx, "Loop"));
         assert_eq!(hits.len(), 1);
-        assert!(ints_greater_scan(&g, 0).is_empty());
+        assert!(locate_ints_greater_scan(&g, 0).is_empty());
+        assert!(locate_ints_greater_indexed(&idx, 0).is_empty());
     }
 
     #[test]
@@ -298,8 +341,13 @@ mod tests {
         // Two routes to the same node; the reported path must be the short
         // one.
         let g = parse_graph(r#"{short: @t = {leaf: "X"}, long: {mid: @t}}"#).unwrap();
-        let hits = find_string_scan(&g, "X");
+        let hits = annotate(&g, locate_string_scan(&g, "X"));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].path.len(), 2); // short.leaf
+    }
+
+    #[test]
+    fn annotating_nothing_finds_nothing() {
+        assert!(annotate(&db(), Vec::new()).is_empty());
     }
 }

@@ -7,7 +7,7 @@ use semistructured::graph::bisim::graphs_bisimilar;
 use semistructured::query::decompose::{eval_decomposed, Partition};
 use semistructured::query::{eval_rpe, parse_query, Rpe, Step};
 use semistructured::triples::Datum;
-use semistructured::{Database, EvalOptions, Pred, Value};
+use semistructured::{Database, EvalOptions, Label, Pred, Value};
 use ssd_data::movies::{figure1, movie_database, MovieDbConfig};
 
 fn fig1() -> Database {
@@ -293,7 +293,7 @@ fn value_types_flow_through_the_whole_stack() {
     );
     let ints = db.ints_greater(41);
     assert_eq!(ints.len(), 1);
-    assert_eq!(ints[0].0, 42);
+    assert_eq!(ints[0].label, Label::int(42));
     let _ = Value::Real(2.5);
 }
 

@@ -413,6 +413,105 @@ proptest! {
     }
 }
 
+// ---------- §1.3 browsing -------------------------------------------------
+
+const BROWSE_STRINGS: &[&str] = &["Casablanca", "Title", "act"];
+const BROWSE_INTS: &[i64] = &[i64::MIN, -1, 0, 65_537, i64::MAX];
+
+/// Label `k` of the browse pool: a symbol from `LABELS`, a string or an int.
+fn browse_label(g: &Graph, k: usize) -> Label {
+    let (syms, strs) = (LABELS.len(), BROWSE_STRINGS.len());
+    match k % (syms + strs + BROWSE_INTS.len()) {
+        k if k < syms => Label::symbol(g.symbols(), LABELS[k]),
+        k if k < syms + strs => Label::str(BROWSE_STRINGS[k - syms]),
+        k => Label::int(BROWSE_INTS[k - syms - strs]),
+    }
+}
+
+/// A graph over the browse pool, plus an unreachable `orphan -> leaf`
+/// fragment holding one string, one int and one symbol edge of the pool.
+fn arb_browse_db() -> impl Strategy<Value = Database> {
+    (
+        1usize..7,
+        proptest::collection::vec((0usize..7, 0usize..7, 0usize..13), 0..16),
+        (
+            0..BROWSE_STRINGS.len(),
+            0..BROWSE_INTS.len(),
+            0..LABELS.len(),
+        ),
+    )
+        .prop_map(|(n, edges, (s, i, y))| {
+            let mut g = Graph::new();
+            let mut ids = vec![g.root()];
+            for _ in 1..n {
+                ids.push(g.add_node());
+            }
+            for &(from, to, k) in &edges {
+                let label = browse_label(&g, k);
+                g.add_edge(ids[from % n], label, ids[to % n]);
+            }
+            let (orphan, leaf) = (g.add_node(), g.add_node());
+            g.add_edge(orphan, Label::str(BROWSE_STRINGS[s]), leaf);
+            g.add_edge(orphan, Label::int(BROWSE_INTS[i]), leaf);
+            g.add_sym_edge(orphan, LABELS[y], leaf);
+            Database::new(g)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Each triple-index locate finds the same edges as its scan, and the
+    /// facade's hits are the annotated scan, for every text, prefix and
+    /// threshold the graph's own labels (unreachable ones included) offer.
+    #[test]
+    fn browse_indexed_locates_equal_the_scans(db in arb_browse_db()) {
+        use semistructured::query::browse::{self, Hit, Located};
+        use std::collections::BTreeSet;
+        let g = db.graph();
+        let idx = semistructured::TripleIndex::build(g);
+        let edges = |v: Vec<Located>| v.into_iter().collect::<BTreeSet<_>>();
+        let hits = |v: Vec<Hit>| {
+            v.into_iter().map(|h| (h.from, h.label, h.to, h.path)).collect::<BTreeSet<_>>()
+        };
+        let mut texts = BTreeSet::new();
+        let mut prefixes = BTreeSet::new();
+        let mut thresholds = BTreeSet::from([i64::MIN, i64::MAX]);
+        for (_, label, _) in g.all_edges() {
+            match label {
+                Label::Symbol(s) => {
+                    let name = g.symbols().resolve(*s);
+                    prefixes.extend((0..=name.len()).map(|k| name[..k].to_owned()));
+                    texts.insert(name.to_string());
+                }
+                Label::Value(Value::Str(s)) => {
+                    texts.insert(s.clone());
+                }
+                Label::Value(Value::Int(i)) => {
+                    thresholds.extend([*i, i.saturating_sub(1)]);
+                }
+                _ => {}
+            }
+        }
+        for t in &texts {
+            let scan = browse::locate_string_scan(g, t);
+            prop_assert_eq!(edges(browse::locate_string_indexed(g, &idx, t)), edges(scan.clone()));
+            prop_assert_eq!(hits(db.find_string(t)), hits(browse::annotate(g, scan)));
+        }
+        for p in &prefixes {
+            let scan = browse::locate_attrs_prefix_scan(g, p);
+            prop_assert_eq!(edges(browse::locate_attrs_prefix_indexed(g, &idx, p)), edges(scan.clone()));
+            prop_assert_eq!(hits(db.attrs_with_prefix(p)), hits(browse::annotate(g, scan)));
+        }
+        for &t in &thresholds {
+            let scan = browse::locate_ints_greater_scan(g, t);
+            prop_assert_eq!(edges(browse::locate_ints_greater_indexed(&idx, t)), edges(scan.clone()));
+            prop_assert_eq!(hits(db.ints_greater(t)), hits(browse::annotate(g, scan)));
+        }
+        prop_assert!(db.ints_greater(i64::MAX).is_empty());
+    }
+}
+
 // ---------- later-added properties (JSON, nest/unnest, diff, builtins) ------
 
 proptest! {
