@@ -101,6 +101,22 @@ if grep -q panicked "$pipe_err"; then
 fi
 rm -f "$pipe_err"
 
+echo "== literal writer round trip" >&2
+# `ssd fmt` output depends on the graph alone: two runs print the same
+# bytes, and formatting that output reproduces it exactly (escapes,
+# quoted symbols, large reals and @nK names all read back as written).
+fmt_a=$(mktemp); fmt_b=$(mktemp); fmt_c=$(mktemp)
+./target/release/ssd fmt tests/fixtures/lexical.ssd >"$fmt_a"
+./target/release/ssd fmt tests/fixtures/lexical.ssd >"$fmt_b"
+./target/release/ssd fmt "$fmt_a" >"$fmt_c"
+if ! cmp -s "$fmt_a" "$fmt_b" || ! cmp -s "$fmt_a" "$fmt_c"; then
+    echo "ci: ssd fmt of tests/fixtures/lexical.ssd is not a fixed point:" >&2
+    diff "$fmt_a" "$fmt_b" >&2 || true
+    diff "$fmt_a" "$fmt_c" >&2 || true
+    exit 1
+fi
+rm -f "$fmt_a" "$fmt_b" "$fmt_c"
+
 echo "== governed query smoke run" >&2
 smoke=$(timeout 60 ./target/release/ssd query examples/movies.ssd \
     'select T from db.Entry.Movie.Title T' --timeout 5 --max-steps 1000000)

@@ -136,10 +136,10 @@ impl<'a> P<'a> {
 
     fn value(&mut self, g: &mut Graph) -> Result<NodeId, JsonError> {
         self.depth += 1;
-        if self.depth > crate::literal::MAX_PARSE_DEPTH {
+        if self.depth > crate::lex::MAX_PARSE_DEPTH {
             return Err(JsonError::Parse {
                 at: self.pos,
-                message: crate::literal::depth_message(),
+                message: crate::lex::depth_message(),
             });
         }
         let out = self.value_inner(g);

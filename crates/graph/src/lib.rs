@@ -17,6 +17,8 @@
 //! * construction via [`builder::TreeSpec`] or the textual
 //!   [`literal`] syntax (`{Movie: {Title: "Casablanca"}}`, with `@x = ...`
 //!   markers for sharing and cycles),
+//! * the one [`lex`]er of the four surface syntaxes (literal, select,
+//!   rewrite, datalog),
 //! * extensional equality by [`bisim`]ulation, plus quotienting,
 //! * whole-graph [`ops`] (union, cross-database copy),
 //! * the model [`variants`] surveyed in §2 (leaf-value trees, node-labeled
@@ -36,6 +38,7 @@ pub mod encode;
 pub mod graph;
 pub mod json;
 pub mod label;
+pub mod lex;
 pub mod literal;
 pub mod oem;
 pub mod ops;

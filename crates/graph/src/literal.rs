@@ -15,9 +15,16 @@
 //! node   := '{' [entry (',' entry)*] '}'
 //! entry  := label ':' tree
 //!         | label                     -- sugar for `label: {}`
-//! label  := IDENT | STRING | INT | REAL | 'true' | 'false'
+//! label  := IDENT | QSYMBOL | STRING | INT | REAL | 'true' | 'false'
 //! value  := STRING | INT | REAL | 'true' | 'false'
 //! ```
+//!
+//! The tokens are [`crate::lex`]'s in its [`LITERAL`] syntax: `#`
+//! comments, `-` inside identifiers, numbers with a sign, `.` and
+//! exponent, and `'…'` quoted symbols for names that are not
+//! identifiers. The writer emits only what the reader reads: such names
+//! quoted, strings with the reader's escapes, integral reals with a `.`
+//! or an exponent.
 //!
 //! A bare value in tree position desugars to `{value: {}}` (an atom).
 //! `@name = tree` defines a shared node; `@name` references it — this is the
@@ -27,301 +34,99 @@
 
 use crate::builder::{LabelSpec, TreeBuilder, TreeSpec};
 use crate::graph::{Graph, NodeId};
+use crate::label::Label;
+use crate::lex::{self, Lexer, LITERAL};
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// Maximum nesting depth accepted by the recursive-descent parsers
-/// (literal, JSON, XML). Deeper inputs get an SSD110 parse error instead
-/// of overflowing the stack.
-pub const MAX_PARSE_DEPTH: usize = 256;
+pub use crate::lex::ParseError;
 
-/// The SSD110 message used by all three parsers when input nests too deep.
-pub(crate) fn depth_message() -> String {
-    ssd_diag::Diagnostic::new(
-        ssd_diag::Code::ParseDepthExceeded,
-        format!("input nests deeper than {MAX_PARSE_DEPTH} levels"),
-    )
-    .headline()
-}
-
-/// Error from [`parse_tree`] / [`parse_graph`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset in the input.
-    pub at: usize,
-    pub message: String,
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "parse error at byte {}: {}", self.at, self.message)
+/// A label: identifier or quoted symbol, string/number/bool (value).
+fn label(lx: &mut Lexer) -> Result<LabelSpec, ParseError> {
+    match lx.peek() {
+        Some('\'') => Ok(LabelSpec::Symbol(lx.quoted('\'')?)),
+        Some('"') => Ok(LabelSpec::Value(Value::Str(lx.quoted('"')?))),
+        Some(c) if starts_number(c) => Ok(LabelSpec::Value(lx.number()?)),
+        _ => match lx.ident() {
+            Some("true") => Ok(LabelSpec::Value(Value::Bool(true))),
+            Some("false") => Ok(LabelSpec::Value(Value::Bool(false))),
+            Some(id) => Ok(LabelSpec::Symbol(id.to_owned())),
+            None => Err(lx.err("expected label")),
+        },
     }
 }
 
-impl std::error::Error for ParseError {}
-
-struct Parser<'a> {
-    src: &'a str,
-    pos: usize,
-    depth: usize,
+/// Whether `c` starts a number by [`Lexer::number`].
+fn starts_number(c: char) -> bool {
+    c.is_ascii_digit() || c == '-' || c == '+'
 }
 
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        Parser {
-            src,
-            pos: 0,
-            depth: 0,
-        }
-    }
+fn tree(lx: &mut Lexer) -> Result<TreeSpec, ParseError> {
+    lx.enter()?;
+    let out = tree_inner(lx);
+    lx.leave();
+    out
+}
 
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
-            at: self.pos,
-            message: message.into(),
-        })
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.src[self.pos..]
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            let r = self.rest();
-            let trimmed = r.trim_start();
-            self.pos += r.len() - trimmed.len();
-            // Line comments with `#`.
-            if self.rest().starts_with('#') {
-                match self.rest().find('\n') {
-                    Some(i) => self.pos += i + 1,
-                    None => self.pos = self.src.len(),
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.rest().chars().next()
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.peek() == Some(c) {
-            self.pos += c.len_utf8();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), ParseError> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            self.err(format!("expected '{c}'"))
-        }
-    }
-
-    fn ident(&mut self) -> Option<String> {
-        self.skip_ws();
-        let r = self.rest();
-        let mut end = 0;
-        for (i, ch) in r.char_indices() {
-            let ok = if i == 0 {
-                ch.is_alphabetic() || ch == '_'
-            } else {
-                ch.is_alphanumeric() || ch == '_' || ch == '-'
+fn tree_inner(lx: &mut Lexer) -> Result<TreeSpec, ParseError> {
+    match lx.peek() {
+        Some('{') => node(lx),
+        Some('@') => {
+            lx.require("@")?;
+            let Some(name) = lx.ident() else {
+                return Err(lx.err("expected name after '@'"));
             };
-            if ok {
-                end = i + ch.len_utf8();
+            if lx.eat("=") {
+                Ok(TreeSpec::Def(name.to_owned(), Box::new(tree(lx)?)))
             } else {
-                break;
+                Ok(TreeSpec::Ref(name.to_owned()))
             }
         }
-        if end == 0 {
-            None
+        Some('"') => Ok(TreeSpec::Atom(Value::Str(lx.quoted('"')?))),
+        Some(c) if starts_number(c) => Ok(TreeSpec::Atom(lx.number()?)),
+        _ => {
+            // A bare identifier in tree position: true/false are atoms,
+            // anything else is an error (labels go on edges).
+            let at = lx.pos();
+            match lx.ident() {
+                Some("true") => Ok(TreeSpec::Atom(Value::Bool(true))),
+                Some("false") => Ok(TreeSpec::Atom(Value::Bool(false))),
+                Some(id) => Err(ParseError {
+                    at,
+                    message: format!("unexpected identifier '{id}' in tree position"),
+                }),
+                None => Err(lx.err("expected tree")),
+            }
+        }
+    }
+}
+
+fn node(lx: &mut Lexer) -> Result<TreeSpec, ParseError> {
+    lx.require("{")?;
+    let mut entries = Vec::new();
+    while !lx.eat("}") {
+        let label = label(lx)?;
+        let sub = if lx.eat(":") {
+            tree(lx)?
         } else {
-            let s = &r[..end];
-            self.pos += end;
-            Some(s.to_owned())
-        }
-    }
-
-    fn string_lit(&mut self) -> Result<String, ParseError> {
-        // Caller has seen the opening quote.
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest().char_indices();
-        while let Some((i, ch)) = chars.next() {
-            match ch {
-                '"' => {
-                    self.pos += i + 1;
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, other)) => {
-                        self.pos += i;
-                        return self.err(format!("bad escape '\\{other}'"));
-                    }
-                    None => {
-                        self.pos += i;
-                        return self.err("unterminated escape");
-                    }
-                },
-                _ => out.push(ch),
-            }
-        }
-        self.err("unterminated string literal")
-    }
-
-    fn number(&mut self) -> Result<Value, ParseError> {
-        self.skip_ws();
-        let r = self.rest();
-        let mut end = 0;
-        let mut is_real = false;
-        for (i, ch) in r.char_indices() {
-            match ch {
-                '0'..='9' => end = i + 1,
-                '-' | '+' if i == 0 => end = i + 1,
-                '.' | 'e' | 'E' => {
-                    is_real = true;
-                    end = i + 1;
-                }
-                '-' | '+' if is_real && (r.as_bytes()[i - 1] | 0x20) == b'e' => end = i + 1,
-                _ => break,
-            }
-        }
-        if end == 0 {
-            return self.err("expected number");
-        }
-        let text = &r[..end];
-        self.pos += end;
-        if is_real {
-            text.parse::<f64>()
-                .map(Value::Real)
-                .or_else(|_| self.err(format!("bad real literal '{text}'")))
-        } else {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .or_else(|_| self.err(format!("bad int literal '{text}'")))
-        }
-    }
-
-    /// A label: identifier (symbol), string/number/bool (value).
-    fn label(&mut self) -> Result<LabelSpec, ParseError> {
-        match self.peek() {
-            Some('"') => Ok(LabelSpec::Value(Value::Str(self.string_lit()?))),
-            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => {
-                Ok(LabelSpec::Value(self.number()?))
-            }
-            Some(c) if c.is_alphabetic() || c == '_' => {
-                let Some(id) = self.ident() else {
-                    return self.err("expected label identifier");
-                };
-                match id.as_str() {
-                    "true" => Ok(LabelSpec::Value(Value::Bool(true))),
-                    "false" => Ok(LabelSpec::Value(Value::Bool(false))),
-                    _ => Ok(LabelSpec::Symbol(id)),
-                }
-            }
-            _ => self.err("expected label"),
-        }
-    }
-
-    fn tree(&mut self) -> Result<TreeSpec, ParseError> {
-        self.depth += 1;
-        if self.depth > MAX_PARSE_DEPTH {
-            return self.err(depth_message());
-        }
-        let out = self.tree_inner();
-        self.depth -= 1;
-        out
-    }
-
-    fn tree_inner(&mut self) -> Result<TreeSpec, ParseError> {
-        match self.peek() {
-            Some('{') => self.node(),
-            Some('@') => {
-                self.expect('@')?;
-                let name = match self.ident() {
-                    Some(n) => n,
-                    None => return self.err("expected name after '@'"),
-                };
-                if self.eat('=') {
-                    let sub = self.tree()?;
-                    Ok(TreeSpec::Def(name, Box::new(sub)))
-                } else {
-                    Ok(TreeSpec::Ref(name))
-                }
-            }
-            Some('"') => Ok(TreeSpec::Atom(Value::Str(self.string_lit()?))),
-            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => {
-                Ok(TreeSpec::Atom(self.number()?))
-            }
-            Some(c) if c.is_alphabetic() || c == '_' => {
-                // Bare identifier in tree position: true/false are atoms,
-                // anything else is an error (labels go on edges).
-                let save = self.pos;
-                let Some(id) = self.ident() else {
-                    return self.err("expected identifier");
-                };
-                match id.as_str() {
-                    "true" => Ok(TreeSpec::Atom(Value::Bool(true))),
-                    "false" => Ok(TreeSpec::Atom(Value::Bool(false))),
-                    _ => {
-                        self.pos = save;
-                        self.err(format!("unexpected identifier '{id}' in tree position"))
-                    }
-                }
-            }
-            _ => self.err("expected tree"),
-        }
-    }
-
-    fn node(&mut self) -> Result<TreeSpec, ParseError> {
-        self.expect('{')?;
-        let mut entries = Vec::new();
-        if self.eat('}') {
-            return Ok(TreeSpec::Node(entries));
-        }
-        loop {
-            let label = self.label()?;
-            let sub = if self.eat(':') {
-                self.tree()?
-            } else {
-                TreeSpec::empty()
-            };
-            entries.push((label, sub));
-            if self.eat(',') {
-                // Allow trailing comma.
-                if self.peek() == Some('}') {
-                    self.expect('}')?;
-                    break;
-                }
-                continue;
-            }
-            self.expect('}')?;
+            TreeSpec::empty()
+        };
+        entries.push((label, sub));
+        // A trailing comma is allowed.
+        if !lx.eat(",") {
+            lx.require("}")?;
             break;
         }
-        Ok(TreeSpec::Node(entries))
     }
+    Ok(TreeSpec::Node(entries))
 }
 
 /// Parse the textual data syntax into a [`TreeSpec`].
 pub fn parse_tree(src: &str) -> Result<TreeSpec, ParseError> {
-    let mut p = Parser::new(src);
-    let t = p.tree()?;
-    p.skip_ws();
-    if p.pos != src.len() {
-        return p.err("trailing input after tree");
+    let mut lx = Lexer::new(src, LITERAL);
+    let t = tree(&mut lx)?;
+    if !lx.at_end() {
+        return Err(lx.err("trailing input after tree"));
     }
     Ok(t)
 }
@@ -347,103 +152,130 @@ pub fn parse_graph(src: &str) -> Result<Graph, ParseError> {
 
 /// Serialize the subgraph reachable from `node` back to the textual syntax.
 ///
-/// Nodes with in-degree > 1 (shared) or on a cycle are emitted once with an
-/// `@nK = ...` definition and referenced as `@nK` thereafter, so the output
-/// round-trips through [`parse_graph`] up to bisimulation (in fact up to
-/// isomorphism of the reachable subgraph).
+/// Nodes with in-degree > 1 (shared) or re-entered on a cycle are emitted
+/// once with an `@nK = ...` definition and referenced as `@nK` thereafter,
+/// `K` counting definitions in output order, so the text depends on the
+/// graph alone. It round-trips through [`parse_graph`] up to bisimulation
+/// (in fact up to isomorphism of the reachable subgraph).
 pub fn write_tree(g: &Graph, node: NodeId) -> String {
-    // Count in-degrees within the reachable subgraph.
-    let reachable = g.reachable_from(node);
-    let mut indeg: HashMap<NodeId, usize> = HashMap::new();
-    for &n in &reachable {
+    let mut names = vec![Name::Unreached; g.node_count()];
+    for n in g.reachable_from(node) {
         for e in g.edges(n) {
-            *indeg.entry(e.to).or_insert(0) += 1;
+            let name = &mut names[e.to.index()];
+            *name = match name {
+                Name::Unreached => Name::Once,
+                _ => Name::Due,
+            };
         }
     }
-    // Nodes needing a name: in-degree > 1, or involved in a cycle (detected
-    // as back edges during the DFS below — conservatively we name any node
-    // we re-enter while it is still being printed).
-    let mut out = String::new();
-    let mut state: HashMap<NodeId, u8> = HashMap::new(); // 1 = printing, 2 = done
-    let mut names: HashMap<NodeId, usize> = HashMap::new();
-    let mut next_name = 0usize;
-
-    // First pass: find nodes that must be named (shared or cycle-entry).
-    fn find_cycles(
-        g: &Graph,
-        n: NodeId,
-        state: &mut HashMap<NodeId, u8>,
-        names: &mut HashMap<NodeId, usize>,
-        next_name: &mut usize,
-    ) {
-        state.insert(n, 1);
-        for e in g.edges(n) {
-            match state.get(&e.to) {
-                Some(1) => {
-                    names.entry(e.to).or_insert_with(|| {
-                        let k = *next_name;
-                        *next_name += 1;
-                        k
-                    });
-                }
-                Some(2) => {}
-                _ => find_cycles(g, e.to, state, names, next_name),
-            }
-        }
-        state.insert(n, 2);
-    }
-    find_cycles(g, node, &mut state, &mut names, &mut next_name);
-    for (&n, &d) in &indeg {
-        if d > 1 {
-            names.entry(n).or_insert_with(|| {
-                let k = next_name;
-                next_name += 1;
-                k
-            });
-        }
-    }
-
-    let mut emitted: HashMap<NodeId, bool> = HashMap::new();
-    write_node(g, node, &names, &mut emitted, &mut out);
-    out
+    mark_cycle_entries(g, node, &mut vec![Visit::New; g.node_count()], &mut names);
+    let mut w = Writer {
+        g,
+        names,
+        defined: 0,
+        out: String::new(),
+    };
+    w.node(node);
+    w.out
 }
 
-fn write_node(
-    g: &Graph,
-    n: NodeId,
-    names: &HashMap<NodeId, usize>,
-    emitted: &mut HashMap<NodeId, bool>,
-    out: &mut String,
-) {
-    if let Some(&k) = names.get(&n) {
-        if *emitted.get(&n).unwrap_or(&false) {
-            let _ = write!(out, "@n{k}");
-            return;
-        }
-        emitted.insert(n, true);
-        let _ = write!(out, "@n{k} = ");
-    }
-    // Atom shorthand.
-    if let Some(v) = g.atomic_value(n) {
-        if !names.contains_key(&g.edges(n)[0].to) {
-            let _ = write!(out, "{v}");
-            return;
-        }
-    }
-    out.push('{');
-    let mut first = true;
+/// Whether a node is written with an `@nK` name, and which.
+#[derive(Clone, Copy, PartialEq)]
+enum Name {
+    /// Not reached by any edge (yet).
+    Unreached,
+    /// Reached by one edge and on no cycle: written inline.
+    Once,
+    /// Shared or a cycle entry, not written yet.
+    Due,
+    /// Defined as `@nK`.
+    Defined(usize),
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Visit {
+    New,
+    OnStack,
+    Done,
+}
+
+/// Mark every node a depth-first walk re-enters while still printing it.
+fn mark_cycle_entries(g: &Graph, n: NodeId, visit: &mut [Visit], names: &mut [Name]) {
+    visit[n.index()] = Visit::OnStack;
     for e in g.edges(n) {
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        let _ = write!(out, "{}", e.label.display(g.symbols()));
-        if !g.is_leaf(e.to) || names.contains_key(&e.to) {
-            out.push_str(": ");
-            write_node(g, e.to, names, emitted, out);
+        match visit[e.to.index()] {
+            Visit::OnStack => names[e.to.index()] = Name::Due,
+            Visit::Done => {}
+            Visit::New => mark_cycle_entries(g, e.to, visit, names),
         }
     }
-    out.push('}');
+    visit[n.index()] = Visit::Done;
+}
+
+struct Writer<'g> {
+    g: &'g Graph,
+    names: Vec<Name>,
+    defined: usize,
+    out: String,
+}
+
+impl Writer<'_> {
+    fn named(&self, n: NodeId) -> bool {
+        matches!(self.names[n.index()], Name::Due | Name::Defined(_))
+    }
+
+    fn node(&mut self, n: NodeId) {
+        match self.names[n.index()] {
+            Name::Defined(k) => {
+                let _ = write!(self.out, "@n{k}");
+                return;
+            }
+            Name::Due => {
+                let k = self.defined;
+                self.defined += 1;
+                self.names[n.index()] = Name::Defined(k);
+                let _ = write!(self.out, "@n{k} = ");
+            }
+            Name::Unreached | Name::Once => {}
+        }
+        let g = self.g;
+        // Atom shorthand.
+        if let Some(v) = g.atomic_value(n) {
+            if !self.named(g.edges(n)[0].to) {
+                let _ = write!(self.out, "{v}");
+                return;
+            }
+        }
+        self.out.push('{');
+        for (i, e) in g.edges(n).iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.label(&e.label);
+            if !g.is_leaf(e.to) || self.named(e.to) {
+                self.out.push_str(": ");
+                self.node(e.to);
+            }
+        }
+        self.out.push('}');
+    }
+
+    /// A symbol the reader would not read back as that symbol — not an
+    /// identifier, or `true`/`false` — is written as a quoted symbol.
+    fn label(&mut self, label: &Label) {
+        let _ = match label {
+            Label::Symbol(s) => {
+                let name = self.g.symbols().resolve(*s);
+                if LITERAL.is_ident(&name) && !matches!(&*name, "true" | "false") {
+                    self.out.push_str(&name);
+                    Ok(())
+                } else {
+                    lex::write_quoted(&mut self.out, &name, '\'')
+                }
+            }
+            Label::Value(v) => write!(self.out, "{v}"),
+        };
+    }
 }
 
 /// Serialize the whole graph (from its root).
@@ -461,6 +293,7 @@ pub fn roundtrip(src: &str) -> Result<String, ParseError> {
 mod tests {
     use super::*;
     use crate::bisim;
+    use crate::lex::MAX_PARSE_DEPTH;
 
     #[test]
     fn parse_empty() {
@@ -572,6 +405,95 @@ mod tests {
         let text = write_graph(&g);
         let g2 = parse_graph(&text).unwrap();
         assert!(bisim::graphs_bisimilar(&g, &g2));
+    }
+
+    /// The lexical conventions of the literal syntax, one row per rule:
+    /// an input and its canonical form, or an input and the byte its
+    /// error is reported at. Rows marked "fixed" read or write
+    /// differently than before the shared lexer.
+    #[test]
+    fn lexical_table() {
+        let ok = [
+            // `#` comments, anywhere whitespace goes.
+            ("# c\n{a # c\n: 1 # c\n} # c", "{a: 1}"),
+            ("{a: 1}#", "{a: 1}"),
+            // Identifiers: a letter or `_`, then letters, digits, `_`, `-`.
+            ("{_x-1_y, Été: 1}", "{_x-1_y, Été: 1}"),
+            ("{true: false}", "{true: false}"),
+            // Strings, raw control characters included.
+            (r#"{s: "\"\\\n\t"}"#, r#"{s: "\"\\\n\t"}"#),
+            ("{s: \"a\rb\u{1}\"}", r#"{s: "a\rb\u{1}"}"#),
+            // Fixed: the escapes the writer writes read back.
+            (r#"{s: "\r\0\'\u{1}\u{48}"}"#, r#"{s: "\r\0'\u{1}H"}"#),
+            // Numbers: sign, `.` and exponent.
+            (
+                "{a: -5, b: +5, c: 1.5e3, d: -2.5E-1, e: 2.}",
+                "{a: -5, b: 5, c: 1500.0, d: -0.25, e: 2.0}",
+            ),
+            (
+                "{a: 9223372036854775807, b: -9223372036854775808}",
+                "{a: 9223372036854775807, b: -9223372036854775808}",
+            ),
+            (
+                "{1: 1.0, 999999999999999.0: 0.5}",
+                "{1: 1.0, 999999999999999.0: 0.5}",
+            ),
+            // Fixed: integral reals from 1e15 on keep their exponent.
+            (
+                "{a: 1e15, b: -2.5e20, 1e300: 9223372036854775808.0}",
+                "{a: 1e15, b: -2.5e20, 1e300: 9.223372036854776e18}",
+            ),
+            // Fixed: quoted symbols.
+            (
+                r#"{'first name': 1, '2nd', 'true': {'a\'b'}, 'plain'}"#,
+                r#"{'first name': 1, '2nd', 'true': {'a\'b'}, plain}"#,
+            ),
+            // Trailing comma, bare labels.
+            ("{a, b,}", "{a, b}"),
+        ];
+        for (src, want) in ok {
+            assert_eq!(roundtrip(src).as_deref(), Ok(want), "{src}");
+        }
+        let deep = format!(
+            "{}{}",
+            "{a: ".repeat(MAX_PARSE_DEPTH),
+            "}".repeat(MAX_PARSE_DEPTH)
+        );
+        let err = [
+            ("{a: 1} extra", 7, "trailing input after tree"),
+            (
+                "{a: bogus}",
+                4,
+                "unexpected identifier 'bogus' in tree position",
+            ),
+            ("{a 1}", 3, "expected '}'"),
+            ("{:}", 1, "expected label"),
+            (r#"{a: "x\q"}"#, 6, "bad escape '\\q'"),
+            (r#"{a: "x"#, 5, "unterminated string literal"),
+            (
+                "{a: 99999999999999999999}",
+                24,
+                "bad int literal '99999999999999999999'",
+            ),
+            ("{a: 1.2.3}", 9, "bad real literal '1.2.3'"),
+            ("{a: -}", 5, "bad int literal '-'"),
+            ("@", 1, "expected name after '@'"),
+            (&deep, 4 * MAX_PARSE_DEPTH - 1, "error[SSD110]"),
+        ];
+        for (src, at, message) in err {
+            let e = parse_graph(src).unwrap_err();
+            assert_eq!(e.at, at, "{src}: {e}");
+            assert!(e.message.starts_with(message), "{src}: {e}");
+        }
+    }
+
+    #[test]
+    fn shared_nodes_are_named_in_output_order() {
+        let src = "{a: @x = {v: 1}, b: @x, c: @y = {w: 2}, d: @y, e: @z = {u: 3}, f: @z, \
+                   g: @p = {t: 4}, h: @p, i: @q = {s: 5}, j: @q, k: @r = {next: @r}}";
+        let want = "{a: @n0 = {v: 1}, b: @n0, c: @n1 = {w: 2}, d: @n1, e: @n2 = {u: 3}, \
+                    f: @n2, g: @n3 = {t: 4}, h: @n3, i: @n4 = {s: 5}, j: @n4, k: @n5 = {next: @n5}}";
+        assert_eq!(roundtrip(src).unwrap(), want);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::label::{Label, LabelKind};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// A statistical profile of the reachable part of a graph.
@@ -29,7 +30,7 @@ pub fn profile(g: &Graph) -> GraphProfile {
     let reachable = g.reachable();
     let mut kind_histogram: BTreeMap<LabelKind, usize> = BTreeMap::new();
     let mut symbol_counts: HashMap<String, usize> = HashMap::new();
-    let mut indeg: HashMap<NodeId, usize> = HashMap::new();
+    let mut indeg = vec![0usize; g.node_count()];
     let mut edges = 0usize;
     let mut leaves = 0usize;
     let mut max_out = (0usize, g.root());
@@ -49,16 +50,18 @@ pub fn profile(g: &Graph) -> GraphProfile {
                     .entry(g.symbols().resolve(*s).to_string())
                     .or_insert(0) += 1;
             }
-            *indeg.entry(e.to).or_insert(0) += 1;
+            indeg[e.to.index()] += 1;
         }
     }
     let mut symbol_histogram: Vec<(String, usize)> = symbol_counts.into_iter().collect();
     symbol_histogram.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    // Ties go to the smallest node id.
     let max_in = indeg
         .iter()
-        .max_by_key(|(_, &c)| c)
-        .map(|(&n, &c)| (c, n))
-        .unwrap_or((0, g.root()));
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .max_by_key(|&(i, &c)| (c, Reverse(i)))
+        .map_or((0, g.root()), |(i, &c)| (c, NodeId::from_index(i)));
     // Root eccentricity by BFS.
     let mut depth = 0usize;
     let mut seen = vec![false; g.node_count()];
@@ -167,6 +170,27 @@ mod tests {
         let p2 = profile(&g2);
         assert_eq!(p2.max_in_degree.0, 3);
         assert_eq!(p2.max_out_degree.0, 3);
+    }
+
+    #[test]
+    fn max_in_degree_ties_go_to_the_smallest_node() {
+        let g = parse_graph(
+            "{a: @p = {}, b: @p, c: @q = {}, d: @q, e: @r = {}, f: @r, \
+              g: @s = {}, h: @s, i: @t = {}, j: @t, k: @u = {}, l: @u}",
+        )
+        .unwrap();
+        let mut indeg = vec![0; g.node_count()];
+        for n in g.reachable() {
+            for e in g.edges(n) {
+                indeg[e.to.index()] += 1;
+            }
+        }
+        let first = indeg.iter().position(|&c| c == 2).unwrap();
+        // Each profile hashes afresh, so a hash-order tie-break would
+        // differ from run to run.
+        for _ in 0..5 {
+            assert_eq!(profile(&g).max_in_degree, (2, NodeId::from_index(first)));
+        }
     }
 
     #[test]

@@ -232,14 +232,13 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(i) => write!(f, "{i}"),
-            Value::Real(r) => {
-                if r.fract() == 0.0 && r.is_finite() && r.abs() < 1e15 {
-                    write!(f, "{r:.1}")
-                } else {
-                    write!(f, "{r}")
-                }
-            }
-            Value::Str(s) => write!(f, "{s:?}"),
+            // An integral real keeps a `.` or an exponent, so that it
+            // reads back as a real: `2.0`, `1e15`. (A non-finite real's
+            // fraction is NaN: it takes the last arm.)
+            Value::Real(r) if r.fract() == 0.0 && r.abs() < 1e15 => write!(f, "{r:.1}"),
+            Value::Real(r) if r.fract() == 0.0 => write!(f, "{r:e}"),
+            Value::Real(r) => write!(f, "{r}"),
+            Value::Str(s) => crate::lex::write_quoted(f, s, '"'),
             Value::Bool(b) => write!(f, "{b}"),
         }
     }
@@ -359,6 +358,12 @@ mod tests {
         assert_eq!(Value::Int(42).to_string(), "42");
         assert_eq!(Value::Real(1.5).to_string(), "1.5");
         assert_eq!(Value::Real(2.0).to_string(), "2.0");
+        assert_eq!(Value::Real(1e15).to_string(), "1e15");
+        assert_eq!(Value::Real(-2.5e20).to_string(), "-2.5e20");
+        assert_eq!(
+            Value::Str("\r\0\u{1}'".into()).to_string(),
+            r#""\r\0\u{1}'""#
+        );
         assert_eq!(Value::Str("a\"b".into()).to_string(), "\"a\\\"b\"");
         assert_eq!(Value::Bool(true).to_string(), "true");
     }

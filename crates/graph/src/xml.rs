@@ -108,10 +108,10 @@ impl<'a> P<'a> {
     /// Parse one element, adding its edge under `parent`.
     fn element(&mut self, g: &mut Graph, parent: NodeId) -> Result<(), XmlError> {
         self.depth += 1;
-        if self.depth > crate::literal::MAX_PARSE_DEPTH {
+        if self.depth > crate::lex::MAX_PARSE_DEPTH {
             return Err(XmlError::Parse {
                 at: self.pos,
-                message: crate::literal::depth_message(),
+                message: crate::lex::depth_message(),
             });
         }
         let out = self.element_inner(g, parent);

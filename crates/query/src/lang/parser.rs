@@ -22,13 +22,15 @@
 //!
 //! Identifiers are case-sensitive; `db`, keywords are reserved. Variables
 //! and symbols share the identifier syntax — occurrence position
-//! disambiguates, exactly as in Lorel.
+//! disambiguates, exactly as in Lorel. The tokens are [`ssd_graph::lex`]'s
+//! in its [`QUERY`] syntax: `--` comments and the path-safe number rule.
 
 use super::ast::{Binding, CmpOp, Cond, Construct, Expr, LabelExpr, SelectQuery, Source};
 use super::spans::{BindingSpans, OccSite, QuerySpans, VarOcc};
 use crate::analyze::check_query_vars;
 use crate::rpe::{Rpe, Step};
 use ssd_diag::{Diagnostic, DiagnosticSink, Span};
+use ssd_graph::lex::{Lexer, ParseError, QUERY};
 use ssd_graph::{LabelKind, Value};
 use ssd_schema::Pred;
 
@@ -46,6 +48,15 @@ impl std::fmt::Display for QueryParseError {
 }
 
 impl std::error::Error for QueryParseError {}
+
+impl From<ParseError> for QueryParseError {
+    fn from(e: ParseError) -> Self {
+        QueryParseError {
+            at: e.at,
+            message: e.message,
+        }
+    }
+}
 
 const KEYWORDS: &[&str] = &[
     "select", "from", "where", "and", "or", "not", "like", "exists", "db", "true", "false",
@@ -83,8 +94,7 @@ pub fn check_query(q: &SelectQuery, spans: Option<&QuerySpans>) -> Result<(), Qu
 pub fn parse_query_spanned(src: &str) -> Result<(SelectQuery, QuerySpans), QueryParseError> {
     let mut p = P::new(src);
     let q = p.query()?;
-    p.skip_ws();
-    if p.pos != src.len() {
+    if !p.lx.at_end() {
         return p.err("trailing input after query");
     }
     Ok((q, p.spans))
@@ -95,255 +105,58 @@ pub fn parse_query_spanned(src: &str) -> Result<(SelectQuery, QuerySpans), Query
 pub fn parse_rpe(src: &str) -> Result<Rpe, QueryParseError> {
     let mut p = P::new(src);
     let path = p.path_seq()?;
-    p.skip_ws();
-    if p.pos != src.len() {
+    if !p.lx.at_end() {
         return p.err("trailing input after path expression");
     }
     Ok(path)
 }
 
 struct P<'a> {
-    src: &'a str,
-    pos: usize,
-    /// End position of the last consumed token (excludes trailing
-    /// whitespace/comments skipped by lookahead).
-    last_end: usize,
+    lx: Lexer<'a>,
     spans: QuerySpans,
     /// Label variables seen while parsing the current path, drained into
     /// the enclosing binding's (or exists condition's) span record.
     pending_label_vars: Vec<(String, Span)>,
-    /// Current recursive-descent depth, bounded by
-    /// [`ssd_graph::literal::MAX_PARSE_DEPTH`].
-    depth: usize,
-}
-
-/// RAII-free depth bump shared by the recursive productions: call at the
-/// top of each recursion point, pair with `depth -= 1` on exit.
-macro_rules! bounded {
-    ($self:ident, $body:expr) => {{
-        $self.depth += 1;
-        if $self.depth > ssd_graph::literal::MAX_PARSE_DEPTH {
-            return Err(QueryParseError {
-                at: $self.pos,
-                message: ssd_diag::Diagnostic::new(
-                    ssd_diag::Code::ParseDepthExceeded,
-                    format!(
-                        "query nests deeper than {} levels",
-                        ssd_graph::literal::MAX_PARSE_DEPTH
-                    ),
-                )
-                .headline(),
-            });
-        }
-        let out = $body;
-        $self.depth -= 1;
-        out
-    }};
 }
 
 impl<'a> P<'a> {
     fn new(src: &'a str) -> P<'a> {
         P {
-            src,
-            pos: 0,
-            last_end: 0,
+            lx: Lexer::new(src, QUERY),
             spans: QuerySpans::default(),
             pending_label_vars: Vec::new(),
-            depth: 0,
         }
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, QueryParseError> {
-        Err(QueryParseError {
-            at: self.pos,
-            message: message.into(),
-        })
+        Err(self.lx.err(message).into())
     }
 
-    fn rest(&self) -> &'a str {
-        &self.src[self.pos..]
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            let r = self.rest();
-            let t = r.trim_start();
-            self.pos += r.len() - t.len();
-            if self.rest().starts_with("--") {
-                match self.rest().find('\n') {
-                    Some(i) => self.pos += i + 1,
-                    None => self.pos = self.src.len(),
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.rest().chars().next()
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.peek() == Some(c) {
-            self.pos += c.len_utf8();
-            self.last_end = self.pos;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), QueryParseError> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            self.err(format!("expected '{c}'"))
-        }
-    }
-
-    /// Peek an identifier without consuming.
-    fn peek_ident(&mut self) -> Option<String> {
-        let save = self.pos;
-        let id = self.ident();
-        self.pos = save;
-        id
-    }
-
-    fn ident(&mut self) -> Option<String> {
-        self.skip_ws();
-        let r = self.rest();
-        let mut end = 0;
-        for (i, c) in r.char_indices() {
-            let ok = if i == 0 {
-                c.is_alphabetic() || c == '_'
-            } else {
-                c.is_alphanumeric() || c == '_'
-            };
-            if ok {
-                end = i + c.len_utf8();
-            } else {
-                break;
-            }
-        }
-        if end == 0 {
-            None
-        } else {
-            let s = r[..end].to_owned();
-            self.pos += end;
-            self.last_end = self.pos;
-            Some(s)
-        }
-    }
-
-    /// Span of the identifier just consumed by [`P::ident`].
-    fn prev_ident_span(&self, name: &str) -> Span {
-        Span::new(self.last_end - name.len(), self.last_end)
-    }
-
-    fn keyword(&mut self, kw: &str) -> bool {
-        let save = self.pos;
-        match self.ident() {
-            Some(id) if id == kw => true,
-            _ => {
-                self.pos = save;
-                false
-            }
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), QueryParseError> {
-        if self.keyword(kw) {
-            Ok(())
-        } else {
-            self.err(format!("expected keyword '{kw}'"))
-        }
-    }
-
-    fn string_lit(&mut self) -> Result<String, QueryParseError> {
-        self.expect('"')?;
-        let r = self.rest();
-        let mut out = String::new();
-        let mut chars = r.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.pos += i + 1;
-                    self.last_end = self.pos;
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    _ => return self.err("bad escape in string"),
-                },
-                _ => out.push(c),
-            }
-        }
-        self.err("unterminated string")
-    }
-
-    fn number(&mut self) -> Result<Value, QueryParseError> {
-        self.skip_ws();
-        let r = self.rest();
-        let mut end = 0;
-        let mut real = false;
-        for (i, c) in r.char_indices() {
-            match c {
-                '0'..='9' => end = i + 1,
-                '-' if i == 0 => end = i + 1,
-                '.' => {
-                    // A dot is a path separator unless followed by a digit.
-                    if r[i + 1..]
-                        .chars()
-                        .next()
-                        .is_some_and(|d| d.is_ascii_digit())
-                    {
-                        real = true;
-                        end = i + 1;
-                    } else {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
-        if end == 0 {
-            return self.err("expected number");
-        }
-        let text = &r[..end];
-        self.pos += end;
-        self.last_end = self.pos;
-        if real {
-            text.parse::<f64>()
-                .map(Value::Real)
-                .or_else(|_| self.err("bad real"))
-        } else {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .or_else(|_| self.err("bad int"))
-        }
+    /// An identifier, with its span.
+    fn spanned_ident(&mut self) -> Option<(String, Span)> {
+        let id = self.lx.ident()?;
+        Some((
+            id.to_owned(),
+            Span::new(self.lx.last_end() - id.len(), self.lx.last_end()),
+        ))
     }
 
     fn query(&mut self) -> Result<SelectQuery, QueryParseError> {
-        self.expect_keyword("select")?;
-        self.skip_ws();
-        let cstart = self.pos;
+        self.lx.require_keyword("select")?;
+        self.lx.skip_ws();
+        let cstart = self.lx.pos();
         let construct = self.construct()?;
-        self.spans.construct = Some(Span::new(cstart, self.last_end));
-        self.expect_keyword("from")?;
+        self.spans.construct = Some(Span::new(cstart, self.lx.last_end()));
+        self.lx.require_keyword("from")?;
         let mut bindings = vec![self.binding()?];
-        while self.eat(',') {
+        while self.lx.eat(",") {
             bindings.push(self.binding()?);
         }
-        let condition = if self.keyword("where") {
-            self.skip_ws();
-            let wstart = self.pos;
+        let condition = if self.lx.keyword("where") {
+            self.lx.skip_ws();
+            let wstart = self.lx.pos();
             let c = self.cond()?;
-            self.spans.condition = Some(Span::new(wstart, self.last_end));
+            self.spans.condition = Some(Span::new(wstart, self.lx.last_end()));
             Some(c)
         } else {
             None
@@ -356,51 +169,46 @@ impl<'a> P<'a> {
     }
 
     fn binding(&mut self) -> Result<Binding, QueryParseError> {
-        self.skip_ws();
-        let bstart = self.pos;
-        let src_ident = match self.ident() {
-            Some(id) => id,
-            None => return self.err("expected binding source (db or a variable)"),
+        self.lx.skip_ws();
+        let bstart = self.lx.pos();
+        let Some((src_ident, source_span)) = self.spanned_ident() else {
+            return self.err("expected binding source (db or a variable)");
         };
-        let source_span = self.prev_ident_span(&src_ident);
         let source = if src_ident == "db" {
             Source::Db
         } else {
             Source::Var(src_ident)
         };
-        self.expect('.')?;
-        self.skip_ws();
-        let pstart = self.pos;
+        self.lx.require(".")?;
+        self.lx.skip_ws();
+        let pstart = self.lx.pos();
         self.pending_label_vars.clear();
         let path = self.path_seq()?;
-        let path_span = Span::new(pstart, self.last_end);
+        let path_span = Span::new(pstart, self.lx.last_end());
         let label_vars = std::mem::take(&mut self.pending_label_vars);
-        let var = match self.ident() {
-            Some(id) if !KEYWORDS.contains(&id.as_str()) => id,
-            Some(kw) => return self.err(format!("expected variable name, found keyword '{kw}'")),
+        let (var, var_span) = match self.spanned_ident() {
+            Some((id, span)) if !KEYWORDS.contains(&id.as_str()) => (id, span),
+            Some((kw, _)) => {
+                return self.err(format!("expected variable name, found keyword '{kw}'"))
+            }
             None => return self.err("expected variable name after path"),
         };
         self.spans.bindings.push(BindingSpans {
-            full: Span::new(bstart, self.last_end),
+            full: Span::new(bstart, self.lx.last_end()),
             source: source_span,
             path: path_span,
-            var: self.prev_ident_span(&var),
+            var: var_span,
             label_vars,
         });
         Ok(Binding { source, path, var })
     }
 
-    /// A `.`-separated sequence of postfixed primaries. Stops before a
-    /// trailing identifier that is not followed by `.` — but since steps
-    /// and the bound variable are both identifiers, we parse greedily and
-    /// rely on the caller: the *last* identifier in a binding is the
-    /// variable, so here we stop when the upcoming identifier is not
-    /// followed by `.`, `*`, `+`, `?`, `(`, or another step constituent.
+    /// A `.`-separated sequence of postfixed primaries. Steps and the
+    /// bound variable are both identifiers, so the sequence ends at the
+    /// first identifier not preceded by `.`: the caller's variable.
     fn path_seq(&mut self) -> Result<Rpe, QueryParseError> {
         let mut parts = vec![self.postfix()?];
-        while self.peek() == Some('.') {
-            // Lookahead: `.` then a step.
-            self.expect('.')?;
+        while self.lx.eat(".") {
             parts.push(self.postfix()?);
         }
         Ok(Rpe::seq(parts))
@@ -409,185 +217,145 @@ impl<'a> P<'a> {
     fn postfix(&mut self) -> Result<Rpe, QueryParseError> {
         let mut e = self.primary()?;
         loop {
-            match self.peek() {
-                Some('*') => {
-                    self.expect('*')?;
-                    e = e.star();
-                }
-                Some('+') => {
-                    self.expect('+')?;
-                    e = e.plus();
-                }
-                Some('?') => {
-                    self.expect('?')?;
-                    e = e.opt();
-                }
-                _ => break,
-            }
+            e = if self.lx.eat("*") {
+                e.star()
+            } else if self.lx.eat("+") {
+                e.plus()
+            } else if self.lx.eat("?") {
+                e.opt()
+            } else {
+                return Ok(e);
+            };
         }
-        Ok(e)
     }
 
     fn primary(&mut self) -> Result<Rpe, QueryParseError> {
-        bounded!(self, self.primary_inner())
+        self.lx.enter()?;
+        let out = self.primary_inner();
+        self.lx.leave();
+        out
     }
 
     fn primary_inner(&mut self) -> Result<Rpe, QueryParseError> {
-        match self.peek() {
-            Some('%') => {
-                self.expect('%')?;
-                Ok(Rpe::step(Step::wildcard()))
+        // Symbol steps first: they are the common case.
+        if let Some(id) = self.lx.ident() {
+            if KEYWORDS.contains(&id) {
+                return self.err(format!("keyword '{id}' cannot be a path step"));
             }
-            Some('^') => {
-                self.expect('^')?;
-                let name = match self.ident() {
-                    Some(n) => n,
-                    None => return self.err("expected label variable name after '^'"),
-                };
-                let span = self.prev_ident_span(&name);
-                self.pending_label_vars.push((name.clone(), span));
-                Ok(Rpe::step(Step::label_var(&name)))
-            }
-            Some('!') => {
-                self.expect('!')?;
-                let inner = self.primary()?;
-                match inner {
-                    Rpe::Step(s) if s.label_var.is_none() => Ok(Rpe::step(Step {
-                        pred: Pred::Not(Box::new(s.pred)),
-                        label_var: None,
-                    })),
-                    _ => self.err("'!' applies to a single step"),
-                }
-            }
-            Some('[') => {
-                self.expect('[')?;
-                let kind = match self.ident().as_deref() {
-                    Some("int") => LabelKind::Int,
-                    Some("real") => LabelKind::Real,
-                    Some("string") | Some("str") => LabelKind::Str,
-                    Some("bool") => LabelKind::Bool,
-                    Some("symbol") => LabelKind::Symbol,
-                    _ => return self.err("expected type name in [...] step"),
-                };
-                self.expect(']')?;
-                Ok(Rpe::step(Step::pred(Pred::Kind(kind))))
-            }
-            Some('(') => {
-                self.expect('(')?;
-                let mut alts = vec![self.path_seq()?];
-                while self.eat('|') {
-                    alts.push(self.path_seq()?);
-                }
-                self.expect(')')?;
-                Ok(Rpe::alt(alts))
-            }
-            Some('"') => {
-                let s = self.string_lit()?;
-                Ok(Rpe::step(Step::value(s)))
-            }
-            Some(c) if c.is_ascii_digit() || c == '-' => {
-                let v = self.number()?;
-                Ok(Rpe::step(Step {
-                    pred: Pred::ValueEq(v),
-                    label_var: None,
-                }))
-            }
-            Some(c) if c.is_alphabetic() || c == '_' => {
-                let Some(id) = self.ident() else {
-                    return self.err("expected identifier");
-                };
-                if KEYWORDS.contains(&id.as_str()) {
-                    return self.err(format!("keyword '{id}' cannot be a path step"));
-                }
-                Ok(Rpe::symbol(&id))
-            }
-            _ => self.err("expected path step"),
+            return Ok(Rpe::symbol(id));
         }
+        if let Some(v) = value(&mut self.lx)? {
+            return Ok(Rpe::step(Step::value(v)));
+        }
+        if self.lx.eat("%") {
+            return Ok(Rpe::step(Step::wildcard()));
+        }
+        if self.lx.eat("^") {
+            let Some((name, span)) = self.spanned_ident() else {
+                return self.err("expected label variable name after '^'");
+            };
+            self.pending_label_vars.push((name.clone(), span));
+            return Ok(Rpe::step(Step::label_var(&name)));
+        }
+        if self.lx.eat("!") {
+            return match self.primary()? {
+                Rpe::Step(s) if s.label_var.is_none() => Ok(Rpe::step(Step {
+                    pred: Pred::Not(Box::new(s.pred)),
+                    label_var: None,
+                })),
+                _ => self.err("'!' applies to a single step"),
+            };
+        }
+        if self.lx.eat("[") {
+            let Some(kind) = self.lx.ident().and_then(kind_named) else {
+                return self.err("expected type name in [...] step");
+            };
+            self.lx.require("]")?;
+            return Ok(Rpe::step(Step::pred(Pred::Kind(kind))));
+        }
+        if self.lx.eat("(") {
+            let mut alts = vec![self.path_seq()?];
+            while self.lx.eat("|") {
+                alts.push(self.path_seq()?);
+            }
+            self.lx.require(")")?;
+            return Ok(Rpe::alt(alts));
+        }
+        self.err("expected path step")
     }
 
     fn construct(&mut self) -> Result<Construct, QueryParseError> {
-        bounded!(self, self.construct_inner())
+        self.lx.enter()?;
+        let out = self.construct_inner();
+        self.lx.leave();
+        out
     }
 
     fn construct_inner(&mut self) -> Result<Construct, QueryParseError> {
-        match self.peek() {
-            Some('{') => {
-                self.expect('{')?;
-                let mut entries = Vec::new();
-                if self.eat('}') {
-                    return Ok(Construct::Node(entries));
-                }
+        if self.lx.eat("{") {
+            let mut entries = Vec::new();
+            if !self.lx.eat("}") {
                 loop {
                     let label = self.label_expr()?;
-                    self.expect(':')?;
-                    let sub = self.construct()?;
-                    entries.push((label, sub));
-                    if self.eat(',') {
-                        continue;
-                    }
-                    self.expect('}')?;
-                    break;
-                }
-                Ok(Construct::Node(entries))
-            }
-            Some('"') => Ok(Construct::Atom(Value::Str(self.string_lit()?))),
-            Some(c) if c.is_ascii_digit() || c == '-' => Ok(Construct::Atom(self.number()?)),
-            Some(c) if c.is_alphabetic() || c == '_' => {
-                let Some(id) = self.ident() else {
-                    return self.err("expected identifier");
-                };
-                match id.as_str() {
-                    "true" => Ok(Construct::Atom(Value::Bool(true))),
-                    "false" => Ok(Construct::Atom(Value::Bool(false))),
-                    kw if KEYWORDS.contains(&kw) => {
-                        self.err(format!("keyword '{kw}' cannot be a constructor"))
-                    }
-                    _ => {
-                        self.spans.occurrences.push(VarOcc {
-                            span: self.prev_ident_span(&id),
-                            name: id.clone(),
-                            is_label: false,
-                            site: OccSite::Construct,
-                        });
-                        Ok(Construct::Var(id))
+                    self.lx.require(":")?;
+                    entries.push((label, self.construct()?));
+                    if !self.lx.eat(",") {
+                        self.lx.require("}")?;
+                        break;
                     }
                 }
             }
-            _ => self.err("expected constructor"),
+            return Ok(Construct::Node(entries));
+        }
+        if let Some(v) = value(&mut self.lx)? {
+            return Ok(Construct::Atom(v));
+        }
+        let Some((id, span)) = self.spanned_ident() else {
+            return self.err("expected constructor");
+        };
+        match id.as_str() {
+            "true" => Ok(Construct::Atom(Value::Bool(true))),
+            "false" => Ok(Construct::Atom(Value::Bool(false))),
+            kw if KEYWORDS.contains(&kw) => {
+                self.err(format!("keyword '{kw}' cannot be a constructor"))
+            }
+            _ => {
+                self.spans.occurrences.push(VarOcc {
+                    span,
+                    name: id.clone(),
+                    is_label: false,
+                    site: OccSite::Construct,
+                });
+                Ok(Construct::Var(id))
+            }
         }
     }
 
     fn label_expr(&mut self) -> Result<LabelExpr, QueryParseError> {
-        match self.peek() {
-            Some('^') => {
-                self.expect('^')?;
-                let name = match self.ident() {
-                    Some(n) => n,
-                    None => return self.err("expected label variable after '^'"),
-                };
-                self.spans.occurrences.push(VarOcc {
-                    span: self.prev_ident_span(&name),
-                    name: name.clone(),
-                    is_label: true,
-                    site: OccSite::Construct,
-                });
-                Ok(LabelExpr::LabelVar(name))
-            }
-            Some('"') => Ok(LabelExpr::Value(Value::Str(self.string_lit()?))),
-            Some(c) if c.is_ascii_digit() || c == '-' => Ok(LabelExpr::Value(self.number()?)),
-            Some(c) if c.is_alphabetic() || c == '_' => {
-                let Some(id) = self.ident() else {
-                    return self.err("expected identifier");
-                };
-                Ok(LabelExpr::Symbol(id))
-            }
-            _ => self.err("expected label"),
+        if self.lx.eat("^") {
+            let Some((name, span)) = self.spanned_ident() else {
+                return self.err("expected label variable after '^'");
+            };
+            self.spans.occurrences.push(VarOcc {
+                span,
+                name: name.clone(),
+                is_label: true,
+                site: OccSite::Construct,
+            });
+            return Ok(LabelExpr::LabelVar(name));
+        }
+        if let Some(v) = value(&mut self.lx)? {
+            return Ok(LabelExpr::Value(v));
+        }
+        match self.lx.ident() {
+            Some(id) => Ok(LabelExpr::Symbol(id.to_owned())),
+            None => self.err("expected label"),
         }
     }
 
     fn cond(&mut self) -> Result<Cond, QueryParseError> {
         let mut left = self.cond_and()?;
-        while self.keyword("or") {
+        while self.lx.keyword("or") {
             let right = self.cond_and()?;
             left = Cond::Or(Box::new(left), Box::new(right));
         }
@@ -596,7 +364,7 @@ impl<'a> P<'a> {
 
     fn cond_and(&mut self) -> Result<Cond, QueryParseError> {
         let mut left = self.cond_unary()?;
-        while self.keyword("and") {
+        while self.lx.keyword("and") {
             let right = self.cond_unary()?;
             left = Cond::And(Box::new(left), Box::new(right));
         }
@@ -604,25 +372,27 @@ impl<'a> P<'a> {
     }
 
     fn cond_unary(&mut self) -> Result<Cond, QueryParseError> {
-        bounded!(self, self.cond_unary_inner())
+        self.lx.enter()?;
+        let out = self.cond_unary_inner();
+        self.lx.leave();
+        out
     }
 
     fn cond_unary_inner(&mut self) -> Result<Cond, QueryParseError> {
-        if self.keyword("not") {
+        if self.lx.keyword("not") {
             return Ok(Cond::Not(Box::new(self.cond_unary()?)));
         }
-        if self.keyword("exists") {
-            let var = match self.ident() {
-                Some(v) => v,
-                None => return self.err("expected variable after exists"),
+        if self.lx.keyword("exists") {
+            let Some((var, span)) = self.spanned_ident() else {
+                return self.err("expected variable after exists");
             };
             self.spans.occurrences.push(VarOcc {
-                span: self.prev_ident_span(&var),
+                span,
                 name: var.clone(),
                 is_label: false,
                 site: OccSite::Cond,
             });
-            self.expect('.')?;
+            self.lx.require(".")?;
             self.pending_label_vars.clear();
             let path = self.path_seq()?;
             for (name, span) in std::mem::take(&mut self.pending_label_vars) {
@@ -643,24 +413,22 @@ impl<'a> P<'a> {
             ("isbool", LabelKind::Bool),
             ("issymbol", LabelKind::Symbol),
         ] {
-            if self.peek_ident().as_deref() == Some(kw) {
-                self.ident();
-                self.expect('(')?;
+            if self.lx.keyword(kw) {
+                self.lx.require("(")?;
                 let e = self.expr()?;
-                self.expect(')')?;
+                self.lx.require(")")?;
                 return Ok(Cond::TypeIs(e, kind));
             }
         }
-        if self.peek() == Some('(') {
+        if self.lx.eat("(") {
             // Parenthesised condition.
-            self.expect('(')?;
             let c = self.cond()?;
-            self.expect(')')?;
+            self.lx.require(")")?;
             return Ok(c);
         }
         let left = self.expr()?;
-        if self.keyword("like") {
-            let pat = self.string_lit()?;
+        if self.lx.keyword("like") {
+            let pat = self.lx.quoted('"')?;
             return Ok(Cond::Like(left, pat));
         }
         let op = self.cmp_op()?;
@@ -669,61 +437,73 @@ impl<'a> P<'a> {
     }
 
     fn cmp_op(&mut self) -> Result<CmpOp, QueryParseError> {
-        self.skip_ws();
-        let r = self.rest();
-        let (op, len) = if r.starts_with("!=") {
-            (CmpOp::Ne, 2)
-        } else if r.starts_with("<=") {
-            (CmpOp::Le, 2)
-        } else if r.starts_with(">=") {
-            (CmpOp::Ge, 2)
-        } else if r.starts_with('=') {
-            (CmpOp::Eq, 1)
-        } else if r.starts_with('<') {
-            (CmpOp::Lt, 1)
-        } else if r.starts_with('>') {
-            (CmpOp::Gt, 1)
-        } else {
-            return self.err("expected comparison operator");
-        };
-        self.pos += len;
-        self.last_end = self.pos;
-        Ok(op)
+        // Two-character operators first: `<=` is not `<` then `=`.
+        let ops = [
+            ("!=", CmpOp::Ne),
+            ("<=", CmpOp::Le),
+            (">=", CmpOp::Ge),
+            ("=", CmpOp::Eq),
+            ("<", CmpOp::Lt),
+            (">", CmpOp::Gt),
+        ];
+        match ops.into_iter().find(|(tok, _)| self.lx.eat(tok)) {
+            Some((_, op)) => Ok(op),
+            None => self.err("expected comparison operator"),
+        }
     }
 
     fn expr(&mut self) -> Result<Expr, QueryParseError> {
-        match self.peek() {
-            Some('"') => Ok(Expr::Const(Value::Str(self.string_lit()?))),
-            Some(c) if c.is_ascii_digit() || c == '-' => Ok(Expr::Const(self.number()?)),
-            Some(c) if c.is_alphabetic() || c == '_' => {
-                let Some(id) = self.ident() else {
-                    return self.err("expected identifier");
-                };
-                match id.as_str() {
-                    "true" => Ok(Expr::Const(Value::Bool(true))),
-                    "false" => Ok(Expr::Const(Value::Bool(false))),
-                    kw if KEYWORDS.contains(&kw) => {
-                        self.err(format!("keyword '{kw}' cannot be an expression"))
-                    }
-                    _ => {
-                        self.spans.occurrences.push(VarOcc {
-                            span: self.prev_ident_span(&id),
-                            name: id.clone(),
-                            is_label: false,
-                            site: OccSite::Cond,
-                        });
-                        Ok(Expr::Var(id))
-                    }
-                }
-            }
-            _ => self.err("expected expression"),
+        if let Some(v) = value(&mut self.lx)? {
+            return Ok(Expr::Const(v));
         }
+        let Some((id, span)) = self.spanned_ident() else {
+            return self.err("expected expression");
+        };
+        match id.as_str() {
+            "true" => Ok(Expr::Const(Value::Bool(true))),
+            "false" => Ok(Expr::Const(Value::Bool(false))),
+            kw if KEYWORDS.contains(&kw) => {
+                self.err(format!("keyword '{kw}' cannot be an expression"))
+            }
+            _ => {
+                self.spans.occurrences.push(VarOcc {
+                    span,
+                    name: id.clone(),
+                    is_label: false,
+                    site: OccSite::Cond,
+                });
+                Ok(Expr::Var(id))
+            }
+        }
+    }
+}
+
+/// A string or number token, if one comes next (rewrites share it).
+pub(super) fn value(lx: &mut Lexer) -> Result<Option<Value>, ParseError> {
+    Ok(match lx.peek() {
+        Some('"') => Some(Value::Str(lx.quoted('"')?)),
+        Some(c) if c.is_ascii_digit() || c == '-' => Some(lx.path_number()?),
+        _ => None,
+    })
+}
+
+/// The type named in a `[...]` step: `int`, `real`, `string` (or `str`),
+/// `bool` or `symbol`.
+pub(super) fn kind_named(name: &str) -> Option<LabelKind> {
+    match name {
+        "int" => Some(LabelKind::Int),
+        "real" => Some(LabelKind::Real),
+        "string" | "str" => Some(LabelKind::Str),
+        "bool" => Some(LabelKind::Bool),
+        "symbol" => Some(LabelKind::Symbol),
+        _ => None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssd_graph::lex::MAX_PARSE_DEPTH;
 
     #[test]
     fn parse_rpe_is_the_binding_path_and_nothing_more() {
@@ -749,6 +529,91 @@ mod tests {
         // the duplicate `M`.
         let e = parse_query("select Z from db.a M, db.b M").unwrap_err();
         assert_eq!((e.at, &e.message[..13]), (7, "error[SSD001]"), "{e}");
+    }
+
+    /// The lexical conventions of the select language: inputs that read
+    /// as the same query, each escape and its character, and errors with
+    /// the byte they are reported at. Rows marked "fixed" read
+    /// differently than before the shared lexer.
+    #[test]
+    fn lexical_table() {
+        for (src, plain) in [
+            // `--` comments, anywhere whitespace goes.
+            (
+                "select X -- c\nfrom db.a -- c\nX -- c",
+                "select X from db.a X",
+            ),
+            // The path rule: a `.` is part of a number only before a
+            // digit, and there is no exponent.
+            ("select e5 from db.a.1e5", "select e5 from db.a.1 e5"),
+            (
+                "select X from db.Year.1942.Title X",
+                "select X from db.Year . 1942 . Title X",
+            ),
+            (
+                "select X from db.a.-1.5.b X",
+                "select X from db.a . -1.5 . b X",
+            ),
+            (
+                "select X from db.a X where X > -2.50",
+                "select X from db.a X where X>-2.5",
+            ),
+            // Identifiers: a letter or `_`, then letters, digits and `_`.
+            ("select _é1 from db.Été _é1", "select _é1 from db . Été _é1"),
+        ] {
+            let q = parse_query(src);
+            assert!(q.is_ok(), "{src}: {q:?}");
+            assert_eq!(q, parse_query(plain), "{src}");
+        }
+        for (esc, want) in [
+            (r#"\""#, "\""),
+            (r"\\", "\\"),
+            (r"\n", "\n"),
+            (r"\t", "\t"),
+            // A raw control character stands for itself.
+            ("\r", "\r"),
+            // Fixed: the rest of the escapes the literal writer writes.
+            (r"\r", "\r"),
+            (r"\0", "\0"),
+            (r"\'", "'"),
+            (r"\u{1F600}", "\u{1F600}"),
+        ] {
+            let q = parse_query(&format!(r#"select X from db."{esc}" X"#)).unwrap();
+            assert_eq!(q.bindings[0].path, Rpe::step(Step::value(want)), "{esc}");
+        }
+        let deep = format!(
+            "select {}1{} from db.a X",
+            "{a: ".repeat(MAX_PARSE_DEPTH),
+            "}".repeat(MAX_PARSE_DEPTH)
+        );
+        for (src, at, message) in [
+            (
+                "select X from db.a X extra",
+                21,
+                "trailing input after query",
+            ),
+            ("select X from db.a X # c", 21, "trailing input after query"),
+            (
+                "select X from db.a-b X",
+                18,
+                "expected variable name after path",
+            ),
+            ("select X from db.99999999999999999999 X", 37, "bad int"),
+            (r#"select X from db."a X"#, 18, "unterminated string"),
+            (
+                "select X from db.a X where X ~ 1",
+                29,
+                "expected comparison operator",
+            ),
+            ("select X from db.[num] X", 21, "expected type name"),
+            // Fixed: a bad escape is reported at its backslash.
+            (r#"select X from db."a\q" X"#, 19, "bad escape '\\q'"),
+            (&deep, 7 + 4 * MAX_PARSE_DEPTH - 1, "error[SSD110]"),
+        ] {
+            let e = parse_query(src).unwrap_err();
+            assert_eq!(e.at, at, "{src}: {e}");
+            assert!(e.message.starts_with(message), "{src}: {e}");
+        }
     }
 
     #[test]

@@ -23,11 +23,14 @@
 //!   subtree verbatim), a literal atom, or a nested `{...}`.
 //!
 //! The optional `otherwise` clause replaces the default (which is the
-//! identity `{_: recur}`). Parsed rewrites compile to
+//! identity `{_: recur}`). The tokens are the select language's
+//! ([`ssd_graph::lex::QUERY`]). Parsed rewrites compile to
 //! [`Transducer`]s and run under [`gext`](crate::recursion::gext).
 
+use super::parser::{kind_named, value};
 use crate::recursion::{EdgeTemplate, TLabel, TTree, Transducer};
-use ssd_graph::{LabelKind, Value};
+use ssd_graph::lex::{Lexer, ParseError, QUERY};
+use ssd_graph::Value;
 use ssd_schema::Pred;
 
 /// Parse error with byte position.
@@ -49,388 +52,162 @@ impl std::fmt::Display for RewriteParseError {
 
 impl std::error::Error for RewriteParseError {}
 
-/// Parse the `rewrite` surface syntax into a transducer.
-pub fn parse_rewrite(src: &str) -> Result<Transducer, RewriteParseError> {
-    let mut p = P {
-        src,
-        pos: 0,
-        depth: 0,
-    };
-    p.expect_keyword("rewrite")?;
-    let mut t = Transducer::new();
-    loop {
-        if p.keyword("case") {
-            let pred = p.pred()?;
-            p.expect_tok("=>")?;
-            let template = p.template()?;
-            t = t.case(pred, template);
-        } else if p.keyword("otherwise") {
-            p.expect_tok("=>")?;
-            let template = p.template()?;
-            t = t.otherwise(template);
-            break;
-        } else {
-            break;
+impl From<ParseError> for RewriteParseError {
+    fn from(e: ParseError) -> Self {
+        RewriteParseError {
+            at: e.at,
+            message: e.message,
         }
     }
-    p.skip_ws();
-    if p.pos != src.len() {
-        return p.err("trailing input after rewrite");
+}
+
+fn fail<T>(lx: &Lexer, message: impl Into<String>) -> Result<T, RewriteParseError> {
+    Err(lx.err(message).into())
+}
+
+/// Parse the `rewrite` surface syntax into a transducer.
+pub fn parse_rewrite(src: &str) -> Result<Transducer, RewriteParseError> {
+    let lx = &mut Lexer::new(src, QUERY);
+    lx.require_keyword("rewrite")?;
+    let mut t = Transducer::new();
+    while lx.keyword("case") {
+        let pred = pred(lx)?;
+        lx.require("=>")?;
+        t = t.case(pred, template(lx)?);
+    }
+    if lx.keyword("otherwise") {
+        lx.require("=>")?;
+        t = t.otherwise(template(lx)?);
+    }
+    if !lx.at_end() {
+        return fail(lx, "trailing input after rewrite");
     }
     Ok(t)
 }
 
-struct P<'a> {
-    src: &'a str,
-    pos: usize,
-    depth: usize,
+/// Label predicates, with `|` alternation and `!` negation.
+fn pred(lx: &mut Lexer) -> Result<Pred, RewriteParseError> {
+    let mut alts = vec![pred_atom(lx)?];
+    while lx.eat("|") {
+        alts.push(pred_atom(lx)?);
+    }
+    Ok(if alts.len() == 1 {
+        alts.swap_remove(0)
+    } else {
+        Pred::Or(alts)
+    })
 }
 
-impl<'a> P<'a> {
-    fn bump_depth(&mut self) -> Result<(), RewriteParseError> {
-        self.depth += 1;
-        if self.depth > ssd_graph::literal::MAX_PARSE_DEPTH {
-            return Err(RewriteParseError {
-                at: self.pos,
-                message: ssd_diag::Diagnostic::new(
-                    ssd_diag::Code::ParseDepthExceeded,
-                    format!(
-                        "transducer nests deeper than {} levels",
-                        ssd_graph::literal::MAX_PARSE_DEPTH
-                    ),
-                )
-                .headline(),
-            });
-        }
-        Ok(())
-    }
+fn pred_atom(lx: &mut Lexer) -> Result<Pred, RewriteParseError> {
+    lx.enter()?;
+    let out = pred_atom_inner(lx);
+    lx.leave();
+    out
+}
 
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, RewriteParseError> {
-        Err(RewriteParseError {
-            at: self.pos,
-            message: message.into(),
-        })
+fn pred_atom_inner(lx: &mut Lexer) -> Result<Pred, RewriteParseError> {
+    if lx.eat("%") {
+        return Ok(Pred::Any);
     }
-
-    fn rest(&self) -> &'a str {
-        &self.src[self.pos..]
+    if lx.eat("!") {
+        return Ok(Pred::Not(Box::new(pred_atom(lx)?)));
     }
-
-    fn skip_ws(&mut self) {
-        loop {
-            let r = self.rest();
-            let t = r.trim_start();
-            self.pos += r.len() - t.len();
-            if self.rest().starts_with("--") {
-                match self.rest().find('\n') {
-                    Some(i) => self.pos += i + 1,
-                    None => self.pos = self.src.len(),
-                }
-            } else {
-                break;
-            }
-        }
+    if lx.eat("(") {
+        let p = pred(lx)?;
+        lx.require(")")?;
+        return Ok(p);
     }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.rest().chars().next()
+    if lx.eat("[") {
+        let Some(kind) = lx.ident().and_then(kind_named) else {
+            return fail(lx, "expected type name in [...]");
+        };
+        lx.require("]")?;
+        return Ok(Pred::Kind(kind));
     }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.peek() == Some(c) {
-            self.pos += c.len_utf8();
-            true
-        } else {
-            false
-        }
+    if let Some(v) = value(lx)? {
+        return Ok(Pred::ValueEq(v));
     }
-
-    fn expect(&mut self, c: char) -> Result<(), RewriteParseError> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            self.err(format!("expected '{c}'"))
-        }
+    match lx.ident() {
+        Some("true") => Ok(Pred::ValueEq(Value::Bool(true))),
+        Some("false") => Ok(Pred::ValueEq(Value::Bool(false))),
+        Some(id) => Ok(Pred::Symbol(id.to_owned())),
+        None => fail(lx, "expected label predicate"),
     }
+}
 
-    fn expect_tok(&mut self, tok: &str) -> Result<(), RewriteParseError> {
-        self.skip_ws();
-        if self.rest().starts_with(tok) {
-            self.pos += tok.len();
-            Ok(())
-        } else {
-            self.err(format!("expected '{tok}'"))
-        }
+fn template(lx: &mut Lexer) -> Result<EdgeTemplate, RewriteParseError> {
+    if lx.keyword("delete") {
+        Ok(EdgeTemplate::Delete)
+    } else if lx.keyword("collapse") {
+        Ok(EdgeTemplate::Collapse)
+    } else if lx.peek() == Some('{') {
+        Ok(EdgeTemplate::Edges(tentries(lx)?))
+    } else {
+        fail(lx, "expected 'delete', 'collapse', or '{...}' template")
     }
+}
 
-    fn ident(&mut self) -> Option<String> {
-        self.skip_ws();
-        let r = self.rest();
-        let mut end = 0;
-        for (i, c) in r.char_indices() {
-            let ok = if i == 0 {
-                c.is_alphabetic() || c == '_'
-            } else {
-                c.is_alphanumeric() || c == '_'
-            };
-            if ok {
-                end = i + c.len_utf8();
-            } else {
-                break;
-            }
-        }
-        if end == 0 {
-            None
-        } else {
-            let s = r[..end].to_owned();
-            self.pos += end;
-            Some(s)
-        }
+fn tentries(lx: &mut Lexer) -> Result<Vec<(TLabel, TTree)>, RewriteParseError> {
+    lx.require("{")?;
+    let mut entries = Vec::new();
+    if lx.eat("}") {
+        return Ok(entries);
     }
-
-    fn keyword(&mut self, kw: &str) -> bool {
-        let save = self.pos;
-        match self.ident() {
-            Some(id) if id == kw => true,
-            _ => {
-                self.pos = save;
-                false
-            }
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), RewriteParseError> {
-        if self.keyword(kw) {
-            Ok(())
-        } else {
-            self.err(format!("expected keyword '{kw}'"))
-        }
-    }
-
-    fn string_lit(&mut self) -> Result<String, RewriteParseError> {
-        self.expect('"')?;
-        let r = self.rest();
-        let mut out = String::new();
-        let mut chars = r.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.pos += i + 1;
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    _ => return self.err("bad escape"),
-                },
-                _ => out.push(c),
-            }
-        }
-        self.err("unterminated string")
-    }
-
-    fn number(&mut self) -> Result<Value, RewriteParseError> {
-        self.skip_ws();
-        let r = self.rest();
-        let mut end = 0;
-        let mut real = false;
-        for (i, c) in r.char_indices() {
-            match c {
-                '0'..='9' => end = i + 1,
-                '-' if i == 0 => end = i + 1,
-                '.' if r[i + 1..]
-                    .chars()
-                    .next()
-                    .is_some_and(|d| d.is_ascii_digit()) =>
-                {
-                    real = true;
-                    end = i + 1;
-                }
-                _ => break,
-            }
-        }
-        if end == 0 {
-            return self.err("expected number");
-        }
-        let text = &r[..end];
-        self.pos += end;
-        if real {
-            text.parse()
-                .map(Value::Real)
-                .or_else(|_| self.err("bad real"))
-        } else {
-            text.parse()
-                .map(Value::Int)
-                .or_else(|_| self.err("bad int"))
-        }
-    }
-
-    /// Label predicates, with `|` alternation and `!` negation.
-    fn pred(&mut self) -> Result<Pred, RewriteParseError> {
-        let mut alts = vec![self.pred_atom()?];
-        while self.eat('|') {
-            alts.push(self.pred_atom()?);
-        }
-        Ok(match (alts.len(), alts.pop()) {
-            (1, Some(only)) => only,
-            (_, Some(last)) => {
-                alts.push(last);
-                Pred::Or(alts)
-            }
-            // Unreachable: alts starts with one element.
-            (_, None) => Pred::Any,
-        })
-    }
-
-    fn pred_atom(&mut self) -> Result<Pred, RewriteParseError> {
-        self.bump_depth()?;
-        let out = self.pred_atom_inner();
-        self.depth -= 1;
-        out
-    }
-
-    fn pred_atom_inner(&mut self) -> Result<Pred, RewriteParseError> {
-        match self.peek() {
-            Some('%') => {
-                self.expect('%')?;
-                Ok(Pred::Any)
-            }
-            Some('!') => {
-                self.expect('!')?;
-                let inner = self.pred_atom()?;
-                Ok(Pred::Not(Box::new(inner)))
-            }
-            Some('(') => {
-                self.expect('(')?;
-                let p = self.pred()?;
-                self.expect(')')?;
-                Ok(p)
-            }
-            Some('[') => {
-                self.expect('[')?;
-                let kind = match self.ident().as_deref() {
-                    Some("int") => LabelKind::Int,
-                    Some("real") => LabelKind::Real,
-                    Some("string") | Some("str") => LabelKind::Str,
-                    Some("bool") => LabelKind::Bool,
-                    Some("symbol") => LabelKind::Symbol,
-                    _ => return self.err("expected type name in [...]"),
-                };
-                self.expect(']')?;
-                Ok(Pred::Kind(kind))
-            }
-            Some('"') => Ok(Pred::ValueEq(Value::Str(self.string_lit()?))),
-            Some(c) if c.is_ascii_digit() || c == '-' => Ok(Pred::ValueEq(self.number()?)),
-            Some(c) if c.is_alphabetic() || c == '_' => {
-                let Some(id) = self.ident() else {
-                    return self.err("expected identifier");
-                };
-                match id.as_str() {
-                    "true" => Ok(Pred::ValueEq(Value::Bool(true))),
-                    "false" => Ok(Pred::ValueEq(Value::Bool(false))),
-                    _ => Ok(Pred::Symbol(id)),
-                }
-            }
-            _ => self.err("expected label predicate"),
-        }
-    }
-
-    fn template(&mut self) -> Result<EdgeTemplate, RewriteParseError> {
-        let save = self.pos;
-        if let Some(id) = self.ident() {
-            match id.as_str() {
-                "delete" => return Ok(EdgeTemplate::Delete),
-                "collapse" => return Ok(EdgeTemplate::Collapse),
-                _ => self.pos = save,
-            }
-        }
-        if self.peek() == Some('{') {
-            let entries = self.tentries()?;
-            return Ok(EdgeTemplate::Edges(entries));
-        }
-        self.err("expected 'delete', 'collapse', or '{...}' template")
-    }
-
-    fn tentries(&mut self) -> Result<Vec<(TLabel, TTree)>, RewriteParseError> {
-        self.expect('{')?;
-        let mut entries = Vec::new();
-        if self.eat('}') {
+    loop {
+        let label = tlabel(lx)?;
+        lx.require(":")?;
+        entries.push((label, ttree(lx)?));
+        if !lx.eat(",") {
+            lx.require("}")?;
             return Ok(entries);
         }
-        loop {
-            let label = self.tlabel()?;
-            self.expect(':')?;
-            let tree = self.ttree()?;
-            entries.push((label, tree));
-            if self.eat(',') {
-                continue;
-            }
-            self.expect('}')?;
-            break;
-        }
-        Ok(entries)
     }
+}
 
-    fn tlabel(&mut self) -> Result<TLabel, RewriteParseError> {
-        match self.peek() {
-            Some('_') => {
-                self.expect('_')?;
-                Ok(TLabel::Orig)
-            }
-            Some('"') => Ok(TLabel::Value(Value::Str(self.string_lit()?))),
-            Some(c) if c.is_ascii_digit() || c == '-' => Ok(TLabel::Value(self.number()?)),
-            Some(c) if c.is_alphabetic() => {
-                let Some(id) = self.ident() else {
-                    return self.err("expected identifier");
-                };
-                match id.as_str() {
-                    "true" => Ok(TLabel::Value(Value::Bool(true))),
-                    "false" => Ok(TLabel::Value(Value::Bool(false))),
-                    _ => Ok(TLabel::Symbol(id)),
-                }
-            }
-            _ => self.err("expected template label"),
-        }
+fn tlabel(lx: &mut Lexer) -> Result<TLabel, RewriteParseError> {
+    if lx.eat("_") {
+        return Ok(TLabel::Orig);
     }
-
-    fn ttree(&mut self) -> Result<TTree, RewriteParseError> {
-        self.bump_depth()?;
-        let out = self.ttree_inner();
-        self.depth -= 1;
-        out
+    if let Some(v) = value(lx)? {
+        return Ok(TLabel::Value(v));
     }
+    match lx.ident() {
+        Some("true") => Ok(TLabel::Value(Value::Bool(true))),
+        Some("false") => Ok(TLabel::Value(Value::Bool(false))),
+        Some(id) => Ok(TLabel::Symbol(id.to_owned())),
+        None => fail(lx, "expected template label"),
+    }
+}
 
-    fn ttree_inner(&mut self) -> Result<TTree, RewriteParseError> {
-        match self.peek() {
-            Some('{') => {
-                let entries = self.tentries()?;
-                if entries.is_empty() {
-                    Ok(TTree::Empty)
-                } else {
-                    Ok(TTree::Node(entries))
-                }
-            }
-            Some('"') => Ok(TTree::Atom(Value::Str(self.string_lit()?))),
-            Some(c) if c.is_ascii_digit() || c == '-' => Ok(TTree::Atom(self.number()?)),
-            Some(c) if c.is_alphabetic() => {
-                let Some(id) = self.ident() else {
-                    return self.err("expected identifier");
-                };
-                match id.as_str() {
-                    "recur" => Ok(TTree::Recur),
-                    "keep" => Ok(TTree::Keep),
-                    "true" => Ok(TTree::Atom(Value::Bool(true))),
-                    "false" => Ok(TTree::Atom(Value::Bool(false))),
-                    other => self.err(format!(
-                        "expected recur/keep/literal/{{...}} in tree position, found '{other}'"
-                    )),
-                }
-            }
-            _ => self.err("expected template tree"),
-        }
+fn ttree(lx: &mut Lexer) -> Result<TTree, RewriteParseError> {
+    lx.enter()?;
+    let out = ttree_inner(lx);
+    lx.leave();
+    out
+}
+
+fn ttree_inner(lx: &mut Lexer) -> Result<TTree, RewriteParseError> {
+    if lx.peek() == Some('{') {
+        let entries = tentries(lx)?;
+        return Ok(if entries.is_empty() {
+            TTree::Empty
+        } else {
+            TTree::Node(entries)
+        });
+    }
+    if let Some(v) = value(lx)? {
+        return Ok(TTree::Atom(v));
+    }
+    match lx.ident() {
+        Some("recur") => Ok(TTree::Recur),
+        Some("keep") => Ok(TTree::Keep),
+        Some("true") => Ok(TTree::Atom(Value::Bool(true))),
+        Some("false") => Ok(TTree::Atom(Value::Bool(false))),
+        Some(other) => fail(
+            lx,
+            format!("expected recur/keep/literal/{{...}} in tree position, found '{other}'"),
+        ),
+        None => fail(lx, "expected template tree"),
     }
 }
 
@@ -439,7 +216,9 @@ mod tests {
     use super::*;
     use crate::recursion::gext;
     use ssd_graph::bisim::graphs_bisimilar;
+    use ssd_graph::lex::MAX_PARSE_DEPTH;
     use ssd_graph::literal::parse_graph;
+    use ssd_schema::Pred;
 
     fn run(data: &str, rewrite: &str) -> ssd_graph::Graph {
         let g = parse_graph(data).unwrap();
@@ -546,6 +325,80 @@ mod tests {
         assert!(parse_rewrite("rewrite extra").is_err());
         assert!(parse_rewrite("rewrite case a => delete trailing").is_err());
         assert!(parse_rewrite("rewrite otherwise => delete case a => delete").is_err());
+    }
+
+    /// The lexical conventions of rewrites: inputs that read as the same
+    /// transducer, each escape and its character, and errors with the
+    /// byte they are reported at. Rows marked "fixed" read differently
+    /// than before the shared lexer.
+    #[test]
+    fn lexical_table() {
+        let shown = |src: &str| parse_rewrite(src).map(|t| format!("{t:?}"));
+        for (src, plain) in [
+            // `--` comments, anywhere whitespace goes.
+            (
+                "rewrite -- c\ncase a -- c\n=> delete -- c",
+                "rewrite case a => delete",
+            ),
+            // The path rule: a `.` before a digit, no exponent.
+            (
+                "rewrite case -1.50 => {2: 1.0}",
+                "rewrite case -1.5 => {2: 1.00}",
+            ),
+            (
+                "rewrite case _é1 => {_: recur}",
+                "rewrite case _é1=>{_:recur}",
+            ),
+        ] {
+            let t = shown(src);
+            assert!(t.is_ok(), "{src}: {t:?}");
+            assert_eq!(t, shown(plain), "{src}");
+        }
+        for (esc, want) in [
+            (r#"\""#, "\""),
+            (r"\\", "\\"),
+            (r"\n", "\n"),
+            (r"\t", "\t"),
+            // A raw control character stands for itself.
+            ("\r", "\r"),
+            // Fixed: the rest of the escapes the literal writer writes.
+            (r"\r", "\r"),
+            (r"\0", "\0"),
+            (r"\'", "'"),
+            (r"\u{1F600}", "\u{1F600}"),
+        ] {
+            let t = parse_rewrite(&format!(r#"rewrite case "{esc}" => delete"#)).unwrap();
+            assert_eq!(t.cases[0].pred, Pred::ValueEq(Value::from(want)), "{esc}");
+        }
+        // The template's own braces are not a tree: one level more.
+        let deep = format!(
+            "rewrite case a => {}1{}",
+            "{a: ".repeat(MAX_PARSE_DEPTH + 1),
+            "}".repeat(MAX_PARSE_DEPTH + 1)
+        );
+        for (src, at, message) in [
+            (
+                "rewrite case a => delete trailing",
+                25,
+                "trailing input after rewrite",
+            ),
+            (
+                "rewrite case a => delete # c",
+                25,
+                "trailing input after rewrite",
+            ),
+            ("rewrite case 1e5 => delete", 14, "expected '=>'"),
+            ("rewrite case a => {b: nonsense}", 30, "expected recur/keep"),
+            (r#"rewrite case "a => delete"#, 14, "unterminated string"),
+            ("rewrite case [num] => delete", 17, "expected type name"),
+            // Fixed: a bad escape is reported at its backslash.
+            (r#"rewrite case "a\q" => delete"#, 15, "bad escape '\\q'"),
+            (&deep, 18 + 4 * MAX_PARSE_DEPTH + 3, "error[SSD110]"),
+        ] {
+            let e = parse_rewrite(src).unwrap_err();
+            assert_eq!(e.at, at, "{src}: {e}");
+            assert!(e.message.starts_with(message), "{src}: {e}");
+        }
     }
 
     #[test]

@@ -8,12 +8,15 @@
 //!
 //! Terms: variables start with an uppercase letter or `_`; bare lowercase
 //! identifiers are *symbol* constants (edge labels); single-quoted
-//! identifiers (`'Title'`) are symbol constants regardless of case;
+//! symbols (`'Title'`) are symbol constants regardless of case;
 //! double-quoted strings and numbers are value constants; `&N` is a
-//! node-id constant.
+//! node-id constant. The tokens are [`ssd_graph::lex`]'s in its
+//! [`DATALOG`] syntax: `%` and `#` comments, the path-safe number rule,
+//! and the literal syntax's escapes inside both kinds of quotes.
 
 use crate::algebra::Datum;
 use ssd_diag::Span;
+use ssd_graph::lex::{Lexer, ParseError, DATALOG};
 use ssd_graph::{Label, NodeId, SymbolTable, Value};
 use std::fmt;
 
@@ -223,16 +226,16 @@ pub fn parse_program_spanned(
     let mut rules = Vec::new();
     let mut spans = ProgramSpans::default();
     let mut p = P {
-        src,
-        pos: 0,
+        lx: Lexer::new(src, DATALOG),
         symbols,
     };
-    loop {
-        p.skip_ws();
-        if p.pos >= p.src.len() {
-            break;
-        }
-        let (rule, rule_spans) = p.rule()?;
+    while !p.lx.at_end() {
+        let (rule, rule_spans) = p.rule().map_err(|e| {
+            // Quote by characters, not bytes: a byte index can split a
+            // multi-byte character and panic.
+            let near: String = src.get(e.at..).unwrap_or("").chars().take(20).collect();
+            format!("{} at byte {} (near {near:?})", e.message, e.at)
+        })?;
         rules.push(rule);
         spans.rules.push(rule_spans);
     }
@@ -240,262 +243,101 @@ pub fn parse_program_spanned(
 }
 
 struct P<'a> {
-    src: &'a str,
-    pos: usize,
+    lx: Lexer<'a>,
     symbols: &'a SymbolTable,
 }
 
-impl<'a> P<'a> {
-    fn rest(&self) -> &'a str {
-        &self.src[self.pos..]
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            let r = self.rest();
-            let t = r.trim_start();
-            self.pos += r.len() - t.len();
-            if self.rest().starts_with('%') || self.rest().starts_with('#') {
-                match self.rest().find('\n') {
-                    Some(i) => self.pos += i + 1,
-                    None => self.pos = self.src.len(),
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn eat(&mut self, tok: &str) -> bool {
-        self.skip_ws();
-        if self.rest().starts_with(tok) {
-            self.pos += tok.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, tok: &str) -> Result<(), String> {
-        if self.eat(tok) {
-            Ok(())
-        } else {
-            // Truncate by characters, not bytes: a byte index can split a
-            // multi-byte character and panic.
-            let near: String = self.rest().chars().take(20).collect();
-            Err(format!(
-                "expected '{tok}' at byte {} (near {near:?})",
-                self.pos
-            ))
-        }
-    }
-
-    fn ident(&mut self) -> Option<String> {
-        self.skip_ws();
-        let r = self.rest();
-        let mut end = 0;
-        for (i, c) in r.char_indices() {
-            let ok = if i == 0 {
-                c.is_alphabetic() || c == '_'
-            } else {
-                c.is_alphanumeric() || c == '_'
-            };
-            if ok {
-                end = i + c.len_utf8();
-            } else {
-                break;
-            }
-        }
-        if end == 0 {
-            None
-        } else {
-            let s = r[..end].to_owned();
-            self.pos += end;
-            Some(s)
-        }
-    }
-
-    fn rule(&mut self) -> Result<(Rule, RuleSpans), String> {
-        self.skip_ws();
-        let rule_start = self.pos;
+impl P<'_> {
+    fn rule(&mut self) -> Result<(Rule, RuleSpans), ParseError> {
+        self.lx.skip_ws();
+        let rule_start = self.lx.pos();
         let (head, head_span) = self.spanned_atom()?;
         let mut body = Vec::new();
         let mut body_spans = Vec::new();
-        if self.eat(":-") {
+        if self.lx.eat(":-") {
             loop {
-                let positive = !self.eat_keyword("not");
+                let positive = !self.lx.keyword("not");
                 let (atom, span) = self.spanned_atom()?;
                 body.push(Literal { atom, positive });
                 body_spans.push(span);
-                if !self.eat(",") {
+                if !self.lx.eat(",") {
                     break;
                 }
             }
         }
-        self.expect(".")?;
+        self.lx.require(".")?;
         let spans = RuleSpans {
-            full: Span::new(rule_start, self.pos),
+            full: Span::new(rule_start, self.lx.pos()),
             head: head_span,
             body: body_spans,
         };
         Ok((Rule { head, body }, spans))
     }
 
-    fn spanned_atom(&mut self) -> Result<(Atom, Span), String> {
-        self.skip_ws();
-        let start = self.pos;
+    fn spanned_atom(&mut self) -> Result<(Atom, Span), ParseError> {
+        self.lx.skip_ws();
+        let start = self.lx.pos();
         let atom = self.atom()?;
-        Ok((atom, Span::new(start, self.pos)))
+        Ok((atom, Span::new(start, self.lx.pos())))
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        self.skip_ws();
-        let r = self.rest();
-        if let Some(after) = r.strip_prefix(kw) {
-            if after
-                .chars()
-                .next()
-                .is_none_or(|c| !c.is_alphanumeric() && c != '_')
-            {
-                self.pos += kw.len();
-                return true;
+    fn atom(&mut self) -> Result<Atom, ParseError> {
+        let start = self.lx.pos();
+        let pred = match self.lx.ident() {
+            Some(p) if p.starts_with(char::is_uppercase) => {
+                return Err(ParseError {
+                    at: start,
+                    message: format!("predicate '{p}' must start lowercase"),
+                })
             }
-        }
-        false
-    }
-
-    fn atom(&mut self) -> Result<Atom, String> {
-        let pred = self
-            .ident()
-            .ok_or_else(|| format!("expected predicate name at byte {}", self.pos))?;
-        if pred.chars().next().is_some_and(|c| c.is_uppercase()) {
-            return Err(format!("predicate '{pred}' must start lowercase"));
-        }
-        self.expect("(")?;
+            Some(p) => p.to_owned(),
+            None => return Err(self.lx.err("expected predicate name")),
+        };
+        self.lx.require("(")?;
         let mut terms = Vec::new();
-        if !self.eat(")") {
+        if !self.lx.eat(")") {
             loop {
                 terms.push(self.term()?);
-                if self.eat(",") {
-                    continue;
+                if !self.lx.eat(",") {
+                    self.lx.require(")")?;
+                    break;
                 }
-                self.expect(")")?;
-                break;
             }
         }
         Ok(Atom { pred, terms })
     }
 
-    fn term(&mut self) -> Result<Term, String> {
-        self.skip_ws();
-        let r = self.rest();
-        let c = r
-            .chars()
-            .next()
-            .ok_or_else(|| "unexpected end of input in term".to_owned())?;
-        match c {
-            '&' => {
-                self.pos += 1;
-                let num = self.number_raw()?;
-                Ok(Term::node(NodeId::from_index(num as usize)))
+    fn term(&mut self) -> Result<Term, ParseError> {
+        match self.lx.peek() {
+            Some('&') => {
+                self.lx.require("&")?;
+                let at = self.lx.pos();
+                match self.lx.path_number()? {
+                    Value::Int(n) if (0..=i64::from(u32::MAX)).contains(&n) => {
+                        Ok(Term::node(NodeId::from_index(n as usize)))
+                    }
+                    _ => Err(ParseError {
+                        at,
+                        message: "expected node id".into(),
+                    }),
+                }
             }
-            '"' => {
-                self.pos += 1;
-                let r = self.rest();
-                let end = r
-                    .find('"')
-                    .ok_or_else(|| "unterminated string".to_owned())?;
-                let s = r[..end].to_owned();
-                self.pos += end + 1;
-                Ok(Term::value(s))
-            }
-            '\'' => {
-                self.pos += 1;
-                let r = self.rest();
-                let end = r
-                    .find('\'')
-                    .ok_or_else(|| "unterminated symbol quote".to_owned())?;
-                let name = r[..end].to_owned();
-                self.pos += end + 1;
+            Some('"') => Ok(Term::value(self.lx.quoted('"')?)),
+            Some('\'') => {
+                let name = self.lx.quoted('\'')?;
                 Ok(Term::symbol(self.symbols, &name))
             }
-            '0'..='9' | '-' => self.number_term(),
-            _ => {
-                let id = self
-                    .ident()
-                    .ok_or_else(|| format!("expected term at byte {}", self.pos))?;
-                // ident() never returns an empty string; default keeps the
-                // symbol branch if that ever changes.
-                let first = id.chars().next().unwrap_or('a');
-                if first.is_uppercase() || first == '_' {
-                    Ok(Term::var(&id))
-                } else if id == "true" {
-                    Ok(Term::value(true))
-                } else if id == "false" {
-                    Ok(Term::value(false))
-                } else {
-                    Ok(Term::symbol(self.symbols, &id))
+            Some(c) if c.is_ascii_digit() || c == '-' => Ok(Term::value(self.lx.path_number()?)),
+            _ => match self.lx.ident() {
+                Some(id) if id.starts_with(|c: char| c.is_uppercase() || c == '_') => {
+                    Ok(Term::var(id))
                 }
-            }
+                Some("true") => Ok(Term::value(true)),
+                Some("false") => Ok(Term::value(false)),
+                Some(id) => Ok(Term::symbol(self.symbols, id)),
+                None => Err(self.lx.err("expected term")),
+            },
         }
-    }
-
-    /// A numeric term: integer or real.
-    fn number_term(&mut self) -> Result<Term, String> {
-        self.skip_ws();
-        let r = self.rest();
-        let mut end = 0;
-        let mut real = false;
-        for (i, c) in r.char_indices() {
-            match c {
-                '0'..='9' => end = i + 1,
-                '-' if i == 0 => end = i + 1,
-                '.' if r[i + 1..]
-                    .chars()
-                    .next()
-                    .is_some_and(|d| d.is_ascii_digit()) =>
-                {
-                    real = true;
-                    end = i + 1;
-                }
-                _ => break,
-            }
-        }
-        if end == 0 {
-            return Err(format!("expected number at byte {}", self.pos));
-        }
-        let text = &r[..end];
-        self.pos += end;
-        if real {
-            text.parse::<f64>()
-                .map(Term::value)
-                .map_err(|e| format!("bad real: {e}"))
-        } else {
-            text.parse::<i64>()
-                .map(Term::value)
-                .map_err(|e| format!("bad number: {e}"))
-        }
-    }
-
-    fn number_raw(&mut self) -> Result<i64, String> {
-        self.skip_ws();
-        let r = self.rest();
-        let mut end = 0;
-        for (i, c) in r.char_indices() {
-            if c.is_ascii_digit() || (i == 0 && c == '-') {
-                end = i + c.len_utf8();
-            } else {
-                break;
-            }
-        }
-        if end == 0 {
-            return Err(format!("expected number at byte {}", self.pos));
-        }
-        let n = r[..end]
-            .parse::<i64>()
-            .map_err(|e| format!("bad number: {e}"))?;
-        self.pos += end;
-        Ok(n)
     }
 }
 
@@ -604,6 +446,81 @@ mod tests {
         let syms = new_symbols();
         let p = parse_program("q(X) :- edge(X, true, _Y).", &syms).unwrap();
         assert_eq!(p.rules[0].body[0].atom.terms[1], Term::value(true));
+    }
+
+    /// The lexical conventions of datalog: inputs that read as the same
+    /// program, each escape and its character, and errors with the byte
+    /// they are reported at. Rows marked "fixed" read differently than
+    /// before the shared lexer.
+    #[test]
+    fn lexical_table() {
+        let syms = new_symbols();
+        let parse = |src: &str| parse_program(src, &syms);
+        for (src, plain) in [
+            // `%` and `#` comments, anywhere whitespace goes.
+            ("% c\n# c\nq(X) :- % c\n node(X). # c", "q(X) :- node(X)."),
+            // The path rule: a `.` before a digit, no exponent.
+            ("q(X) :- edge(X, -1.50, _Y).", "q(X):-edge(X,-1.5,_Y)."),
+            // Quoted symbols are symbols whatever their case.
+            (
+                "q(T) :- edge(_E, 'title', T).",
+                "q(T) :- edge(_E, title, T).",
+            ),
+            (
+                "q(X) :- edge(&0, _é1, X), not p(X).",
+                "q(X):-edge(& 0,_é1,X),not p(X).",
+            ),
+        ] {
+            let p = parse(src);
+            assert!(p.is_ok(), "{src}: {p:?}");
+            assert_eq!(p, parse(plain), "{src}");
+        }
+        // A raw control character stands for itself.
+        let p = parse("q(X) :- edge(X, \"\r\", _Y).").unwrap();
+        assert_eq!(p.rules[0].body[0].atom.terms[1], Term::value("\r"));
+        // Fixed: strings and quoted symbols take the literal's escapes.
+        for (esc, want) in [
+            (r#"\""#, "\""),
+            (r"\\", "\\"),
+            (r"\n", "\n"),
+            (r"\t", "\t"),
+            (r"\r", "\r"),
+            (r"\0", "\0"),
+            (r"\'", "'"),
+            (r"\u{1F600}", "\u{1F600}"),
+        ] {
+            let p = parse(&format!(
+                r#"q(X) :- edge(X, "{esc}", _Y), edge(X, '{esc}', _Y)."#
+            ))
+            .unwrap();
+            let body = &p.rules[0].body;
+            assert_eq!(body[0].atom.terms[1], Term::value(want), "{esc}");
+            assert_eq!(body[1].atom.terms[1], Term::symbol(&syms, want), "{esc}");
+        }
+        for (src, message) in [
+            ("q(X) :- edge(X, _L, _Y)", "expected '.' at byte 23"),
+            (
+                "q(X) :- node(X). -- c",
+                "expected predicate name at byte 17",
+            ),
+            ("q(X) :- edge(X, 1e5, _Y).", "expected ')' at byte 17"),
+            ("Q(X) :- node(X).", "predicate 'Q' must start lowercase"),
+            ("q(X) :- edge(X, \"a, _Y).", "unterminated string"),
+            // Fixed: a node id out of range is an error, not a panic.
+            ("q(X) :- edge(&-1, _L, X).", "expected node id at byte 14"),
+            (
+                "q(X) :- edge(&4294967296, _L, X).",
+                "expected node id at byte 14",
+            ),
+            // Fixed: a bad escape is an error at its backslash.
+            (
+                r#"q(X) :- edge(X, "a\q", _Y)."#,
+                "bad escape '\\q' at byte 18",
+            ),
+        ] {
+            let e = parse(src).unwrap_err();
+            assert!(e.contains(message), "{src}: {e}");
+        }
     }
 
     #[test]

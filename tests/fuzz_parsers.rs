@@ -3,7 +3,8 @@
 //! input is a `Result::Err`, deep input an SSD110 diagnostic.
 
 use proptest::prelude::*;
-use semistructured::graph::literal::{parse_graph, MAX_PARSE_DEPTH};
+use semistructured::graph::lex::MAX_PARSE_DEPTH;
+use semistructured::graph::literal::parse_graph;
 use semistructured::query::lang::{parse_query, parse_rewrite};
 use semistructured::triples::datalog::parse_program;
 use semistructured::Database;

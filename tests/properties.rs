@@ -50,6 +50,103 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         .prop_map(|(n, edges)| graph_from_edges(n, &edges))
 }
 
+/// A label the literal syntax must write so that it reads back: strings
+/// over the full char range (control characters, quotes and backslashes
+/// included), finite reals (integral ones from 1e15 on and beyond
+/// `i64::MAX` included), ints with their extremes, bools, and symbols
+/// that are not identifiers.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum AnyLabel {
+    Symbol(String),
+    Value(Value),
+}
+
+fn arb_any_label() -> impl Strategy<Value = AnyLabel> {
+    // Any char (a surrogate draws '\0'), and the ones writers escape.
+    let any_chars = "[\u{0}-\u{10FFFF}]{0,8}";
+    let tricky = "[\u{0}-\u{1f}\"\\' a\u{7f}\u{301}\u{200b}\u{fffe}]{0,6}";
+    let value = prop_oneof![
+        any_chars.prop_map(Value::Str),
+        tricky.prop_map(Value::Str),
+        any::<i64>().prop_map(Value::Int),
+        prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(0)].prop_map(Value::Int),
+        // Random bits: every finite real is possible, and about half
+        // are integral reals beyond 2^53.
+        any::<u64>().prop_map(|b| {
+            let r = f64::from_bits(b);
+            Value::Real(if r.is_finite() { r } else { 0.5 })
+        }),
+        (1u64 << 50..u64::MAX).prop_map(|i| Value::Real(i as f64)),
+        prop_oneof![
+            Just(1e15),
+            Just(-2.5e20),
+            Just(9.3e18),
+            Just(0.5),
+            Just(-0.0)
+        ]
+        .prop_map(Value::Real),
+        any::<bool>().prop_map(Value::Bool),
+    ];
+    let symbol = prop_oneof![
+        prop_oneof![
+            Just("Movie"),
+            Just("first name"),
+            Just("2nd"),
+            Just("true"),
+            Just("false"),
+            Just(""),
+            Just("a-b"),
+            Just("-x"),
+            Just("it's"),
+        ]
+        .prop_map(str::to_owned),
+        any_chars,
+        tricky,
+    ];
+    prop_oneof![
+        value.prop_map(AnyLabel::Value),
+        symbol.prop_map(AnyLabel::Symbol),
+    ]
+}
+
+/// A graph over `n` nodes (node 0 = root) whose edges draw their labels
+/// from [`arb_any_label`].
+fn arb_any_labeled_graph() -> impl Strategy<Value = Graph> {
+    (
+        1usize..7,
+        proptest::collection::vec(arb_any_label(), 1..8),
+        proptest::collection::vec((0usize..7, 0usize..7, 0usize..8), 0..16),
+    )
+        .prop_map(|(n, labels, edges)| {
+            let mut g = Graph::new();
+            let mut ids = vec![g.root()];
+            ids.extend((1..n).map(|_| g.add_node()));
+            for (from, to, l) in edges {
+                let label = match &labels[l % labels.len()] {
+                    AnyLabel::Symbol(s) => Label::symbol(g.symbols(), s),
+                    AnyLabel::Value(v) => Label::Value(v.clone()),
+                };
+                g.add_edge(ids[from % n], label, ids[to % n]);
+            }
+            g
+        })
+}
+
+/// The labels of the edges reachable in `g`, as a sorted multiset.
+fn reachable_labels(g: &Graph) -> Vec<AnyLabel> {
+    let mut out: Vec<AnyLabel> = g
+        .reachable()
+        .into_iter()
+        .flat_map(|n| g.edges(n))
+        .map(|e| match &e.label {
+            Label::Symbol(s) => AnyLabel::Symbol(g.symbols().resolve(*s).to_string()),
+            Label::Value(v) => AnyLabel::Value(v.clone()),
+        })
+        .collect();
+    out.sort();
+    out
+}
+
 fn arb_rpe() -> impl Strategy<Value = Rpe> {
     let leaf = prop_oneof![
         (0usize..LABELS.len()).prop_map(|i| Rpe::symbol(LABELS[i])),
@@ -148,10 +245,14 @@ proptest! {
     // ---------- serialization ------------------------------------------------
 
     #[test]
-    fn literal_round_trip(g in arb_graph()) {
+    fn literal_round_trip(g in arb_any_labeled_graph()) {
         let text = write_graph(&g);
-        let back = parse_graph(&text).unwrap();
+        let back = parse_graph(&text);
+        prop_assert!(back.is_ok(), "{:?} reading back:\n{}", back, text);
+        let back = back.unwrap();
         prop_assert!(graphs_bisimilar(&g, &back), "round trip broke:\n{}", text);
+        prop_assert_eq!(reachable_labels(&back), reachable_labels(&g), "{}", text);
+        prop_assert_eq!(write_graph(&back), text);
     }
 
     // ---------- automata ------------------------------------------------------

@@ -364,6 +364,63 @@ fn init_refuses_to_overwrite() {
     assert!(Store::is_initialized(&dir));
 }
 
+/// The base image and the WAL bodies are literal text: a store over
+/// labels the literal syntax must escape, quote or keep real reopens to
+/// exactly the graph it was initialised with, and replays a commit of
+/// such labels.
+#[test]
+fn a_store_reopens_over_labels_that_need_escapes() {
+    let tricky = |g: &Graph| {
+        let mut labels = vec![
+            Label::str("x\ry"),
+            Label::str("\0\u{1}\"\\'\u{7f}"),
+            Label::value(1e15),
+            Label::value(-2.5e20),
+            Label::value(9.3e18),
+            Label::int(i64::MIN),
+            Label::value(true),
+        ];
+        for name in ["first name", "2nd", "true", "false", "", "it's"] {
+            labels.push(Label::symbol(g.symbols(), name));
+        }
+        labels
+    };
+    let mut g = Graph::new();
+    for label in tricky(&g) {
+        let (node, leaf) = (g.add_node(), g.add_node());
+        g.add_edge(g.root(), label.clone(), node);
+        g.add_edge(node, label, leaf);
+    }
+    let db = Database::new(g);
+    let dir = tmpdir("escapes");
+    Store::init(&dir, &db).unwrap();
+    let (store, _) = open_clean(&dir);
+    let snapshot = store.snapshot();
+    assert!(graphs_bisimilar(snapshot.graph(), db.graph()));
+    assert_eq!(snapshot.to_literal(), db.to_literal());
+
+    let mut insert = Graph::new();
+    for label in tricky(&insert) {
+        let leaf = insert.add_node();
+        insert.add_edge(insert.root(), label, leaf);
+    }
+    let insert = Database::new(insert);
+    store
+        .commit(&Txn::new().insert(&insert.to_literal()))
+        .unwrap();
+    let committed = store.snapshot().to_literal();
+    drop(store);
+    let (reopened, report) = open_clean(&dir);
+    assert_eq!(report.txns_replayed, 1);
+    assert_eq!(reopened.snapshot().to_literal(), committed);
+    assert!(graphs_bisimilar(
+        reopened.snapshot().graph(),
+        db.union(&insert).graph()
+    ));
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 // ------------------------------------------------- index per generation
 
 /// Once a generation's triple index is built, each commit builds the
