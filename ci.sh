@@ -248,7 +248,8 @@ for _ in $(seq 1 100); do
 done
 [ -n "$port" ] || { echo "ci: store serve did not start" >&2; cat "$serve2_log" >&2; exit 1; }
 w_out=$(mktemp)
-printf 'HELLO\nINSERT {Entry: {Movie: {Title: "Durable"}}}\nCOMMIT\n' \
+# The inserted movie is a shared node on a cycle, so replay reads `@`s.
+printf 'HELLO\nINSERT {Entry: {Movie: @m = {Title: "Durable", Self: @m}}}\nCOMMIT\n' \
     | timeout 60 ./target/release/ssd client "$port" > "$w_out"
 grep -q "OK staged ops=1" "$w_out"
 grep -q "committed generation=1" "$w_out"   # client waits for DONE: fsynced
@@ -294,6 +295,8 @@ q_out=$(timeout 60 ./target/release/ssd serve examples/movies.ssd --port 0 \
     done
     printf 'HELLO\nQUERY select T from db.Entry.Movie.Title T\n' \
         | timeout 60 ./target/release/ssd client "$port"
+    printf 'HELLO\nQUERY select T from db.Entry.Movie.Self.Title T\n' \
+        | timeout 60 ./target/release/ssd client "$port" | sed 's/^/self: /'
     # Admission costs the generation a job runs on: with its 6 Title
     # edges the recovered store puts this job's floor at 7 steps, over a
     # 4-step ceiling; once a commit deletes them it fits.
@@ -304,6 +307,7 @@ q_out=$(timeout 60 ./target/release/ssd serve examples/movies.ssd --port 0 \
     printf 'SHUTDOWN\n' | timeout 60 ./target/release/ssd client "$port" >/dev/null
     wait "$serve4_pid" 2>/dev/null || true)
 echo "$q_out" | grep -q "Durable"           # the committed txn survived
+echo "$q_out" | grep -q "^self: .*Durable"  # with its cycle
 if echo "$q_out" | grep -q "Lost"; then
     echo "ci: uncommitted mutation visible after recovery" >&2
     exit 1

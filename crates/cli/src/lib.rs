@@ -4,6 +4,7 @@
 //! processes.
 
 use semistructured::diag::DiagnosticSink;
+use semistructured::triples::Datum;
 use semistructured::{Budget, Database, Guard};
 use std::cell::Cell;
 use std::io::{ErrorKind, Read, Write};
@@ -412,14 +413,6 @@ fn dispatch(args: &[String], stdin: &mut impl Read) -> Result<String, CliError> 
 /// [`Budget`]. Fault-injection points are picked up from the
 /// `SSD_FAILPOINTS` environment variable (`site=N`, comma-separated).
 fn pop_budget(tail: &mut Vec<&str>) -> Result<Budget, CliError> {
-    fn take_value(tail: &mut Vec<&str>, i: usize, flag: &str) -> Result<u64, CliError> {
-        if i + 1 >= tail.len() {
-            return Err(CliError::Usage(format!("{flag} needs a value")));
-        }
-        let v = tail.remove(i + 1);
-        v.parse()
-            .map_err(|_| CliError::Usage(format!("{flag}: '{v}' is not a non-negative integer")))
-    }
     let mut budget = Budget::unlimited();
     let mut i = 0;
     while i < tail.len() {
@@ -451,12 +444,28 @@ fn pop_budget(tail: &mut Vec<&str>) -> Result<Budget, CliError> {
             _ => i += 1,
         }
     }
-    if let Ok(spec) = std::env::var("SSD_FAILPOINTS") {
-        budget = budget
-            .fail_points_from_spec(&spec)
-            .map_err(|e| CliError::Usage(format!("SSD_FAILPOINTS: {e}")))?;
+    with_failpoints(budget)
+}
+
+/// Remove the value after the flag at `tail[i]`, as a non-negative integer.
+fn take_value(tail: &mut Vec<&str>, i: usize, flag: &str) -> Result<u64, CliError> {
+    if i + 1 >= tail.len() {
+        return Err(CliError::Usage(format!("{flag} needs a value")));
     }
-    Ok(budget)
+    let v = tail.remove(i + 1);
+    v.parse()
+        .map_err(|_| CliError::Usage(format!("{flag}: '{v}' is not a non-negative integer")))
+}
+
+/// `budget` with the fault-injection points of the `SSD_FAILPOINTS`
+/// environment variable (`site=N`, comma-separated), if it is set.
+fn with_failpoints(budget: Budget) -> Result<Budget, CliError> {
+    match std::env::var("SSD_FAILPOINTS") {
+        Ok(spec) => budget
+            .fail_points_from_spec(&spec)
+            .map_err(|e| CliError::Usage(format!("SSD_FAILPOINTS: {e}"))),
+        Err(_) => Ok(budget),
+    }
 }
 
 /// Which profile rendering `--profile` asked for.
@@ -804,14 +813,6 @@ const SERVE_USAGE: &str = "serve DATA [--port N] [--data-dir DIR] [--workers N] 
 [--job-memory-mb N] [--max-jobs N] [--metrics-dump] [--allow-remote-shutdown]";
 
 fn cmd_serve(rest: &[&str], stdin: &mut impl Read) -> Result<String, CliError> {
-    fn take_value(tail: &mut Vec<&str>, i: usize, flag: &str) -> Result<u64, CliError> {
-        if i + 1 >= tail.len() {
-            return Err(CliError::Usage(format!("{flag} needs a value")));
-        }
-        let v = tail.remove(i + 1);
-        v.parse()
-            .map_err(|_| CliError::Usage(format!("{flag}: '{v}' is not a non-negative integer")))
-    }
     fn take_str<'a>(tail: &mut Vec<&'a str>, i: usize, flag: &str) -> Result<&'a str, CliError> {
         if i + 1 >= tail.len() {
             return Err(CliError::Usage(format!("{flag} needs a value")));
@@ -916,12 +917,7 @@ fn open_store(dir: &std::path::Path, seed: &Database) -> Result<ssd_store::Store
         ssd_store::Store::init(dir, seed)
             .map_err(|e| CliError::Failed(format!("init {}: {}", dir.display(), e)))?;
     }
-    let mut budget = Budget::unlimited();
-    if let Ok(spec) = std::env::var("SSD_FAILPOINTS") {
-        budget = budget
-            .fail_points_from_spec(&spec)
-            .map_err(|e| CliError::Usage(format!("SSD_FAILPOINTS: {e}")))?;
-    }
+    let budget = with_failpoints(Budget::unlimited())?;
     let (store, report) = ssd_store::Store::open(dir, &budget)
         .map_err(|e| CliError::Failed(format!("open {}: {}", dir.display(), e)))?;
     for d in &report.diagnostics {
@@ -937,12 +933,7 @@ const RECOVER_USAGE: &str = "recover DIR";
 /// without serving anything.
 fn cmd_recover(rest: &[&str]) -> Result<String, CliError> {
     let dir = std::path::Path::new(one(rest, RECOVER_USAGE)?);
-    let mut budget = Budget::unlimited();
-    if let Ok(spec) = std::env::var("SSD_FAILPOINTS") {
-        budget = budget
-            .fail_points_from_spec(&spec)
-            .map_err(|e| CliError::Usage(format!("SSD_FAILPOINTS: {e}")))?;
-    }
+    let budget = with_failpoints(Budget::unlimited())?;
     let (store, report) = ssd_store::Store::open(dir, &budget)
         .map_err(|e| CliError::Failed(format!("open {}: {}", dir.display(), e)))?;
     let mut out = String::new();
@@ -1146,17 +1137,7 @@ fn read_path_or_stdin(path: &str, stdin: &mut impl Read) -> Result<String, CliEr
 
 /// Load a database from a path or stdin (`-`).
 fn load_db(path: &str, stdin: &mut impl Read) -> Result<Database, CliError> {
-    let text = if path == "-" {
-        let mut buf = String::new();
-        stdin
-            .read_to_string(&mut buf)
-            .map_err(|e| CliError::Failed(format!("reading stdin: {e}")))?;
-        buf
-    } else {
-        std::fs::read_to_string(path)
-            .map_err(|e| CliError::Failed(format!("reading {path}: {e}")))?
-    };
-    Database::from_literal(&text).map_err(CliError::Failed)
+    Database::from_literal(&read_path_or_stdin(path, stdin)?).map_err(CliError::Failed)
 }
 
 /// An argument that is either literal text or `@file`.
@@ -1433,13 +1414,20 @@ fn cmd_datalog(
     if eval.truncated.is_some() {
         out = prepend_truncation(guard, out);
     }
+    let symbols = db.graph().symbols();
     for p in eval.predicates() {
         if pred.is_some_and(|want| want != p) {
             continue;
         }
         out.push_str(&format!("{p}: {} tuple(s)\n", eval.count(p)));
         for t in eval.tuples(p).take(20) {
-            let row: Vec<String> = t.iter().map(|d| d.to_string()).collect();
+            let row: Vec<String> = t
+                .iter()
+                .map(|d| match d {
+                    Datum::Node(n) => n.to_string(),
+                    Datum::Label(l) => l.display(symbols).to_string(),
+                })
+                .collect();
             out.push_str(&format!("  ({})\n", row.join(", ")));
         }
         if eval.count(p) > 20 {
@@ -1624,6 +1612,14 @@ mod tests {
         .unwrap();
         assert!(out.contains("reach:"));
         assert!(out.contains("iteration"));
+    }
+
+    #[test]
+    fn datalog_tuples_render_labels_by_name() {
+        let out = run_str(&["datalog", "-", "e(X, L, Y) :- edge(X, L, Y)."], DATA).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert!(lines.contains(&"  (&0, Entry, &1)"), "{out}");
+        assert!(lines.contains(&"  (&3, \"Casablanca\", &6)"), "{out}");
     }
 
     #[test]

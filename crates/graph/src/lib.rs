@@ -14,9 +14,9 @@
 //!
 //! * the arena-based [`Graph`] with cheap node ids that double as OEM-style
 //!   object identities,
-//! * construction via [`builder::TreeSpec`] or the textual
-//!   [`literal`] syntax (`{Movie: {Title: "Casablanca"}}`, with `@x = ...`
-//!   markers for sharing and cycles),
+//! * the textual [`literal`] syntax (`{Movie: {Title: "Casablanca"}}`,
+//!   with `@x = ...` markers for sharing and cycles), read straight into a
+//!   [`Graph`],
 //! * the one [`lex`]er of the four surface syntaxes (literal, select,
 //!   rewrite, datalog),
 //! * extensional equality by [`bisim`]ulation, plus quotienting,
@@ -32,7 +32,6 @@
 //! * [`dot`] export for visualisation.
 
 pub mod bisim;
-pub mod builder;
 pub mod dot;
 pub mod encode;
 pub mod graph;

@@ -32,25 +32,164 @@
 //! trees" (§2), and is how cyclic instances like Figure 1's
 //! `References`/`Is referenced in` loop are written.
 
-use crate::builder::{LabelSpec, TreeBuilder, TreeSpec};
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Edge, Graph, NodeId};
 use crate::label::Label;
 use crate::lex::{self, Lexer, LITERAL};
 use crate::value::Value;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 pub use crate::lex::ParseError;
 
+/// Parse the textual data syntax into a fresh rooted [`Graph`], in one
+/// pass: each production allocates its nodes and edges as it reads.
+///
+/// `@name = tree` binds `name` for the rest of the input, but a rebinding
+/// of a bound name lasts only for its own body. A reference resolves
+/// against the bindings in force where it is read, so a forward reference
+/// is an error at its `@`. Node ids are the breadth-first numbering from
+/// the root (the final [`Graph::gc`]).
+pub fn parse_graph(src: &str) -> Result<Graph, ParseError> {
+    let mut r = Reader {
+        lx: Lexer::new(src, LITERAL),
+        g: Graph::new(),
+        names: HashMap::new(),
+        pending: Vec::new(),
+    };
+    let root = r.tree(None)?;
+    if !r.lx.at_end() {
+        return Err(r.lx.err("trailing input after tree"));
+    }
+    let mut g = r.g;
+    g.set_root(root);
+    g.gc();
+    Ok(g)
+}
+
+/// A label as read: its symbol is interned only once the edge's subtree
+/// is read, so symbol ids follow the subtrees' post-order.
+enum ReadLabel<'a> {
+    Symbol(Cow<'a, str>),
+    Value(Value),
+}
+
+struct Reader<'a> {
+    lx: Lexer<'a>,
+    g: Graph,
+    /// The `@name` bindings in force.
+    names: HashMap<&'a str, NodeId>,
+    /// The edges of the `{…}` nodes being read, innermost last. A node
+    /// gets its edges at its `}`, so `@q = @y` inside `@y`'s own body
+    /// copies none of them.
+    pending: Vec<Edge>,
+}
+
+impl<'a> Reader<'a> {
+    /// Read a tree. A `{…}` or an atom is read into `into` if given, else
+    /// into a fresh node; a reference returns the node it names.
+    fn tree(&mut self, into: Option<NodeId>) -> Result<NodeId, ParseError> {
+        self.lx.enter()?;
+        let out = self.tree_inner(into);
+        self.lx.leave();
+        out
+    }
+
+    fn tree_inner(&mut self, into: Option<NodeId>) -> Result<NodeId, ParseError> {
+        let lx = &mut self.lx;
+        let v = match lx.peek() {
+            Some('{') => return self.node(into),
+            Some('@') => return self.reference(),
+            Some('"') => Value::Str(lx.quoted('"')?),
+            Some(c) if starts_number(c) => lx.number()?,
+            _ => {
+                // A bare identifier in tree position: true/false are atoms,
+                // anything else is an error (labels go on edges).
+                let at = lx.pos();
+                match lx.ident() {
+                    Some("true") => Value::Bool(true),
+                    Some("false") => Value::Bool(false),
+                    Some(id) => {
+                        return Err(ParseError {
+                            at,
+                            message: format!("unexpected identifier '{id}' in tree position"),
+                        })
+                    }
+                    None => return Err(lx.err("expected tree")),
+                }
+            }
+        };
+        let n = into.unwrap_or_else(|| self.g.add_node());
+        self.g.add_value_edge(n, v);
+        Ok(n)
+    }
+
+    /// `@name` or `@name = tree`.
+    fn reference(&mut self) -> Result<NodeId, ParseError> {
+        let at = self.lx.pos();
+        self.lx.require("@")?;
+        let Some(name) = self.lx.ident() else {
+            return Err(self.lx.err("expected name after '@'"));
+        };
+        if !self.lx.eat("=") {
+            return self.names.get(name).copied().ok_or_else(|| ParseError {
+                at,
+                message: format!("undefined tree reference @{name}"),
+            });
+        }
+        // Allocate the node first so the body can refer to it (cycles).
+        let n = self.g.add_node();
+        let outer = self.names.insert(name, n);
+        let body = self.tree(Some(n))?;
+        if body != n {
+            let edges = self.g.edges(body).to_vec();
+            self.g.set_edges(n, edges);
+        }
+        if let Some(outer) = outer {
+            self.names.insert(name, outer);
+        }
+        Ok(n)
+    }
+
+    fn node(&mut self, into: Option<NodeId>) -> Result<NodeId, ParseError> {
+        let n = into.unwrap_or_else(|| self.g.add_node());
+        self.lx.require("{")?;
+        let start = self.pending.len();
+        while !self.lx.eat("}") {
+            let label = label(&mut self.lx)?;
+            let to = if self.lx.eat(":") {
+                self.tree(None)?
+            } else {
+                self.g.add_node()
+            };
+            let label = match label {
+                ReadLabel::Symbol(s) => Label::symbol(self.g.symbols(), &s),
+                ReadLabel::Value(v) => Label::Value(v),
+            };
+            self.pending.push(Edge { label, to });
+            // A trailing comma is allowed.
+            if !self.lx.eat(",") {
+                self.lx.require("}")?;
+                break;
+            }
+        }
+        for e in self.pending.drain(start..) {
+            self.g.add_edge(n, e.label, e.to);
+        }
+        Ok(n)
+    }
+}
+
 /// A label: identifier or quoted symbol, string/number/bool (value).
-fn label(lx: &mut Lexer) -> Result<LabelSpec, ParseError> {
+fn label<'a>(lx: &mut Lexer<'a>) -> Result<ReadLabel<'a>, ParseError> {
     match lx.peek() {
-        Some('\'') => Ok(LabelSpec::Symbol(lx.quoted('\'')?)),
-        Some('"') => Ok(LabelSpec::Value(Value::Str(lx.quoted('"')?))),
-        Some(c) if starts_number(c) => Ok(LabelSpec::Value(lx.number()?)),
+        Some('\'') => Ok(ReadLabel::Symbol(Cow::Owned(lx.quoted('\'')?))),
+        Some('"') => Ok(ReadLabel::Value(Value::Str(lx.quoted('"')?))),
+        Some(c) if starts_number(c) => Ok(ReadLabel::Value(lx.number()?)),
         _ => match lx.ident() {
-            Some("true") => Ok(LabelSpec::Value(Value::Bool(true))),
-            Some("false") => Ok(LabelSpec::Value(Value::Bool(false))),
-            Some(id) => Ok(LabelSpec::Symbol(id.to_owned())),
+            Some("true") => Ok(ReadLabel::Value(Value::Bool(true))),
+            Some("false") => Ok(ReadLabel::Value(Value::Bool(false))),
+            Some(id) => Ok(ReadLabel::Symbol(Cow::Borrowed(id))),
             None => Err(lx.err("expected label")),
         },
     }
@@ -59,95 +198,6 @@ fn label(lx: &mut Lexer) -> Result<LabelSpec, ParseError> {
 /// Whether `c` starts a number by [`Lexer::number`].
 fn starts_number(c: char) -> bool {
     c.is_ascii_digit() || c == '-' || c == '+'
-}
-
-fn tree(lx: &mut Lexer) -> Result<TreeSpec, ParseError> {
-    lx.enter()?;
-    let out = tree_inner(lx);
-    lx.leave();
-    out
-}
-
-fn tree_inner(lx: &mut Lexer) -> Result<TreeSpec, ParseError> {
-    match lx.peek() {
-        Some('{') => node(lx),
-        Some('@') => {
-            lx.require("@")?;
-            let Some(name) = lx.ident() else {
-                return Err(lx.err("expected name after '@'"));
-            };
-            if lx.eat("=") {
-                Ok(TreeSpec::Def(name.to_owned(), Box::new(tree(lx)?)))
-            } else {
-                Ok(TreeSpec::Ref(name.to_owned()))
-            }
-        }
-        Some('"') => Ok(TreeSpec::Atom(Value::Str(lx.quoted('"')?))),
-        Some(c) if starts_number(c) => Ok(TreeSpec::Atom(lx.number()?)),
-        _ => {
-            // A bare identifier in tree position: true/false are atoms,
-            // anything else is an error (labels go on edges).
-            let at = lx.pos();
-            match lx.ident() {
-                Some("true") => Ok(TreeSpec::Atom(Value::Bool(true))),
-                Some("false") => Ok(TreeSpec::Atom(Value::Bool(false))),
-                Some(id) => Err(ParseError {
-                    at,
-                    message: format!("unexpected identifier '{id}' in tree position"),
-                }),
-                None => Err(lx.err("expected tree")),
-            }
-        }
-    }
-}
-
-fn node(lx: &mut Lexer) -> Result<TreeSpec, ParseError> {
-    lx.require("{")?;
-    let mut entries = Vec::new();
-    while !lx.eat("}") {
-        let label = label(lx)?;
-        let sub = if lx.eat(":") {
-            tree(lx)?
-        } else {
-            TreeSpec::empty()
-        };
-        entries.push((label, sub));
-        // A trailing comma is allowed.
-        if !lx.eat(",") {
-            lx.require("}")?;
-            break;
-        }
-    }
-    Ok(TreeSpec::Node(entries))
-}
-
-/// Parse the textual data syntax into a [`TreeSpec`].
-pub fn parse_tree(src: &str) -> Result<TreeSpec, ParseError> {
-    let mut lx = Lexer::new(src, LITERAL);
-    let t = tree(&mut lx)?;
-    if !lx.at_end() {
-        return Err(lx.err("trailing input after tree"));
-    }
-    Ok(t)
-}
-
-/// Parse the textual data syntax directly into a fresh rooted [`Graph`].
-pub fn parse_graph(src: &str) -> Result<Graph, ParseError> {
-    let spec = parse_tree(src)?;
-    if let Err(msg) = crate::builder::check_refs(&spec) {
-        return Err(ParseError {
-            at: src.len(),
-            message: msg,
-        });
-    }
-    let mut g = Graph::new();
-    let root = {
-        let mut b = TreeBuilder::new(&mut g);
-        b.build(&spec)
-    };
-    g.set_root(root);
-    g.gc();
-    Ok(g)
 }
 
 /// Serialize the subgraph reachable from `node` back to the textual syntax.
@@ -365,7 +415,7 @@ mod tests {
         assert!(parse_graph("{a: 1} extra").is_err());
         assert!(parse_graph("{a: @undef}").is_err());
         // Forward references (other than self-reference via `@x = ...`) are
-        // rejected, mirroring the builder's define-before-use scoping.
+        // rejected: a name is defined before use.
         assert!(parse_graph("{a: @x, b: @x = {}}").is_err());
         assert!(parse_graph(r#"{"unterminated}"#).is_err());
         assert!(parse_graph("{a: bogus}").is_err());
@@ -478,6 +528,9 @@ mod tests {
             ("{a: 1.2.3}", 9, "bad real literal '1.2.3'"),
             ("{a: -}", 5, "bad int literal '-'"),
             ("@", 1, "expected name after '@'"),
+            // Fixed: an undefined or forward reference is reported at its `@`.
+            ("{a: @x = @y}", 9, "undefined tree reference @y"),
+            ("{a: @x, b: @x = {}}", 4, "undefined tree reference @x"),
             (&deep, 4 * MAX_PARSE_DEPTH - 1, "error[SSD110]"),
         ];
         for (src, at, message) in err {
@@ -494,6 +547,70 @@ mod tests {
         let want = "{a: @n0 = {v: 1}, b: @n0, c: @n1 = {w: 2}, d: @n1, e: @n2 = {u: 3}, \
                     f: @n2, g: @n3 = {t: 4}, h: @n3, i: @n4 = {s: 5}, j: @n4, k: @n5 = {next: @n5}}";
         assert_eq!(roundtrip(src).unwrap(), want);
+    }
+
+    /// The exact graph the reader builds: `(from, label, to)` by node id
+    /// (the breadth-first numbering from the root) and the symbols in
+    /// interning order (each label after its subtree).
+    #[test]
+    fn golden_reader_output() {
+        let src = r#"{a: @y = {v: 1, 'odd key': "s"}, b: @y,
+            c: @s = {self: @s, 2.5: true},
+            w: @q = @y,
+            t: @k = "atom", u: @k,
+            r: @x = {in: @x = {deep: -3, back: @x}, out: @x}, z: @x,
+            "key": {1: "one", true}}"#;
+        let g = parse_graph(src).unwrap();
+        let syms = g.symbols();
+        let triples: Vec<(usize, String, usize)> = g
+            .all_edges()
+            .map(|(f, l, t)| (f.index(), l.display(syms).to_string(), t.index()))
+            .collect();
+        let want = [
+            (0, "a", 1),
+            (0, "b", 1),
+            (0, "c", 2),
+            (0, "w", 3),
+            (0, "t", 4),
+            (0, "u", 4),
+            (0, "r", 5),
+            (0, "z", 5),
+            (0, "\"key\"", 6),
+            (1, "v", 7),
+            (1, "odd key", 8),
+            (2, "self", 2),
+            (2, "2.5", 9),
+            (3, "v", 7),
+            (3, "odd key", 8),
+            (4, "\"atom\"", 10),
+            (5, "in", 11),
+            (5, "out", 5),
+            (6, "1", 12),
+            (6, "true", 13),
+            (7, "1", 14),
+            (8, "\"s\"", 15),
+            (9, "true", 16),
+            (11, "deep", 17),
+            (11, "back", 11),
+            (12, "\"one\"", 18),
+            (17, "-3", 19),
+        ]
+        .map(|(f, l, t)| (f, l.to_owned(), t));
+        assert_eq!(triples, want);
+        let order: Vec<String> = syms.snapshot().iter().map(|s| s.to_string()).collect();
+        let want = [
+            "v", "odd key", "a", "b", "self", "c", "w", "t", "u", "deep", "back", "in", "out", "r",
+            "z",
+        ];
+        assert_eq!(order, want);
+        // A repeated `@x = …` rebinds `x` only inside its own body.
+        assert_eq!(
+            roundtrip("{a: @x = {b: @x}, c: @x = {d: 1}, e: @x}").unwrap(),
+            "{a: @n0 = {b: @n0}, c: {d: 1}, e: @n0}"
+        );
+        // A node gets its edges at its `}`: a copy of `@y` taken inside
+        // `@y`'s own body is empty.
+        assert_eq!(roundtrip("@y = {a: 1, b: @q = @y}").unwrap(), "{a: 1, b}");
     }
 
     #[test]

@@ -160,24 +160,7 @@ pub fn evaluate_select(
     let mut stats = analyzer_gate(query, opts.tracer, guard)?;
     let mut result = Graph::with_symbols(g.symbols_handle());
 
-    // Precompile binding paths.
-    let compiled: Vec<(Option<(Rpe, crate::rpe::ast::Step)>, Nfa)> = query
-        .bindings
-        .iter()
-        .map(|b| {
-            let path = if opts.simplify_rpe {
-                b.path.simplify()
-            } else {
-                b.path.clone()
-            };
-            let split = path.split_trailing_label_var();
-            let nfa = match &split {
-                Some((prefix, _)) => Nfa::compile(prefix),
-                None => Nfa::compile(&path),
-            };
-            (split, nfa)
-        })
-        .collect();
+    let prep = Prepared::new(query, opts);
 
     // Guide pruning: a db-rooted binding whose path matches nothing in the
     // guide matches nothing in the data.
@@ -218,30 +201,6 @@ pub fn evaluate_select(
         }
     }
 
-    // Conjuncts for pushdown, each tagged with its variable set.
-    let conjuncts: Vec<&Cond> = query
-        .condition
-        .as_ref()
-        .map(|c| c.conjuncts())
-        .unwrap_or_default();
-    // For pushdown: the earliest binding index after which each conjunct is
-    // fully bound.
-    let bound_after: Vec<usize> = conjuncts
-        .iter()
-        .map(|c| {
-            let vars = c.vars();
-            let mut idx = 0;
-            for (i, b) in query.bindings.iter().enumerate() {
-                let binds_here = vars.contains(b.var.as_str())
-                    || b.path.label_vars().iter().any(|lv| vars.contains(lv));
-                if binds_here {
-                    idx = i + 1;
-                }
-            }
-            idx.max(1)
-        })
-        .collect();
-
     let mut env: HashMap<String, BindVal> = HashMap::new();
     // One shared leaf for all constructed atoms: equal atoms then produce
     // identical (label, node) edges, which the edge-set union dedupes —
@@ -251,9 +210,7 @@ pub fn evaluate_select(
     let outcome = enumerate(
         g,
         query,
-        &compiled,
-        &conjuncts,
-        &bound_after,
+        &prep,
         opts,
         guard,
         0,
@@ -416,43 +373,7 @@ pub fn evaluate_select_seeded(
         return Err("seeded evaluation requires at least one binding".into());
     }
     let mut result = Graph::with_symbols(g.symbols_handle());
-    let compiled: Vec<(Option<(Rpe, crate::rpe::ast::Step)>, Nfa)> = query
-        .bindings
-        .iter()
-        .map(|b| {
-            let path = if opts.simplify_rpe {
-                b.path.simplify()
-            } else {
-                b.path.clone()
-            };
-            let split = path.split_trailing_label_var();
-            let nfa = match &split {
-                Some((prefix, _)) => Nfa::compile(prefix),
-                None => Nfa::compile(&path),
-            };
-            (split, nfa)
-        })
-        .collect();
-    let conjuncts: Vec<&Cond> = query
-        .condition
-        .as_ref()
-        .map(|c| c.conjuncts())
-        .unwrap_or_default();
-    let bound_after: Vec<usize> = conjuncts
-        .iter()
-        .map(|c| {
-            let vars = c.vars();
-            let mut idx = 0;
-            for (i, b) in query.bindings.iter().enumerate() {
-                let binds_here = vars.contains(b.var.as_str())
-                    || b.path.label_vars().iter().any(|lv| vars.contains(lv));
-                if binds_here {
-                    idx = i + 1;
-                }
-            }
-            idx.max(1)
-        })
-        .collect();
+    let prep = Prepared::new(query, opts);
     let mut env: HashMap<String, BindVal> = HashMap::new();
     env.insert(query.bindings[0].var.clone(), BindVal::Tree(node));
     if let (Some(lv), Some(l)) = (query.bindings[0].path.label_vars().first(), label) {
@@ -460,8 +381,8 @@ pub fn evaluate_select_seeded(
     }
     // Conjuncts bound by binding 0 are checked up front under pushdown.
     if opts.pushdown {
-        for (ci, c) in conjuncts.iter().enumerate() {
-            if bound_after[ci] == 1 && !eval_cond(g, c, &env, guard, &mut stats)? {
+        for (c, &after) in prep.conjuncts.iter().zip(&prep.bound_after) {
+            if after == 1 && !eval_cond(g, c, &env, guard, &mut stats)? {
                 result.gc();
                 return Ok((result, stats));
             }
@@ -472,9 +393,7 @@ pub fn evaluate_select_seeded(
     let outcome = enumerate(
         g,
         query,
-        &compiled,
-        &conjuncts,
-        &bound_after,
+        &prep,
         opts,
         guard,
         1, // skip binding 0: it is seeded
@@ -487,13 +406,70 @@ pub fn evaluate_select_seeded(
     finish_select(outcome.map(|()| result), opts.tracer, guard, &mut sp, stats)
 }
 
+/// What both select interpreters set up before enumerating assignments.
+struct Prepared<'q> {
+    /// Each binding's path, split before a trailing label variable, and
+    /// its automaton (of the prefix, if split).
+    compiled: Vec<(Option<(Rpe, crate::rpe::ast::Step)>, Nfa)>,
+    /// The `where` clause's conjuncts, for pushdown.
+    conjuncts: Vec<&'q Cond>,
+    /// For each conjunct, the number of bindings after which all its
+    /// variables are bound (at least 1).
+    bound_after: Vec<usize>,
+}
+
+impl<'q> Prepared<'q> {
+    fn new(query: &'q SelectQuery, opts: &EvalOptions<'_>) -> Prepared<'q> {
+        let compiled: Vec<(Option<(Rpe, crate::rpe::ast::Step)>, Nfa)> = query
+            .bindings
+            .iter()
+            .map(|b| {
+                let path = if opts.simplify_rpe {
+                    b.path.simplify()
+                } else {
+                    b.path.clone()
+                };
+                let split = path.split_trailing_label_var();
+                let nfa = match &split {
+                    Some((prefix, _)) => Nfa::compile(prefix),
+                    None => Nfa::compile(&path),
+                };
+                (split, nfa)
+            })
+            .collect();
+        let conjuncts: Vec<&Cond> = query
+            .condition
+            .as_ref()
+            .map(|c| c.conjuncts())
+            .unwrap_or_default();
+        let bound_after: Vec<usize> = conjuncts
+            .iter()
+            .map(|c| {
+                let vars = c.vars();
+                let mut idx = 0;
+                for (i, b) in query.bindings.iter().enumerate() {
+                    let binds_here = vars.contains(b.var.as_str())
+                        || b.path.label_vars().iter().any(|lv| vars.contains(lv));
+                    if binds_here {
+                        idx = i + 1;
+                    }
+                }
+                idx.max(1)
+            })
+            .collect();
+        Prepared {
+            compiled,
+            conjuncts,
+            bound_after,
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn enumerate(
     g: &Graph,
     query: &SelectQuery,
-    compiled: &[(Option<(Rpe, crate::rpe::ast::Step)>, Nfa)],
-    conjuncts: &[&Cond],
-    bound_after: &[usize],
+    prep: &Prepared<'_>,
     opts: &EvalOptions<'_>,
     guard: &Guard,
     depth: usize,
@@ -511,7 +487,7 @@ fn enumerate(
         // Residual conditions (all, if no pushdown; none, if pushdown got
         // them all).
         if !opts.pushdown {
-            for c in conjuncts {
+            for c in &prep.conjuncts {
                 if !eval_cond(g, c, env, guard, stats)? {
                     return Ok(());
                 }
@@ -542,7 +518,7 @@ fn enumerate(
             None => return Err(format!("unbound source variable {v}")),
         },
     };
-    let (split, nfa) = &compiled[depth];
+    let (split, nfa) = &prep.compiled[depth];
     stats.rpe_evals += 1;
     let fuel_before = guard.steps_used();
     // Guide-exact evaluation: a db-rooted RPE can be answered entirely
@@ -605,8 +581,8 @@ fn enumerate(
         // Pushdown: check all conjuncts that became fully bound here.
         let mut ok = true;
         if opts.pushdown {
-            for (ci, c) in conjuncts.iter().enumerate() {
-                if bound_after[ci] == depth + 1 && !eval_cond(g, c, env, guard, stats)? {
+            for (c, &after) in prep.conjuncts.iter().zip(&prep.bound_after) {
+                if after == depth + 1 && !eval_cond(g, c, env, guard, stats)? {
                     ok = false;
                     break;
                 }
@@ -616,9 +592,7 @@ fn enumerate(
             enumerate(
                 g,
                 query,
-                compiled,
-                conjuncts,
-                bound_after,
+                prep,
                 opts,
                 guard,
                 depth + 1,
